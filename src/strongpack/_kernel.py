@@ -17,6 +17,7 @@ else:
         _impl = _pycore
 
 BACKEND = _impl.BACKEND
+MAX_VERTICES = _pycore._MAX_N  # both backends work on 64-bit vertex masks
 search_arc_disjoint = _impl.search_arc_disjoint
 search_internally_disjoint = _impl.search_internally_disjoint
 

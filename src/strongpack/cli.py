@@ -19,8 +19,9 @@ from . import generators as gen
 from . import packing as pk
 from . import reductions as red
 from .composition import read_composition, write_composition
-from .digraph import (Digraph, is_eulerian, is_quasi_transitive, is_semicomplete,
-                      is_strong, is_symmetric, read_digraph, strong_components,
+from .digraph import (Digraph, complete_bipartite_digraph, is_eulerian,
+                      is_quasi_transitive, is_semicomplete, is_strong,
+                      is_symmetric, read_digraph, strong_components,
                       write_digraph)
 from .errors import (GraphFormatError, PreconditionError, SizeLimitError,
                      StrongpackError)
@@ -106,11 +107,13 @@ def cmd_pack(args) -> int:
 
 def _bipartite_sides(d: Digraph):
     """(a, b) if the graph is exactly a complete bipartite digraph with the
-    standard vertex layout, else None."""
-    for a in range(1, d.n):
-        from .digraph import complete_bipartite_digraph
-        if d == complete_bipartite_digraph(a, d.n - a):
-            return a, d.n - a
+    standard vertex layout, else None.  Vertex 0 lies on the first side,
+    so its out-degree is the size b of the second."""
+    if d.n < 2:
+        return None
+    a = d.n - d.out_degree(0)
+    if a < d.n and d == complete_bipartite_digraph(a, d.n - a):
+        return a, d.n - a
     return None
 
 

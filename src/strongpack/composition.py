@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .digraph import (Digraph, is_quasi_transitive, is_semicomplete, is_strong,
-                      read_digraph, write_digraph)
+from .digraph import (Digraph, bits, is_quasi_transitive, is_semicomplete,
+                      is_strong, mask_of, reachable, read_digraph, write_digraph)
 from .errors import GraphFormatError, PreconditionError, StrongpackError
 
 
@@ -63,29 +63,22 @@ class CompositionSpec:
             offs.append(offs[-1] + h.n)
         return offs
 
-    def flat_id(self, layer: int, j: int) -> int:
-        return self.offsets()[layer] + j
-
-    def layer_of(self, flat: int) -> tuple[int, int]:
-        offs = self.offsets()
-        for i in range(self.t):
-            if flat < offs[i + 1]:
-                return i, flat - offs[i]
-        raise PreconditionError(f"flat id {flat} out of range")
-
 
 def compose(spec: CompositionSpec) -> Digraph:
-    """Flatten the composition: inner arcs plus all cross arcs per outer arc."""
+    """Flatten the composition: inner arcs plus all cross arcs per outer arc.
+
+    Built on masks: vertex j of layer i keeps its inner out-mask shifted to
+    the layer's offset, plus the whole-layer masks of every out-neighbour
+    of i in the outer digraph."""
     offs = spec.offsets()
-    arcs: list[tuple[int, int]] = []
+    layer = [((1 << h.n) - 1) << offs[i] for i, h in enumerate(spec.inners)]
+    out: list[int] = []
     for i, h in enumerate(spec.inners):
-        base = offs[i]
-        arcs.extend((base + u, base + v) for (u, v) in h.arcs)
-    for i, p in spec.outer.arcs:
-        for u in range(spec.inners[i].n):
-            for v in range(spec.inners[p].n):
-                arcs.append((offs[i] + u, offs[p] + v))
-    return Digraph(offs[-1], arcs)
+        cross = 0
+        for p in bits(spec.outer.out[i]):
+            cross |= layer[p]
+        out.extend(x << offs[i] | cross for x in h.out)
+    return Digraph.from_masks(offs[-1], out)
 
 
 def lexicographic_product(g: Digraph, h: Digraph) -> Digraph:
@@ -115,48 +108,33 @@ def canonical_decomposition_strong_qt(d: Digraph) -> CompositionSpec:
     if not is_quasi_transitive(d):
         raise PreconditionError("digraph is not quasi-transitive")
 
-    adjacent = [[False] * d.n for _ in range(d.n)]
-    for u, v in d.arcs:
-        adjacent[u][v] = adjacent[v][u] = True
-
-    comp = [-1] * d.n
-    parts: list[list[int]] = []
-    for root in range(d.n):
-        if comp[root] != -1:
-            continue
-        comp[root] = len(parts)
-        bucket = [root]
-        todo = [root]
-        while todo:
-            u = todo.pop()
-            for v in range(d.n):
-                if v != u and comp[v] == -1 and not adjacent[u][v]:
-                    comp[v] = comp[root]
-                    bucket.append(v)
-                    todo.append(v)
-        parts.append(sorted(bucket))
-    parts.sort(key=min)
+    full = (1 << d.n) - 1
+    inn = d.in_masks()
+    # apart[v]: the vertices other than v not adjacent to v either way
+    apart = [full & ~(x | y | 1 << v) for v, (x, y) in enumerate(zip(d.out, inn))]
+    part_masks: list[int] = []
+    left = full
+    while left:
+        part = reachable(apart, (left & -left).bit_length() - 1)
+        part_masks.append(part)
+        left &= ~part
+    parts = [bits(pm) for pm in part_masks]
 
     t = len(parts)
     if t < 2:
         raise StrongpackError("decomposition produced a single part on a "
                               "strong digraph; input violates the structure")
-    index_of = {}
-    for i, bucket in enumerate(parts):
-        for j, v in enumerate(bucket):
-            index_of[v] = (i, j)
-
-    inners = tuple(
-        Digraph(len(bucket),
-                ((index_of[u][1], index_of[v][1]) for (u, v) in d.arcs
-                 if index_of[u][0] == i and index_of[v][0] == i))
-        for i, bucket in enumerate(parts))
-    outer_arcs = set()
-    for u, v in d.arcs:
-        iu, ip = index_of[u][0], index_of[v][0]
-        if iu != ip:
-            outer_arcs.add((iu, ip))
-    outer = Digraph(t, outer_arcs)
+    inners, outer_out = [], []
+    for i, (bucket, pm) in enumerate(zip(parts, part_masks)):
+        local = {v: j for j, v in enumerate(bucket)}
+        inners.append(Digraph.from_masks(len(bucket), (
+            mask_of(local[w] for w in bits(d.out[v] & pm)) for v in bucket)))
+        heads = 0
+        for v in bucket:
+            heads |= d.out[v]
+        outer_out.append(mask_of(p for p, other in enumerate(part_masks)
+                                 if p != i and heads & other))
+    outer = Digraph.from_masks(t, outer_out)
     original_ids = tuple(v for bucket in parts for v in bucket)
     spec = CompositionSpec(outer, inners, original_ids)
 
@@ -173,8 +151,14 @@ def canonical_decomposition_strong_qt(d: Digraph) -> CompositionSpec:
 
 
 def relabel(d: Digraph, mapping: Sequence[int]) -> Digraph:
-    """New digraph with vertex i renamed mapping[i]."""
-    return Digraph(d.n, ((mapping[u], mapping[v]) for (u, v) in d.arcs))
+    """New digraph with vertex i renamed mapping[i]; ``mapping`` must be a
+    permutation of the vertex ids."""
+    if sorted(mapping) != list(range(d.n)):
+        raise PreconditionError("mapping must be a permutation of the vertices")
+    out = [0] * d.n
+    for u, x in enumerate(d.out):
+        out[mapping[u]] = mask_of(mapping[v] for v in bits(x))
+    return Digraph.from_masks(d.n, out)
 
 
 # -- text format ---------------------------------------------------------------

@@ -1,83 +1,142 @@
 """Loop-free simple digraphs and the class predicates used as preconditions.
 
-Vertices are dense integer ids 0..n-1.  Arcs are ordered pairs (u, v) with
-u != v, stored as a frozenset, so a digraph is hashable and comparable.
-All functions here are pure.
+Vertices are dense integer ids 0..n-1.  A digraph is stored as ``n`` plus a
+tuple of out-neighbourhood bitmasks: bit v of ``out[u]`` is set iff u -> v
+is an arc.  Equality and hashing work on ``(n, out)``; the arc set, the
+in-neighbourhoods and the adjacency lists are derived from the masks.
+
+``Digraph(n, arcs)`` validates its input (no loops, ids in range) and is
+the constructor for external data.  ``Digraph.from_masks(n, out)`` is the
+trusted constructor for digraphs the package builds itself; it does not
+check its input.  All functions here are pure.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from dataclasses import dataclass
+from itertools import compress
+from typing import Iterable, Iterator, Sequence
 
 from .errors import GraphFormatError, PreconditionError
 
 Arc = tuple[int, int]
 
+_BIT_OF_CHAR = bytes.maketrans(b"01", b"\x00\x01")
 
-@dataclass(frozen=True)
+
+def bits(mask: int) -> list[int]:
+    """The positions of the set bits of a nonnegative int, ascending."""
+    return list(compress(range(mask.bit_length()),
+                         bin(mask)[:1:-1].encode().translate(_BIT_OF_CHAR)))
+
+
+def mask_of(vertices: Iterable[int]) -> int:
+    """The bitmask with exactly the given bits set."""
+    mask = 0
+    for v in vertices:
+        mask |= 1 << v
+    return mask
+
+
+def reachable(masks: Sequence[int], root: int) -> int:
+    """Mask of the vertices reachable from ``root`` along ``masks``."""
+    seen = frontier = 1 << root
+    while frontier:
+        nxt = 0
+        while frontier:  # frontiers are small: peel the lowest bit each time
+            low = frontier & -frontier
+            nxt |= masks[low.bit_length() - 1]
+            frontier ^= low
+        frontier = nxt & ~seen
+        seen |= frontier
+    return seen
+
+
 class Digraph:
     """A simple directed graph on vertices 0..n-1 with no loops."""
 
-    n: int
-    arcs: frozenset[Arc] = field(default_factory=frozenset)
+    __slots__ = ("n", "out", "_arcs")
 
     def __init__(self, n: int, arcs: Iterable[Arc] = ()):
         if n < 0:
             raise PreconditionError("vertex count must be nonnegative")
-        arcset = frozenset((int(u), int(v)) for u, v in arcs)
-        for u, v in arcset:
+        out = [0] * n
+        for u, v in arcs:
+            u, v = int(u), int(v)
             if u == v:
                 raise PreconditionError(f"loop arc ({u}, {u}) not allowed")
             if not (0 <= u < n and 0 <= v < n):
                 raise PreconditionError(f"arc ({u}, {v}) out of range for n={n}")
+            out[u] |= 1 << v
+        self._set(n, tuple(out))
+
+    @classmethod
+    def from_masks(cls, n: int, out: Iterable[int]) -> "Digraph":
+        """Trusted constructor: ``out`` holds n out-neighbourhood masks over
+        bits 0..n-1 with bit u of ``out[u]`` clear.  Not validated."""
+        d = object.__new__(cls)
+        d._set(n, tuple(out))
+        return d
+
+    def _set(self, n: int, out: tuple[int, ...]) -> None:
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "arcs", arcset)
+        object.__setattr__(self, "out", out)
+        object.__setattr__(self, "_arcs", None)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Digraph is immutable")
+
+    def __reduce__(self):
+        return Digraph.from_masks, (self.n, self.out)
+
+    def __eq__(self, other):
+        if not isinstance(other, Digraph):
+            return NotImplemented
+        return self.n == other.n and self.out == other.out
+
+    def __hash__(self):
+        return hash((self.n, self.out))
+
+    @property
+    def arcs(self) -> frozenset[Arc]:
+        """The arc set, built on first use and cached."""
+        if self._arcs is None:
+            object.__setattr__(self, "_arcs", frozenset(
+                [(u, v) for u, x in enumerate(self.out) for v in bits(x)]))
+        return self._arcs
 
     @property
     def m(self) -> int:
-        return len(self.arcs)
+        return sum(x.bit_count() for x in self.out)
 
     def vertices(self) -> range:
         return range(self.n)
 
     def has_arc(self, u: int, v: int) -> bool:
-        return (u, v) in self.arcs
-
-    def out_neighbors(self, u: int) -> list[int]:
-        return sorted(v for (x, v) in self.arcs if x == u)
-
-    def in_neighbors(self, v: int) -> list[int]:
-        return sorted(u for (u, x) in self.arcs if x == v)
+        return 0 <= u < self.n and 0 <= v < self.n and bool(self.out[u] >> v & 1)
 
     def out_degree(self, u: int) -> int:
-        return sum(1 for (x, _) in self.arcs if x == u)
+        return self.out[u].bit_count()
 
     def in_degree(self, v: int) -> int:
-        return sum(1 for (_, x) in self.arcs if x == v)
+        return sum(x >> v & 1 for x in self.out)
 
     def reverse(self) -> "Digraph":
-        return Digraph(self.n, ((v, u) for (u, v) in self.arcs))
+        return Digraph.from_masks(self.n, self.in_masks())
 
     def adjacency(self) -> list[list[int]]:
         """Out-adjacency lists, each sorted ascending."""
-        adj: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in sorted(self.arcs):
-            adj[u].append(v)
-        return adj
+        return [bits(x) for x in self.out]
 
     def out_masks(self) -> list[int]:
         """Out-neighborhoods as bitmasks (arbitrary-precision ints)."""
-        masks = [0] * self.n
-        for u, v in self.arcs:
-            masks[u] |= 1 << v
-        return masks
+        return list(self.out)
 
     def in_masks(self) -> list[int]:
-        masks = [0] * self.n
-        for u, v in self.arcs:
-            masks[v] |= 1 << u
-        return masks
+        """In-neighborhoods as bitmasks: the out-masks read as the rows of
+        a bit matrix and transposed, one string column at a time."""
+        rows = [format(x, f"0{self.n}b")[::-1] for x in reversed(self.out)]
+        return [int("".join(col), 2) for col in zip(*rows)]
 
     def __repr__(self):
         return f"Digraph(n={self.n}, m={self.m})"
@@ -174,65 +233,49 @@ def strong_components(d: Digraph) -> list[frozenset[int]]:
 
 
 def is_strong(d: Digraph) -> bool:
-    """True iff every vertex reaches every other (single vertex counts)."""
+    """True iff every vertex reaches every other (single vertex counts):
+    vertex 0 reaches everything forwards and backwards."""
     if d.n < 1:
         raise PreconditionError("is_strong needs at least one vertex")
-    return len(strong_components(d)) == 1
+    full = (1 << d.n) - 1
+    return reachable(d.out, 0) == full and reachable(d.in_masks(), 0) == full
 
 
 def is_symmetric(d: Digraph) -> bool:
     """True iff the arc set is closed under reversal."""
-    return all((v, u) in d.arcs for (u, v) in d.arcs)
+    return tuple(d.in_masks()) == d.out
 
 
 def is_semicomplete(d: Digraph) -> bool:
     """True iff every unordered vertex pair carries at least one arc."""
-    for u in range(d.n):
-        for v in range(u + 1, d.n):
-            if (u, v) not in d.arcs and (v, u) not in d.arcs:
-                return False
-    return True
+    full = (1 << d.n) - 1
+    return all(x | y | 1 << u == full
+               for u, (x, y) in enumerate(zip(d.out, d.in_masks())))
 
 
 def underlying_connected(d: Digraph) -> bool:
     """Connectivity of the underlying undirected graph."""
     if d.n == 0:
         return True
-    nbr: list[set[int]] = [set() for _ in range(d.n)]
-    for u, v in d.arcs:
-        nbr[u].add(v)
-        nbr[v].add(u)
-    seen = {0}
-    todo = [0]
-    while todo:
-        u = todo.pop()
-        for v in nbr[u]:
-            if v not in seen:
-                seen.add(v)
-                todo.append(v)
-    return len(seen) == d.n
+    nbr = [x | y for x, y in zip(d.out, d.in_masks())]
+    return reachable(nbr, 0) == (1 << d.n) - 1
 
 
 def is_eulerian(d: Digraph) -> bool:
     """Balanced in/out degree at every vertex and connected underlying graph."""
     if not underlying_connected(d):
         return False
-    outd = [0] * d.n
-    ind = [0] * d.n
-    for u, v in d.arcs:
-        outd[u] += 1
-        ind[v] += 1
-    return all(outd[v] == ind[v] for v in range(d.n))
+    return all(x.bit_count() == y.bit_count() for x, y in zip(d.out, d.in_masks()))
 
 
 def is_quasi_transitive(d: Digraph) -> bool:
-    """True iff every 2-arc path x->y->z forces an arc between x and z."""
-    adj = d.adjacency()
-    for x, y in d.arcs:
-        for z in adj[y]:
-            if z == x:
-                continue
-            if (x, z) not in d.arcs and (z, x) not in d.arcs:
+    """True iff every 2-arc path x->y->z forces an arc between x and z:
+    for every arc x->y, out[y] lies inside out[x] | in[x] | {x}."""
+    inn = d.in_masks()
+    for x, ox in enumerate(d.out):
+        allowed = ox | inn[x] | 1 << x
+        for y in bits(ox):
+            if d.out[y] & ~allowed:
                 return False
     return True
 
@@ -241,12 +284,7 @@ def min_semi_degree(d: Digraph) -> int:
     """min over vertices of min(out-degree, in-degree)."""
     if d.n < 1:
         raise PreconditionError("min_semi_degree needs at least one vertex")
-    outd = [0] * d.n
-    ind = [0] * d.n
-    for u, v in d.arcs:
-        outd[u] += 1
-        ind[v] += 1
-    return min(min(outd[v], ind[v]) for v in range(d.n))
+    return min(min(x.bit_count(), y.bit_count()) for x, y in zip(d.out, d.in_masks()))
 
 
 # -- convenience constructors ------------------------------------------------
@@ -254,11 +292,11 @@ def min_semi_degree(d: Digraph) -> int:
 def directed_cycle(t: int) -> Digraph:
     if t < 2:
         raise PreconditionError("directed cycle needs at least 2 vertices")
-    return Digraph(t, ((i, (i + 1) % t) for i in range(t)))
+    return Digraph.from_masks(t, (1 << (i + 1) % t for i in range(t)))
 
 
 def directed_path(t: int) -> Digraph:
-    return Digraph(t, ((i, i + 1) for i in range(t - 1)))
+    return Digraph.from_masks(t, (1 << i + 1 if i + 1 < t else 0 for i in range(t)))
 
 
 def empty_digraph(n: int) -> Digraph:
@@ -278,7 +316,9 @@ def complete_bipartite_digraph(a: int, b: int) -> Digraph:
     """All arcs both ways between side {0..a-1} and side {a..a+b-1}."""
     if a < 1 or b < 1:
         raise PreconditionError("both sides must be nonempty")
-    return biorientation(a + b, ((i, a + j) for i in range(a) for j in range(b)))
+    side_a = (1 << a) - 1
+    side_b = ((1 << b) - 1) << a
+    return Digraph.from_masks(a + b, [side_b] * a + [side_a] * b)
 
 
 # -- text format ---------------------------------------------------------------
@@ -288,39 +328,55 @@ def complete_bipartite_digraph(a: int, b: int) -> Digraph:
 # written and writing it again reproduces the bytes exactly.
 
 def write_digraph(d: Digraph) -> str:
+    names = [str(v) for v in range(d.n)]
     lines = [f"{d.n} {d.m}"]
-    lines.extend(f"{u} {v}" for u, v in sorted(d.arcs))
+    for u, x in enumerate(d.out):
+        head = names[u] + " "
+        lines.extend([head + names[v] for v in bits(x)])
     return "\n".join(lines) + "\n"
 
 
 def read_digraph(text: str) -> Digraph:
-    header = None
-    arcs = []
+    """Parse the text format.  Every line is checked for syntax first (with
+    its line number); then the arc count, the vertex count and the first
+    loop or out-of-range arc are reported, in that order."""
+    n, m = 0, None  # m stays None until the header line is read
+    out: list[int] = []
+    count = 0
+    bad_arc = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        fields = raw.split()
+        if not fields or fields[0][0] == "#":
             continue
-        fields = line.split()
-        if header is None:
+        if m is None:
             if len(fields) != 2:
                 raise GraphFormatError("expected header 'n m'", lineno)
             try:
-                header = (int(fields[0]), int(fields[1]))
+                n, m = int(fields[0]), int(fields[1])
             except ValueError:
                 raise GraphFormatError("header fields must be integers", lineno)
+            out = [0] * max(n, 0)
             continue
         if len(fields) != 2:
             raise GraphFormatError("expected arc line 'u v'", lineno)
         try:
-            arcs.append((int(fields[0]), int(fields[1])))
+            u, v = int(fields[0]), int(fields[1])
         except ValueError:
             raise GraphFormatError("arc endpoints must be integers", lineno)
-    if header is None:
+        count += 1
+        if u != v and 0 <= u < n and 0 <= v < n:
+            out[u] |= 1 << v
+        elif bad_arc is None:
+            bad_arc = (u, v)
+    if m is None:
         raise GraphFormatError("empty digraph file")
-    n, m = header
-    if len(arcs) != m:
-        raise GraphFormatError(f"header promises {m} arcs, found {len(arcs)}")
-    try:
-        return Digraph(n, arcs)
-    except PreconditionError as exc:
-        raise GraphFormatError(str(exc))
+    if count != m:
+        raise GraphFormatError(f"header promises {m} arcs, found {count}")
+    if n < 0:
+        raise GraphFormatError("vertex count must be nonnegative")
+    if bad_arc is not None:
+        u, v = bad_arc
+        if u == v:
+            raise GraphFormatError(f"loop arc ({u}, {u}) not allowed")
+        raise GraphFormatError(f"arc ({u}, {v}) out of range for n={n}")
+    return Digraph.from_masks(n, out)

@@ -13,7 +13,7 @@ from itertools import combinations
 
 from . import _kernel
 from .digraph import Arc, Digraph, as_terminals, is_strong, is_symmetric, \
-    strong_components, underlying_connected
+    mask_of, strong_components, underlying_connected
 from .errors import PreconditionError, SizeLimitError, StrongpackError
 from .flows import max_vertex_disjoint_paths, min_arc_cut, \
     vertex_capacitated_connectivity
@@ -52,13 +52,6 @@ class CutCertificate:
     @property
     def size(self) -> int:
         return len(self.arcs)
-
-
-def _mask(vertices) -> int:
-    m = 0
-    for v in vertices:
-        m |= 1 << v
-    return m
 
 
 def _scc_containing(d: Digraph, pivot: int) -> frozenset[int]:
@@ -103,7 +96,7 @@ def exact_lambda(d: Digraph, terminals, limits: SolverLimits = DEFAULT_LIMITS):
         return 0, Packing(d, ts, MODE_ARC, ())
     best_parts: tuple[frozenset[Arc], ...] = (part1,)
     arcs = sorted(d.arcs)
-    s_mask = _mask(ts)
+    s_mask = mask_of(ts)
     bound = _pair_flow_bound(d, ts)
     ell = 2
     while ell <= bound:
@@ -129,7 +122,7 @@ def exact_kappa(d: Digraph, terminals, limits: SolverLimits = DEFAULT_LIMITS):
         return 0, Packing(d, ts, MODE_INTERNAL, ())
     best_parts: tuple[frozenset[Arc], ...] = (part1,)
     arcs = sorted(d.arcs)
-    s_mask = _mask(ts)
+    s_mask = mask_of(ts)
     bound = _pair_flow_bound(d, ts)
     for u in sorted(ts):
         for v in sorted(ts):

@@ -13,7 +13,7 @@ import random
 from .composition import CompositionSpec
 from .digraph import Digraph, biorientation, complete_bipartite_digraph, is_strong
 from .errors import StrongpackError
-from .reductions import BipartiteGraph, Hypergraph
+from .reductions import Hypergraph
 
 _RETRIES = 64
 
@@ -60,17 +60,6 @@ def random_strong_semicomplete(n: int, rng: random.Random,
     raise StrongpackError(f"no strong semicomplete digraph found in {_RETRIES} tries")
 
 
-def random_strong_digraph(n: int, m: int, rng: random.Random) -> Digraph:
-    """Random digraph with roughly m arcs, regenerated until strong."""
-    for _ in range(_RETRIES):
-        pool = [(u, v) for u in range(n) for v in range(n) if u != v]
-        rng.shuffle(pool)
-        d = Digraph(n, pool[:m])
-        if is_strong(d):
-            return d
-    raise StrongpackError(f"no strong digraph with n={n}, m={m} in {_RETRIES} tries")
-
-
 def random_inner(n: int, arc_prob: float, rng: random.Random) -> Digraph:
     arcs = [(u, v) for u in range(n) for v in range(n)
             if u != v and rng.random() < arc_prob]
@@ -101,12 +90,6 @@ def random_hypergraph(n: int, e: int, rng: random.Random) -> Hypergraph:
         size = rng.randint(1, max(1, n))
         edges.append(frozenset(rng.sample(range(n), size)))
     return Hypergraph(n, edges)
-
-
-def random_bipartite(c: int, b: int, edge_prob: float, rng: random.Random) -> BipartiteGraph:
-    edges = [(x, y) for x in range(c) for y in range(b)
-             if rng.random() < edge_prob]
-    return BipartiteGraph(c, b, edges)
 
 
 def random_eulerian(n: int, cycles: int, rng: random.Random) -> Digraph:

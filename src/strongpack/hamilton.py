@@ -20,6 +20,11 @@ from .digraph import Digraph, directed_cycle, empty_digraph, is_semicomplete, is
 from .errors import InfeasibleError, PreconditionError, UnsupportedCaseError
 
 
+def _cycle_arcs(order: tuple[int, ...]):
+    """The arcs of the closed walk through ``order``, in order."""
+    return zip(order, order[1:] + order[:1])
+
+
 @dataclass(frozen=True)
 class HamCycle:
     """A Hamiltonian cycle of ``host`` given as a vertex order."""
@@ -28,15 +33,15 @@ class HamCycle:
     order: tuple[int, ...]
 
     def arcs(self) -> frozenset[tuple[int, int]]:
-        k = len(self.order)
-        return frozenset((self.order[i], self.order[(i + 1) % k]) for i in range(k))
+        return frozenset(_cycle_arcs(self.order))
 
     def check(self) -> None:
         if sorted(self.order) != list(range(self.host.n)):
             raise PreconditionError("order must visit every vertex exactly once")
-        for a in self.arcs():
-            if a not in self.host.arcs:
-                raise PreconditionError(f"cycle uses missing arc {a}")
+        out = self.host.out
+        for u, v in _cycle_arcs(self.order):
+            if not out[u] >> v & 1:
+                raise PreconditionError(f"cycle uses missing arc {(u, v)}")
 
 
 @dataclass(frozen=True)
@@ -47,14 +52,14 @@ class HamDecomposition:
     cycles: tuple[HamCycle, ...]
 
     def check(self) -> None:
-        seen: set[tuple[int, int]] = set()
+        seen = [0] * self.host.n
         for cyc in self.cycles:
             cyc.check()
-            arcs = cyc.arcs()
-            if seen & arcs:
-                raise PreconditionError("cycles share an arc")
-            seen |= arcs
-        if seen != self.host.arcs:
+            for u, v in _cycle_arcs(cyc.order):
+                if seen[u] >> v & 1:
+                    raise PreconditionError("cycles share an arc")
+                seen[u] |= 1 << v
+        if tuple(seen) != self.host.out:
             raise PreconditionError("cycles do not cover the host arc set")
 
 

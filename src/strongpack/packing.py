@@ -17,8 +17,9 @@ from . import _kernel
 from .composition import CompositionSpec, canonical_decomposition_strong_qt, compose
 from .digraph import (Arc, Digraph, as_terminals, complete_bipartite_digraph,
                       directed_cycle, directed_path, empty_digraph,
-                      is_semicomplete, is_strong, is_symmetric, strong_components)
-from .errors import GraphFormatError, InfeasibleError, PreconditionError, StrongpackError
+                      is_semicomplete, is_strong, is_symmetric, mask_of, reachable)
+from .errors import (GraphFormatError, InfeasibleError, PreconditionError,
+                     SizeLimitError, StrongpackError)
 from .hamilton import decompose_cycle_blowup, hamilton_semicomplete
 
 MODE_ARC = "arc"
@@ -49,32 +50,55 @@ class Verdict:
         return self.ok
 
 
-def _subgraph_strong_with(arcs: frozenset[Arc], required: frozenset[int]) -> bool:
-    """The subgraph spanned by ``arcs`` is strong and covers ``required``."""
-    verts = {v for arc in arcs for v in arc}
-    if not required <= verts:
+def _part_masks(host: Digraph,
+                arcs: frozenset[Arc]) -> tuple[list[int], list[int], list[Arc]]:
+    """(out-masks, in-masks, stray arcs) of the subgraph spanned by the
+    host arcs among ``arcs``; stray arcs are those not in the host."""
+    n, host_out = host.n, host.out
+    out, inn, stray = [0] * n, [0] * n, []
+    for u, v in arcs:
+        if 0 <= u < n and 0 <= v < n and host_out[u] >> v & 1:
+            out[u] |= 1 << v
+            inn[v] |= 1 << u
+        else:
+            stray.append((u, v))
+    return out, inn, stray
+
+
+def _strong_with(out: list[int], inn: list[int], required: int) -> bool:
+    """The subgraph with these masks (its vertices are the arc ends) is
+    strong and covers the vertex mask ``required``."""
+    verts = 0
+    for x, y in zip(out, inn):
+        verts |= x | y
+    if not verts or required & ~verts:
         return False
-    if not verts:
-        return False
-    ids = {v: i for i, v in enumerate(sorted(verts))}
-    sub = Digraph(len(ids), ((ids[u], ids[v]) for (u, v) in arcs))
-    return len(strong_components(sub)) == 1
+    root = (verts & -verts).bit_length() - 1
+    return reachable(out, root) == verts and reachable(inn, root) == verts
 
 
 def verify_packing(p: Packing) -> Verdict:
     if p.mode not in (MODE_ARC, MODE_INTERNAL):
         return Verdict(False, "unknown mode", witness=p.mode)
+    required = mask_of(p.terminals)
+    used = [0] * p.host.n
+    overlap = False  # arcs shared between parts; located pair by pair below
     for i, part in enumerate(p.parts):
-        stray = part - p.host.arcs
+        out, inn, stray = _part_masks(p.host, part)
         if stray:
-            return Verdict(False, "arc not in host", (i,), sorted(stray)[0])
-        if not _subgraph_strong_with(part, p.terminals):
+            return Verdict(False, "arc not in host", (i,), min(stray))
+        if not _strong_with(out, inn, required):
             return Verdict(False, "part is not a terminal-covering strong subgraph", (i,))
-    for i in range(len(p.parts)):
-        for j in range(i + 1, len(p.parts)):
-            shared = p.parts[i] & p.parts[j]
-            if shared:
-                return Verdict(False, "arc-disjoint", (i, j), sorted(shared)[0])
+        for u, x in enumerate(out):
+            if used[u] & x:
+                overlap = True
+            used[u] |= x
+    if overlap:
+        for i in range(len(p.parts)):
+            for j in range(i + 1, len(p.parts)):
+                shared = p.parts[i] & p.parts[j]
+                if shared:
+                    return Verdict(False, "arc-disjoint", (i, j), sorted(shared)[0])
     if p.mode == MODE_INTERNAL:
         for i in range(len(p.parts)):
             vi = p.part_vertices(i)
@@ -229,7 +253,8 @@ def pack_semicomplete_composition(spec: CompositionSpec, terminals) -> Packing:
 
     n0 = 1 takes the whole digraph.  n0 = 2 finds two arc-disjoint strong
     spanning subgraphs by exact search (they exist for every non-
-    exceptional host).  For n0 >= 3 a Hamiltonian cycle of the outer
+    exceptional host); hosts above the search's 64 vertices are refused
+    with SizeLimitError.  For n0 >= 3 a Hamiltonian cycle of the outer
     digraph yields a spanning cycle blow-up on the first n0 vertices of
     each layer; its Hamiltonian decomposition gives the cores, and each
     leftover vertex joins core j through its layer's neighbors of index j
@@ -254,6 +279,10 @@ def pack_semicomplete_composition(spec: CompositionSpec, terminals) -> Packing:
         return _checked(Packing(host, ts, MODE_ARC, (host.arcs,)))
 
     if n0 == 2:
+        if host.n > _kernel.MAX_VERTICES:
+            raise SizeLimitError(
+                f"n0 = 2 on a {host.n}-vertex host: this case runs an exact "
+                f"search, limited to {_kernel.MAX_VERTICES} vertices")
         arcs = sorted(host.arcs)
         full = (1 << host.n) - 1
         found = _kernel.search_arc_disjoint(host.n, arcs, full, 2)

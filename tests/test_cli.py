@@ -81,6 +81,41 @@ class TestPackVerify:
         assert main(["pack", "--composition", comp, "--terminals", "0,1"]) == 2
         assert "exceptional" in capsys.readouterr().err
 
+    def test_n0_two_host_above_kernel_limit_exits_4(self, workdir, capsys):
+        spec = sp.CompositionSpec(sp.directed_cycle(3), (
+            sp.empty_digraph(2), sp.empty_digraph(32), sp.empty_digraph(32)))
+        comp = write(workdir / "big.comp", sp.write_composition(spec))
+        out = workdir / "big.pack"
+        assert main(["pack", "--composition", comp, "--terminals", "0,1",
+                     "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("size limit: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_bipartite_auto_detection(self, workdir):
+        for a, b in ((1, 1), (1, 4), (3, 3)):
+            host = sp.complete_bipartite_digraph(a, b)
+            g = write(workdir / "k.dg", sp.write_digraph(host))
+            out = workdir / "k.pack"
+            assert main(["pack", "--graph", g, "--terminals", "0,1",
+                         "--out", str(out)]) == 0
+            assert out.read_text().startswith(f"parts={a} mode=arc")
+
+    def test_bipartite_sides(self):
+        from strongpack.cli import _bipartite_sides
+        assert _bipartite_sides(sp.complete_bipartite_digraph(4, 2)) == (4, 2)
+        assert _bipartite_sides(sp.Digraph(1)) is None
+        assert _bipartite_sides(sp.empty_digraph(3)) is None
+        assert _bipartite_sides(sp.biorientation(3, [(0, 1), (0, 2), (1, 2)])) is None
+
+    def test_near_bipartite_graph_is_not_detected(self, workdir, capsys):
+        d = sp.complete_bipartite_digraph(2, 3)
+        g = write(workdir / "k.dg", sp.write_digraph(sp.Digraph(5, d.arcs - {(4, 0)})))
+        assert main(["pack", "--graph", g, "--terminals", "0,1",
+                     "--strategy", "bipartite"]) == 2
+        assert "not a complete bipartite" in capsys.readouterr().err
+
     def test_verify_flags_tampering(self, workdir, capsys):
         p = sp.pack_bipartite(2, 2)
         host = write(workdir / "h.dg", sp.write_digraph(p.host))

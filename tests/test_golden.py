@@ -1,0 +1,103 @@
+"""Golden bytes: SHA-256 digests of the host and packing files that the
+constructive packers write on seeded instances.
+
+The digests in ``golden_packings.json`` pin the exact output format and
+the exact choices the constructions make (cycle orders, part order, arc
+order).  A change to the digraph core or the packers that alters a single
+byte fails here.  To record the digests again after an intended format
+change, run ``PYTHONPATH=src python tests/test_golden.py > tests/golden_packings.json``.
+"""
+
+import hashlib
+import json
+import random
+import sys
+from pathlib import Path
+
+import pytest
+
+import strongpack as sp
+from strongpack import generators as gen
+
+GOLDEN = Path(__file__).with_name("golden_packings.json")
+OUTER_ORDERS = (5, 12, 20)
+
+
+def _sizes(rng, t):
+    # at least 3 per layer, and never a smallest layer of 6: odd t with
+    # n0 = 2 (mod 4) has no construction
+    sizes = [rng.randint(3, 9) for _ in range(t)]
+    return [s if s != 6 else 7 for s in sizes]
+
+
+def _qt_inner(size, rng):
+    """Quasi-transitive, non-strong inner: arcs only from a random side A
+    to the rest, with a connected underlying complement so the canonical
+    decomposition recovers it as one part (else the independent set)."""
+    side_a = {v for v in range(size) if rng.random() < 0.5}
+    arcs = [(u, v) for (u, v) in gen.random_inner(size, 0.3, rng).arcs
+            if u in side_a and v not in side_a]
+    inner = sp.Digraph(size, arcs)
+    adjacent = {frozenset(a) for a in inner.arcs}
+    seen, todo = {0}, [0]
+    while todo:
+        u = todo.pop()
+        for v in range(size):
+            if v not in seen and frozenset((u, v)) not in adjacent:
+                seen.add(v)
+                todo.append(v)
+    return inner if len(seen) == size else sp.empty_digraph(size)
+
+
+def _case(kind, t):
+    """(host, packing) for one seeded instance."""
+    rng = random.Random(f"golden:{kind}:{t}")
+    if kind == "semicomplete":
+        outer = gen.random_strong_semicomplete(t, rng)
+        spec = sp.CompositionSpec(outer, [gen.random_inner(s, 0.15, rng)
+                                          for s in _sizes(rng, t)])
+        ts = sorted(rng.sample(range(spec.n), 3))
+        return sp.compose(spec), sp.pack_semicomplete_composition(spec, ts)
+    if kind == "symmetric":
+        outer = gen.random_strong_symmetric(t, 2, rng)
+        spec = sp.CompositionSpec(outer, [gen.random_inner(s, 0.15, rng)
+                                          for s in _sizes(rng, t)])
+        ts = sorted(rng.sample(range(spec.n), 3))
+        return sp.compose(spec), sp.pack_symmetric_composition(spec, ts)
+    if kind == "qt":
+        outer = gen.random_strong_semicomplete(t, rng, two_cycle_prob=0.0)
+        spec = sp.CompositionSpec(outer, [_qt_inner(s, rng) for s in _sizes(rng, t)])
+        perm = list(range(spec.n))
+        rng.shuffle(perm)
+        host = sp.relabel(sp.compose(spec), perm)
+        ts = sorted(rng.sample(range(host.n), 3))
+        return host, sp.pack_quasi_transitive(host, ts)
+    if kind == "bipartite":
+        a, b = t, t + rng.randint(0, 7)
+        ts = sorted(rng.sample(range(a + b), 3))
+        return sp.complete_bipartite_digraph(a, b), sp.pack_bipartite(a, b, ts)
+    raise ValueError(kind)
+
+
+CASES = [(kind, t) for kind in ("semicomplete", "symmetric", "qt", "bipartite")
+         for t in OUTER_ORDERS]
+
+
+def _digests(kind, t):
+    host, packing = _case(kind, t)
+    return {
+        "host": hashlib.sha256(sp.write_digraph(host).encode()).hexdigest(),
+        "packing": hashlib.sha256(sp.write_packing(packing).encode()).hexdigest(),
+    }
+
+
+@pytest.mark.parametrize("kind,t", CASES, ids=[f"{k}-t{t}" for k, t in CASES])
+def test_output_bytes_match_golden(kind, t):
+    golden = json.loads(GOLDEN.read_text())
+    assert _digests(kind, t) == golden[f"{kind}-t{t}"]
+
+
+if __name__ == "__main__":
+    record = {f"{k}-t{t}": _digests(k, t) for k, t in CASES}
+    json.dump(record, sys.stdout, indent=1, sort_keys=True)
+    sys.stdout.write("\n")
