@@ -81,6 +81,44 @@ def _pair_flow_bound(d: Digraph, ts: frozenset[int]) -> int:
     return bound
 
 
+def _internal_flow_bound(d: Digraph, ts: frozenset[int]) -> int:
+    """The pair flow bound, tightened by the terminal pairs' connectivity
+    through non-terminal vertices of capacity one."""
+    bound = _pair_flow_bound(d, ts)
+    for u in sorted(ts):
+        for v in sorted(ts):
+            if u != v:
+                bound = min(bound, vertex_capacitated_connectivity(d, u, v, ts))
+    return bound
+
+
+def _pack_upward(d: Digraph, terminals, limits: SolverLimits, mode: str,
+                 search, bound_of):
+    """Optimal packing by upward search: size 1 is the terminals' strong
+    component, then ``search`` runs at sizes 2, 3, ... up to
+    ``bound_of(d, ts)``; the first size it refutes proves the optimum."""
+    limits.check(d)
+    ts = as_terminals(d, terminals)
+    part1 = _single_part(d, ts)
+    if part1 is None:
+        return 0, Packing(d, ts, mode, ())
+    best_parts: tuple[frozenset[Arc], ...] = (part1,)
+    arcs = sorted(d.arcs)
+    s_mask = mask_of(ts)
+    bound = bound_of(d, ts)
+    ell = 2
+    while ell <= bound:
+        found = search(d.n, arcs, s_mask, ell)
+        if found is None:
+            break
+        best_parts = tuple(frozenset(arcs[i] for i in part) for part in found)
+        ell += 1
+    packing = Packing(d, ts, mode, best_parts)
+    if not verify_packing(packing):
+        raise StrongpackError("solver produced an invalid packing")
+    return len(best_parts), packing
+
+
 def exact_lambda(d: Digraph, terminals, limits: SolverLimits = DEFAULT_LIMITS):
     """Maximum number of pairwise arc-disjoint strong subgraphs containing
     all terminals, with an optimal packing.
@@ -89,56 +127,16 @@ def exact_lambda(d: Digraph, terminals, limits: SolverLimits = DEFAULT_LIMITS):
     packing, and the search at a failing size proves the optimum.  Sizes
     above the terminal-pair max-flow bound cannot occur and are skipped.
     """
-    limits.check(d)
-    ts = as_terminals(d, terminals)
-    part1 = _single_part(d, ts)
-    if part1 is None:
-        return 0, Packing(d, ts, MODE_ARC, ())
-    best_parts: tuple[frozenset[Arc], ...] = (part1,)
-    arcs = sorted(d.arcs)
-    s_mask = mask_of(ts)
-    bound = _pair_flow_bound(d, ts)
-    ell = 2
-    while ell <= bound:
-        found = _kernel.search_arc_disjoint(d.n, arcs, s_mask, ell)
-        if found is None:
-            break
-        best_parts = tuple(frozenset(arcs[i] for i in part) for part in found)
-        ell += 1
-    packing = Packing(d, ts, MODE_ARC, best_parts)
-    if not verify_packing(packing):
-        raise StrongpackError("solver produced an invalid packing")
-    return len(best_parts), packing
+    return _pack_upward(d, terminals, limits, MODE_ARC,
+                        _kernel.search_arc_disjoint, _pair_flow_bound)
 
 
 def exact_kappa(d: Digraph, terminals, limits: SolverLimits = DEFAULT_LIMITS):
     """Maximum number of arc-disjoint strong subgraphs containing all
     terminals whose pairwise vertex intersections are exactly the
     terminal set, with an optimal packing."""
-    limits.check(d)
-    ts = as_terminals(d, terminals)
-    part1 = _single_part(d, ts)
-    if part1 is None:
-        return 0, Packing(d, ts, MODE_INTERNAL, ())
-    best_parts: tuple[frozenset[Arc], ...] = (part1,)
-    arcs = sorted(d.arcs)
-    s_mask = mask_of(ts)
-    bound = _pair_flow_bound(d, ts)
-    for u in sorted(ts):
-        for v in sorted(ts):
-            if u != v:
-                bound = min(bound, vertex_capacitated_connectivity(d, u, v, ts))
-    ell = 2
-    while ell <= bound:
-        found = _kernel.search_internally_disjoint(d.n, arcs, s_mask, ell)
-        if found is None:
-            break
-        best_parts = tuple(frozenset(arcs[i] for i in part) for part in found)
-        ell += 1
-    packing = Packing(d, ts, MODE_INTERNAL, best_parts)
-    if not verify_packing(packing):
-        raise StrongpackError("solver produced an invalid packing")
-    return len(best_parts), packing
+    return _pack_upward(d, terminals, limits, MODE_INTERNAL,
+                        _kernel.search_internally_disjoint, _internal_flow_bound)
 
 
 def has_strong_arc_decomposition(d: Digraph, limits: SolverLimits = DEFAULT_LIMITS):

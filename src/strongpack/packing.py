@@ -19,7 +19,7 @@ from .digraph import (Arc, Digraph, as_terminals, complete_bipartite_digraph,
                       directed_cycle, directed_path, empty_digraph,
                       is_semicomplete, is_strong, is_symmetric, mask_of, reachable)
 from .errors import (GraphFormatError, InfeasibleError, PreconditionError,
-                     SizeLimitError, StrongpackError)
+                     StrongpackError)
 from .hamilton import decompose_cycle_blowup, hamilton_semicomplete
 
 MODE_ARC = "arc"
@@ -279,10 +279,6 @@ def pack_semicomplete_composition(spec: CompositionSpec, terminals) -> Packing:
         return _checked(Packing(host, ts, MODE_ARC, (host.arcs,)))
 
     if n0 == 2:
-        if host.n > _kernel.MAX_VERTICES:
-            raise SizeLimitError(
-                f"n0 = 2 on a {host.n}-vertex host: this case runs an exact "
-                f"search, limited to {_kernel.MAX_VERTICES} vertices")
         arcs = sorted(host.arcs)
         full = (1 << host.n) - 1
         found = _kernel.search_arc_disjoint(host.n, arcs, full, 2)

@@ -157,6 +157,16 @@ class TestExact:
         assert main(["exact", "--mode", "lambda", "--graph", g,
                      "--terminals", "0,1"]) == 4
 
+    @pytest.mark.parametrize("mode", ["lambda", "kappa", "sad"])
+    def test_search_above_64_vertices_exits_4(self, workdir, capsys, mode):
+        cycle = [(i, (i + 1) % 66) for i in range(66)]
+        g = write(workdir / "cyc66.dg", sp.write_digraph(sp.biorientation(66, cycle)))
+        assert main(["exact", "--mode", mode, "--graph", g, "--terminals", "0,5",
+                     "--limit-n", "100", "--limit-m", "200"]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("size limit: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_limit_override(self, workdir, capsys):
         g = write(workdir / "k44.dg", sp.write_digraph(sp.complete_bipartite_digraph(4, 4)))
         assert main(["exact", "--mode", "lambda", "--graph", g, "--terminals", "0,4",

@@ -1,51 +1,27 @@
-"""Backend parity: the compiled kernel must reproduce the pure kernel's
-output exactly, branch order included."""
-
-import random
+"""The search kernel's own contract: its size cap and its recorded name."""
 
 import pytest
 
-from strongpack import _pycore
-
-fastcore = pytest.importorskip("strongpack._fastcore")
-
-
-def random_instances(seed, count):
-    rng = random.Random(seed)
-    for _ in range(count):
-        n = rng.randint(2, 7)
-        pool = [(u, v) for u in range(n) for v in range(n) if u != v]
-        rng.shuffle(pool)
-        arcs = sorted(pool[:rng.randint(1, 14)])
-        k = rng.randint(2, n)
-        s_mask = 0
-        for v in rng.sample(range(n), k):
-            s_mask |= 1 << v
-        yield n, arcs, s_mask
+import strongpack as sp
+from strongpack import _kernel
+from strongpack.errors import SizeLimitError
 
 
-@pytest.mark.parametrize("ell", [1, 2, 3])
-def test_arc_disjoint_parity(ell):
-    for n, arcs, s_mask in random_instances(100 + ell, 120):
-        assert (_pycore.search_arc_disjoint(n, arcs, s_mask, ell)
-                == fastcore.search_arc_disjoint(n, arcs, s_mask, ell))
+@pytest.mark.parametrize("search", [_kernel.search_arc_disjoint,
+                                    _kernel.search_internally_disjoint])
+def test_refuses_65_vertices_with_size_limit_error(search):
+    assert _kernel.MAX_VERTICES == 64
+    with pytest.raises(SizeLimitError, match="65 vertices"):
+        search(65, [(0, 1), (1, 0)], 0b11, 2)
 
 
-@pytest.mark.parametrize("ell", [1, 2, 3])
-def test_internally_disjoint_parity(ell):
-    for n, arcs, s_mask in random_instances(200 + ell, 120):
-        assert (_pycore.search_internally_disjoint(n, arcs, s_mask, ell)
-                == fastcore.search_internally_disjoint(n, arcs, s_mask, ell))
+@pytest.mark.parametrize("search", [_kernel.search_arc_disjoint,
+                                    _kernel.search_internally_disjoint])
+def test_accepts_64_vertices(search):
+    arcs = [(0, 1), (1, 0)]
+    assert search(64, arcs, 0b11, 1) == [[0, 1]]
+    assert search(64, arcs, 0b11, 2) is None
 
 
-def test_both_reject_oversize():
-    arcs = [(0, 1)]
-    with pytest.raises(ValueError):
-        _pycore.search_arc_disjoint(65, arcs, 3, 1)
-    with pytest.raises(ValueError):
-        fastcore.search_arc_disjoint(65, arcs, 3, 1)
-
-
-def test_backends_report_names():
-    assert _pycore.BACKEND == "pure"
-    assert fastcore.BACKEND == "compiled"
+def test_backend_is_pure():
+    assert sp.kernel_backend() == "pure"

@@ -154,3 +154,60 @@ def test_optimal_packings_verify(pair):
         value, packing = fn(d, terminals)
         assert len(packing.parts) == value
         assert sp.verify_packing(packing).ok
+
+
+# Metamorphic checks on the exact solvers: the packing numbers depend only
+# on the isomorphism class of (host, terminals), survive reversing every arc
+# (a reversed strong subgraph is strong), and cannot drop when an arc is
+# added (every old packing stays valid).
+
+EXACT_SOLVERS = (sp.exact_lambda, sp.exact_kappa)
+
+
+@composite
+def strong_hosts_with_terminals(draw):
+    """A Hamiltonian cycle in random vertex order plus up to 12 random arcs
+    on at most 7 vertices, so the terminals always share a strong component
+    and the kernel runs."""
+    n = draw(st.integers(min_value=3, max_value=7))
+    order = draw(st.permutations(range(n)))
+    arcs = {(order[i], order[(i + 1) % n]) for i in range(n)}
+    pool = [(u, v) for u in range(n) for v in range(n) if u != v]
+    arcs |= set(draw(st.lists(st.sampled_from(pool), max_size=12)))
+    k = draw(st.integers(min_value=2, max_value=n))
+    terminals = draw(st.permutations(range(n)))[:k]
+    return sp.Digraph(n, arcs), sorted(terminals)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(strong_hosts_with_terminals(), st.data())
+def test_packing_numbers_invariant_under_relabelling(pair, data):
+    d, terminals = pair
+    perm = data.draw(st.permutations(range(d.n)))
+    image = sp.Digraph(d.n, [(perm[u], perm[v]) for u, v in d.arcs])
+    image_terminals = sorted(perm[v] for v in terminals)
+    for fn in EXACT_SOLVERS:
+        assert fn(image, image_terminals)[0] == fn(d, terminals)[0]
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(strong_hosts_with_terminals())
+def test_packing_numbers_invariant_under_reversal(pair):
+    d, terminals = pair
+    reversed_host = sp.Digraph(d.n, [(v, u) for u, v in d.arcs])
+    for fn in EXACT_SOLVERS:
+        assert fn(reversed_host, terminals)[0] == fn(d, terminals)[0]
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(strong_hosts_with_terminals(), st.data())
+def test_packing_numbers_monotone_under_adding_an_arc(pair, data):
+    d, terminals = pair
+    missing = [(u, v) for u in range(d.n) for v in range(d.n)
+               if u != v and not d.has_arc(u, v)]
+    if not missing:
+        return
+    arc = data.draw(st.sampled_from(missing))
+    bigger = sp.Digraph(d.n, [*d.arcs, arc])
+    for fn in EXACT_SOLVERS:
+        assert fn(bigger, terminals)[0] >= fn(d, terminals)[0]
