@@ -1,8 +1,8 @@
 """Command-line interface.
 
-Subcommands: analyze, pack, verify, exact, cut, reduce, gen, survey and
-decompose.  Exit codes: 0 success, 2 precondition violation, 3 parse
-error, 4 size-limit refusal.
+Subcommands: analyze, pack, verify, exact, reduce, gen, survey and
+decompose.  Exit codes: 0 success, 2 precondition violation or bad
+arguments, 3 parse error or an unreadable input file, 4 size-limit refusal.
 """
 
 from __future__ import annotations
@@ -34,8 +34,13 @@ EXIT_LIMIT = 4
 
 
 def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise GraphFormatError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})")
+    except OSError as exc:
+        raise GraphFormatError(str(exc))
 
 
 def _write_out(text: str, out: str | None) -> None:
@@ -54,9 +59,7 @@ def _terminals(arg: str) -> list[int]:
 
 
 def _limits(args) -> ex.SolverLimits:
-    return ex.SolverLimits(
-        max_vertices=args.limit_n if args.limit_n else ex.DEFAULT_LIMITS.max_vertices,
-        max_arcs=args.limit_m if args.limit_m else ex.DEFAULT_LIMITS.max_arcs)
+    return ex.SolverLimits(args.limit_n, args.limit_m)
 
 
 def cmd_analyze(args) -> int:
@@ -159,7 +162,10 @@ def cmd_reduce(args) -> int:
         out = red.hypergraph_gadget(h, args.ell)
     elif args.source == "linkage":
         d = read_digraph(_read(args.input))
-        s1, t1, s2, t2 = _terminals(args.endpoints)
+        ends = _terminals(args.endpoints)
+        if len(ends) != 4:
+            raise PreconditionError("--endpoints needs exactly 4 ids s1,t1,s2,t2")
+        s1, t1, s2, t2 = ends
         out = red.linkage_gadget(d, s1, t1, s2, t2, args.k, args.ell)
     elif args.source == "setcover-issp":
         out = red.cover_packing_gadget_internal(red.read_bipartite(_read(args.input)))
@@ -265,8 +271,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_analyze)
 
     p = sub.add_parser("pack", help="construct a packing")
-    p.add_argument("--graph")
-    p.add_argument("--composition")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--graph")
+    source.add_argument("--composition")
     p.add_argument("--terminals", required=True, help="comma-separated ids")
     p.add_argument("--strategy", default="auto",
                    choices=["auto", "bipartite", "symmetric", "semicomplete", "qt"])
@@ -283,8 +290,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", required=True, choices=["lambda", "kappa", "sad", "cut"])
     p.add_argument("--graph", required=True)
     p.add_argument("--terminals", default="")
-    p.add_argument("--limit-n", type=int, dest="limit_n")
-    p.add_argument("--limit-m", type=int, dest="limit_m")
+    p.add_argument("--limit-n", type=int, dest="limit_n",
+                   default=ex.DEFAULT_LIMITS.max_vertices)
+    p.add_argument("--limit-m", type=int, dest="limit_m",
+                   default=ex.DEFAULT_LIMITS.max_arcs)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_exact)
 
@@ -316,8 +325,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", default="symmetric", choices=["symmetric", "semi-comp"])
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=10)
-    p.add_argument("--limit-n", type=int, dest="limit_n")
-    p.add_argument("--limit-m", type=int, dest="limit_m")
+    p.add_argument("--limit-n", type=int, dest="limit_n",
+                   default=ex.DEFAULT_LIMITS.max_vertices)
+    p.add_argument("--limit-m", type=int, dest="limit_m",
+                   default=ex.DEFAULT_LIMITS.max_arcs)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_survey)
 

@@ -38,16 +38,22 @@ def mask_of(vertices: Iterable[int]) -> int:
     return mask
 
 
-def reachable(masks: Sequence[int], root: int) -> int:
-    """Mask of the vertices reachable from ``root`` along ``masks``."""
+def _step(masks: Sequence[int], frontier: int) -> int:
+    """Union of the masks of the frontier's vertices."""
+    nxt = 0
+    while frontier:  # frontiers are small: peel the lowest bit each time
+        low = frontier & -frontier
+        nxt |= masks[low.bit_length() - 1]
+        frontier ^= low
+    return nxt
+
+
+def reachable(masks: Sequence[int], root: int, within: int = -1) -> int:
+    """Mask of the vertices reachable from ``root`` along ``masks`` through
+    the vertices of ``within`` only."""
     seen = frontier = 1 << root
     while frontier:
-        nxt = 0
-        while frontier:  # frontiers are small: peel the lowest bit each time
-            low = frontier & -frontier
-            nxt |= masks[low.bit_length() - 1]
-            frontier ^= low
-        frontier = nxt & ~seen
+        frontier = _step(masks, frontier) & within & ~seen
         seen |= frontier
     return seen
 
@@ -178,57 +184,26 @@ def as_terminals(d: Digraph, terminals) -> frozenset[int]:
 
 
 def strong_components(d: Digraph) -> list[frozenset[int]]:
-    """Strongly connected components, iterative Tarjan.
+    """Strongly connected components, sorted by their smallest vertex.
 
-    Components are returned sorted by their smallest vertex, so the result
-    is deterministic and two vertices share a component iff they reach each
-    other.
+    The lowest vertex v not yet placed shares a component with exactly the
+    vertices it reaches both forwards and backwards.  Both closures grow a
+    layer at a time inside the unplaced vertices until one is complete (so
+    a long path stays linear); the component is the part of that one
+    which reaches v the other way.
     """
-    adj = d.adjacency()
-    index = [-1] * d.n
-    low = [0] * d.n
-    on_stack = [False] * d.n
-    stack: list[int] = []
-    comps: list[frozenset[int]] = []
-    counter = 0
-
-    for root in range(d.n):
-        if index[root] != -1:
-            continue
-        # explicit DFS stack of (vertex, iterator position)
-        work = [(root, 0)]
-        while work:
-            v, pi = work.pop()
-            if pi == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            recurse = False
-            for i in range(pi, len(adj[v])):
-                w = adj[v][i]
-                if index[w] == -1:
-                    work.append((v, i + 1))
-                    work.append((w, 0))
-                    recurse = True
-                    break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if recurse:
-                continue
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                comps.append(frozenset(comp))
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-    comps.sort(key=min)
+    inn = d.in_masks()
+    comps = []
+    left = (1 << d.n) - 1
+    while left:
+        fwd = bwd = f = b = left & -left
+        while f and b:
+            f, b = _step(d.out, f) & left & ~fwd, _step(inn, b) & left & ~bwd
+            fwd, bwd = fwd | f, bwd | b
+        v = (left & -left).bit_length() - 1
+        comp = reachable(d.out, v, bwd) if f else reachable(inn, v, fwd)
+        comps.append(frozenset(bits(comp)))
+        left &= ~comp
     return comps
 
 

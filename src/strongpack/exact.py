@@ -9,11 +9,11 @@ above the configured limits are refused rather than attempted.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, permutations
 
 from . import _kernel
-from .digraph import Arc, Digraph, as_terminals, is_strong, is_symmetric, \
-    mask_of, strong_components, underlying_connected
+from .digraph import Arc, Digraph, as_terminals, bits, is_strong, \
+    is_symmetric, mask_of, reachable, underlying_connected
 from .errors import PreconditionError, SizeLimitError, StrongpackError
 from .flows import max_vertex_disjoint_paths, min_arc_cut, \
     vertex_capacitated_connectivity
@@ -54,42 +54,40 @@ class CutCertificate:
         return len(self.arcs)
 
 
-def _scc_containing(d: Digraph, pivot: int) -> frozenset[int]:
-    for comp in strong_components(d):
-        if pivot in comp:
-            return comp
-    raise AssertionError
+def _component(d: Digraph, v: int) -> int:
+    """Mask of the strong component of ``d`` holding ``v``."""
+    return reachable(d.out, v) & reachable(d.in_masks(), v)
 
 
 def _single_part(d: Digraph, ts: frozenset[int]):
     """The unique maximal part for packing size 1: all arcs inside the
     strong component holding the terminals, or None."""
-    comp = _scc_containing(d, min(ts))
-    if not ts <= comp:
+    comp = _component(d, min(ts))
+    if mask_of(ts) & ~comp:
         return None
-    return frozenset((u, v) for (u, v) in d.arcs if u in comp and v in comp)
+    return frozenset((u, v) for u in bits(comp) for v in bits(d.out[u] & comp))
 
 
-def _pair_flow_bound(d: Digraph, ts: frozenset[int]) -> int:
-    bound = d.m
-    for u in sorted(ts):
-        for v in sorted(ts):
-            if u != v:
-                bound = min(bound, min_arc_cut(d, u, v)[0])
-                if bound == 0:
-                    return 0
-    return bound
+def _min_terminal_cut(d: Digraph, ts: frozenset[int]):
+    """(size, cut, (u, v)): the minimum u->v arc cut over ordered terminal
+    pairs, the first strict minimum in ascending pair order.  A cut of
+    size 0 ends the scan."""
+    best = None
+    for u, v in permutations(sorted(ts), 2):
+        size, cut = min_arc_cut(d, u, v)
+        if best is None or size < best[0]:
+            best = (size, cut, (u, v))
+            if size == 0:
+                break
+    return best
 
 
 def _internal_flow_bound(d: Digraph, ts: frozenset[int]) -> int:
-    """The pair flow bound, tightened by the terminal pairs' connectivity
-    through non-terminal vertices of capacity one."""
-    bound = _pair_flow_bound(d, ts)
-    for u in sorted(ts):
-        for v in sorted(ts):
-            if u != v:
-                bound = min(bound, vertex_capacitated_connectivity(d, u, v, ts))
-    return bound
+    """The terminal pairs' connectivity through non-terminal vertices of
+    capacity one.  It never exceeds the pair's arc flow, so it is at least
+    as tight as the arc flow bound."""
+    return min(vertex_capacitated_connectivity(d, u, v, ts)
+               for u, v in permutations(sorted(ts), 2))
 
 
 def _pack_upward(d: Digraph, terminals, limits: SolverLimits, mode: str,
@@ -128,7 +126,8 @@ def exact_lambda(d: Digraph, terminals, limits: SolverLimits = DEFAULT_LIMITS):
     above the terminal-pair max-flow bound cannot occur and are skipped.
     """
     return _pack_upward(d, terminals, limits, MODE_ARC,
-                        _kernel.search_arc_disjoint, _pair_flow_bound)
+                        _kernel.search_arc_disjoint,
+                        lambda d, ts: _min_terminal_cut(d, ts)[0])
 
 
 def exact_kappa(d: Digraph, terminals, limits: SolverLimits = DEFAULT_LIMITS):
@@ -161,13 +160,13 @@ def has_strong_arc_decomposition(d: Digraph, limits: SolverLimits = DEFAULT_LIMI
 
 def is_strong_cut(d: Digraph, ts: frozenset[int], cut) -> bool:
     """Definitional check: after removing ``cut`` at least two strong
-    components contain terminals."""
-    rest = Digraph(d.n, d.arcs - frozenset(cut))
-    touched = set()
-    for comp in strong_components(rest):
-        if comp & ts:
-            touched.add(min(comp))
-    return len(touched) >= 2
+    components contain terminals.  Pairs in ``cut`` that are not arcs of
+    ``d`` are ignored."""
+    out = list(d.out)
+    for u, v in cut:
+        if d.has_arc(u, v):
+            out[u] &= ~(1 << v)
+    return bool(mask_of(ts) & ~_component(Digraph.from_masks(d.n, out), min(ts)))
 
 
 def min_strong_cut(d: Digraph, terminals) -> CutCertificate:
@@ -183,16 +182,7 @@ def min_strong_cut(d: Digraph, terminals) -> CutCertificate:
     if not is_strong(d):
         raise PreconditionError("cut is defined for strong digraphs only")
     ts = as_terminals(d, terminals)
-    best = None
-    for u in sorted(ts):
-        for v in sorted(ts):
-            if u == v:
-                continue
-            size, cut = min_arc_cut(d, u, v)
-            if best is None or size < best[0]:
-                best = (size, cut, (u, v))
-    assert best is not None
-    size, cut, witness = best
+    _, cut, witness = _min_terminal_cut(d, ts)
     cert = CutCertificate(cut, witness)
     if not is_strong_cut(d, ts, cert.arcs):
         raise StrongpackError("flow cut fails the definitional check")
@@ -228,13 +218,7 @@ def steiner_cut_undirected(d: Digraph, terminals) -> int:
     if not underlying_connected(d):
         raise PreconditionError("underlying graph must be connected")
     ts = as_terminals(d, terminals)
-    best = None
-    for u, v in combinations(sorted(ts), 2):
-        size = min_arc_cut(d, u, v)[0]
-        if best is None or size < best:
-            best = size
-    assert best is not None
-    return best
+    return min(min_arc_cut(d, u, v)[0] for u, v in combinations(sorted(ts), 2))
 
 
 @dataclass(frozen=True)

@@ -1,74 +1,56 @@
-"""Small max-flow helpers (unit capacities, BFS augmentation).
+"""Unit-capacity max flow on out-neighbourhood bitmasks.
 
-Instances are tiny, so everything runs on dense capacity dicts.  These
-routines provide cheap upper bounds for the packing solvers and an
-independent route to cut sizes and disjoint-path counts.
+A flow is itself an arc set, kept as two mask lists: bit v of ``flow[u]``
+and bit u of ``back[v]`` are set while the arc u -> v carries flow.  The
+residual arcs of u are then ``(out[u] & ~flow[u]) | back[u]``.  These
+routines give the exact solvers their cut bounds and an independent
+route to cut sizes and disjoint-path counts.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from typing import Sequence
 
-from .digraph import Digraph
+from .digraph import Digraph, bits
 from .errors import PreconditionError
 
-_BIG = 1 << 20
 
-
-def max_flow(n: int, capacity: dict[tuple[int, int], int], s: int, t: int):
-    """Edmonds-Karp.  Returns (value, residual) with residual a dict."""
+def _max_flow(out: Sequence[int], s: int, t: int) -> tuple[int, int]:
+    """Maximum s->t flow on the arcs of ``out``, each of capacity 1, by
+    shortest augmenting paths.  Returns the value and the mask of the
+    vertices s reaches in the final residual graph: the source side of a
+    minimum cut, the same for every maximum flow."""
     if s == t:
         raise PreconditionError("source equals sink")
-    residual = dict(capacity)
-    adj: list[set[int]] = [set() for _ in range(n)]
-    for (u, v), c in capacity.items():
-        if c > 0:
-            adj[u].add(v)
-            adj[v].add(u)  # back arcs for residual traversal
-            residual.setdefault((v, u), 0)
+    n = len(out)
+    flow, back = [0] * n, [0] * n
     value = 0
     while True:
-        parent = [-1] * n
-        parent[s] = s
-        queue = deque([s])
-        while queue and parent[t] == -1:
-            u = queue.popleft()
-            for v in sorted(adj[u]):
-                if parent[v] == -1 and residual.get((u, v), 0) > 0:
-                    parent[v] = u
-                    queue.append(v)
-        if parent[t] == -1:
-            return value, residual
-        # unit-style augmentation: find bottleneck
-        bottleneck = _BIG
+        parent = [0] * n
+        seen = frontier = 1 << s
+        while frontier and not seen >> t & 1:
+            layer, frontier = frontier, 0
+            while layer:  # peel the lowest bit each time: masks are small
+                u = (layer & -layer).bit_length() - 1
+                layer &= layer - 1
+                new = ((out[u] & ~flow[u]) | back[u]) & ~seen
+                seen, frontier = seen | new, frontier | new
+                while new:
+                    parent[(new & -new).bit_length() - 1] = u
+                    new &= new - 1
+        if not seen >> t & 1:
+            return value, seen
         v = t
         while v != s:
             u = parent[v]
-            bottleneck = min(bottleneck, residual[(u, v)])
+            if back[u] >> v & 1:  # cancel the flow on v -> u first
+                flow[v] ^= 1 << u
+                back[u] ^= 1 << v
+            else:
+                flow[u] |= 1 << v
+                back[v] |= 1 << u
             v = u
-        v = t
-        while v != s:
-            u = parent[v]
-            residual[(u, v)] -= bottleneck
-            residual[(v, u)] = residual.get((v, u), 0) + bottleneck
-            v = u
-        value += bottleneck
-
-
-def _residual_reachable(n, residual, s) -> set[int]:
-    seen = {s}
-    todo = [s]
-    adj: list[set[int]] = [set() for _ in range(n)]
-    for (u, v), c in residual.items():
-        if c > 0:
-            adj[u].add(v)
-    while todo:
-        u = todo.pop()
-        for v in adj[u]:
-            if v not in seen:
-                seen.add(v)
-                todo.append(v)
-    return seen
+        value += 1
 
 
 def min_arc_cut(d: Digraph, s: int, t: int):
@@ -77,10 +59,8 @@ def min_arc_cut(d: Digraph, s: int, t: int):
     Returns (size, frozenset of arcs).  The cut returned is the canonical
     source-side cut of the maximum flow, so the result is deterministic.
     """
-    capacity = {arc: 1 for arc in d.arcs}
-    value, residual = max_flow(d.n, capacity, s, t)
-    reach = _residual_reachable(d.n, residual, s)
-    cut = frozenset((u, v) for (u, v) in d.arcs if u in reach and v not in reach)
+    value, side = _max_flow(d.out, s, t)
+    cut = frozenset((u, v) for u in bits(side) for v in bits(d.out[u] & ~side))
     assert len(cut) == value
     return value, cut
 
@@ -92,15 +72,16 @@ def arc_connectivity(d: Digraph, s: int, t: int) -> int:
 def vertex_capacitated_connectivity(d: Digraph, s: int, t: int,
                                     uncapped: frozenset[int]) -> int:
     """Max s->t flow where arcs have capacity 1 and every vertex outside
-    ``uncapped`` also has capacity 1 (standard vertex splitting)."""
-    # vertex v becomes v_in = 2v, v_out = 2v + 1
-    capacity: dict[tuple[int, int], int] = {}
-    for v in range(d.n):
-        capacity[(2 * v, 2 * v + 1)] = _BIG if v in uncapped else 1
-    for u, v in d.arcs:
-        capacity[(2 * u + 1, 2 * v)] = 1
-    value, _ = max_flow(2 * d.n, capacity, 2 * s + 1, 2 * t)
-    return value
+    ``uncapped`` also has capacity 1.  Such a vertex v is split: arcs enter
+    node v, leave node n + v, and one arc joins the two.  An uncapped vertex
+    stays the single node v."""
+    n = d.n
+    exit_of = [v if v in uncapped else n + v for v in range(n)]
+    out = [0] * (2 * n)
+    for v, x in enumerate(d.out):
+        out[v] = 1 << exit_of[v]  # overwritten next when v is uncapped
+        out[exit_of[v]] = x
+    return _max_flow(out, exit_of[s], t)[0]
 
 
 def max_vertex_disjoint_paths(d: Digraph, s: int, t: int) -> int:

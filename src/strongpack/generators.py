@@ -12,7 +12,7 @@ import random
 
 from .composition import CompositionSpec
 from .digraph import Digraph, biorientation, complete_bipartite_digraph, is_strong
-from .errors import StrongpackError
+from .errors import PreconditionError, StrongpackError
 from .reductions import Hypergraph
 
 _RETRIES = 64
@@ -69,6 +69,8 @@ def random_inner(n: int, arc_prob: float, rng: random.Random) -> Digraph:
 def random_symmetric_composition(t: int, max_inner: int, rng: random.Random,
                                  extra_edges: int = 1,
                                  inner_arc_prob: float = 0.15) -> CompositionSpec:
+    if max_inner < 1:
+        raise PreconditionError("max_inner must be at least 1")
     outer = random_strong_symmetric(t, extra_edges, rng)
     inners = [random_inner(rng.randint(1, max_inner), inner_arc_prob, rng)
               for _ in range(t)]
@@ -78,6 +80,8 @@ def random_symmetric_composition(t: int, max_inner: int, rng: random.Random,
 def random_semicomplete_composition(t: int, max_inner: int, rng: random.Random,
                                     min_inner: int = 1,
                                     inner_arc_prob: float = 0.15) -> CompositionSpec:
+    if not 1 <= min_inner <= max_inner:
+        raise PreconditionError("need 1 <= min_inner <= max_inner")
     outer = random_strong_semicomplete(t, rng)
     inners = [random_inner(rng.randint(min_inner, max_inner), inner_arc_prob, rng)
               for _ in range(t)]
@@ -85,9 +89,11 @@ def random_semicomplete_composition(t: int, max_inner: int, rng: random.Random,
 
 
 def random_hypergraph(n: int, e: int, rng: random.Random) -> Hypergraph:
+    if n < 1:
+        raise PreconditionError("hypergraph needs at least 1 vertex")
     edges = []
     for _ in range(e):
-        size = rng.randint(1, max(1, n))
+        size = rng.randint(1, n)
         edges.append(frozenset(rng.sample(range(n), size)))
     return Hypergraph(n, edges)
 
@@ -98,6 +104,8 @@ def random_eulerian(n: int, cycles: int, rng: random.Random) -> Digraph:
     no arc repeats."""
     from .digraph import is_eulerian
 
+    if n < 3:
+        raise PreconditionError("Eulerian instances need at least 3 vertices")
     for _ in range(_RETRIES):
         arcs: set[tuple[int, int]] = set()
         ok = True

@@ -337,5 +337,8 @@ def read_bipartite(text: str) -> BipartiteGraph:
         fields = row.split()
         if len(fields) != 2:
             raise GraphFormatError("expected edge line 'c_idx b_idx'", lineno)
-        edges.append((int(fields[0]), int(fields[1])))
+        try:
+            edges.append((int(fields[0]), int(fields[1])))
+        except ValueError:
+            raise GraphFormatError("edge fields must be integers", lineno)
     return BipartiteGraph(c, b, edges)

@@ -167,6 +167,14 @@ class TestExact:
         assert err.startswith("size limit: ") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("flag", ["--limit-n", "--limit-m"])
+    def test_zero_limit_refuses(self, workdir, capsys, flag):
+        g = write(workdir / "c3.dg", sp.write_digraph(sp.directed_cycle(3)))
+        assert main(["exact", "--mode", "lambda", "--graph", g,
+                     "--terminals", "0,1", flag, "0"]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("size limit: ") and err.count("\n") == 1
+
     def test_limit_override(self, workdir, capsys):
         g = write(workdir / "k44.dg", sp.write_digraph(sp.complete_bipartite_digraph(4, 4)))
         assert main(["exact", "--mode", "lambda", "--graph", g, "--terminals", "0,4",
@@ -276,6 +284,83 @@ class TestGenAndSurvey:
                 continue
             assert int(row["lambda_S"]) <= int(row["c2"])
             assert row["c1"] == ""  # undirected cut only defined on symmetric hosts
+
+
+    def test_survey_zero_limit_skips_every_row(self, workdir):
+        out = str(workdir / "z.csv")
+        assert main(["survey", "--trials", "3", "--limit-m", "0", "--out", out]) == 0
+        lines = (workdir / "z.csv").read_text().splitlines()
+        header = lines[1].split(",")
+        rows = [dict(zip(header, ln.split(","))) for ln in lines[2:]]
+        assert len(rows) == 3
+        assert all(r["status"] == "skipped" for r in rows)
+
+
+def refusal(argv, capsys):
+    """Exit code and stderr of a command line that must be refused without
+    a traceback; argparse refuses by raising SystemExit."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    return code, err
+
+
+class TestRefusals:
+    """Inputs that once ended in a traceback with exit 1."""
+
+    def test_graph_is_a_directory_exits_3(self, workdir, capsys):
+        code, err = refusal(["analyze", "--graph", str(workdir)], capsys)
+        assert code == 3
+        assert err.startswith("parse error: ") and err.count("\n") == 1
+
+    def test_graph_not_utf8_exits_3(self, workdir, capsys):
+        g = workdir / "bad.dg"
+        g.write_bytes(b"\xff\xfe2 0\n")
+        code, err = refusal(["analyze", "--graph", str(g)], capsys)
+        assert code == 3
+        assert err.startswith("parse error: ") and "UTF-8" in err
+        assert err.count("\n") == 1
+
+    def test_bipartite_non_integer_edge_exits_3(self, workdir, capsys):
+        g = write(workdir / "g.bp", "2 1 2\n0 0\n1 x\n")
+        code, err = refusal(["reduce", "--from", "setcover-issp", "--input", g], capsys)
+        assert code == 3
+        assert err == "parse error: line 3: edge fields must be integers\n"
+
+    def test_linkage_needs_four_endpoints(self, workdir, capsys):
+        g = write(workdir / "e.dg", sp.write_digraph(sp.directed_cycle(4)))
+        code, err = refusal(["reduce", "--from", "linkage", "--input", g,
+                             "--endpoints", "1,2"], capsys)
+        assert code == 2
+        assert err.startswith("precondition violated: ") and err.count("\n") == 1
+
+    def test_pack_needs_an_input(self, capsys):
+        code, err = refusal(["pack", "--terminals", "0,1"], capsys)
+        assert code == 2
+        assert err.splitlines()[-1] == (
+            "strongpack pack: error: one of the arguments --graph --composition is required")
+
+    def test_pack_refuses_both_inputs(self, workdir, capsys):
+        g = write(workdir / "c3.dg", sp.write_digraph(sp.directed_cycle(3)))
+        code, err = refusal(["pack", "--terminals", "0,1", "--graph", g,
+                             "--composition", g], capsys)
+        assert code == 2
+        assert err.splitlines()[-1] == (
+            "strongpack pack: error: argument --composition: not allowed with argument --graph")
+
+    @pytest.mark.parametrize("argv", [
+        ["gen", "hypergraph", "--n", "0"],
+        ["gen", "eulerian-linkage", "--n", "2"],
+        ["gen", "sym-comp", "--max-inner", "0"],
+        ["gen", "semi-comp", "--max-inner", "0"],
+    ])
+    def test_gen_bad_size_exits_2(self, capsys, argv):
+        code, err = refusal(argv, capsys)
+        assert code == 2
+        assert err.startswith("precondition violated: ") and err.count("\n") == 1
 
 
 class TestDecompose:

@@ -177,6 +177,62 @@ class TestFlowsAgainstNetworkx:
             want = nx.maximum_flow_value(g, u, v)
             assert arc_connectivity(d, u, v) == want
 
+    def _antiparallel_digraph(self, rng):
+        """A random digraph on at most 8 vertices in which some arcs come
+        with their reverse."""
+        n = rng.randint(3, 8)
+        pool = [(u, v) for u in range(n) for v in range(n) if u != v]
+        arcs = set(rng.sample(pool, rng.randint(2, min(len(pool), 20))))
+        for u, v in rng.sample(sorted(arcs), rng.randint(1, len(arcs))):
+            arcs.add((v, u))
+        return sp.Digraph(n, arcs)
+
+    def test_min_arc_cut_is_the_source_side_cut(self):
+        """The cut is exactly the arcs leaving what s reaches in the
+        residual graph of a maximum flow; that set does not depend on
+        which maximum flow networkx finds."""
+        import networkx as nx
+        from networkx.algorithms.flow import edmonds_karp
+        from strongpack.flows import min_arc_cut
+        rng = random.Random(33)
+        for _ in range(60):
+            d = self._antiparallel_digraph(rng)
+            g = nx.DiGraph()
+            g.add_nodes_from(range(d.n))
+            g.add_edges_from(d.arcs, capacity=1)
+            s, t = rng.sample(range(d.n), 2)
+            r = edmonds_karp(g, s, t)
+            residual = nx.DiGraph((u, v) for u, v, a in r.edges(data=True)
+                                  if a["capacity"] - a["flow"] > 0)
+            residual.add_nodes_from(range(d.n))
+            side = nx.descendants(residual, s) | {s}
+            want = frozenset((u, v) for u, v in d.arcs
+                             if u in side and v not in side)
+            assert min_arc_cut(d, s, t) == (r.graph["flow_value"], want), (d.arcs, s, t)
+
+    def test_vertex_capacitated_connectivity_matches_split_graph(self):
+        """Every vertex outside ``uncapped`` passes one unit of flow, the
+        vertices in it any amount; checked on an explicitly split graph
+        with at least three uncapped vertices."""
+        import networkx as nx
+        from strongpack.flows import vertex_capacitated_connectivity
+        rng = random.Random(34)
+        for _ in range(60):
+            d = self._antiparallel_digraph(rng)
+            s, t = rng.sample(range(d.n), 2)
+            uncapped = frozenset(rng.sample(range(d.n), rng.randint(3, d.n)))
+            g = nx.DiGraph()
+            for v in range(d.n):
+                if v in uncapped:
+                    g.add_edge((v, "in"), (v, "out"))  # no capacity: unbounded
+                else:
+                    g.add_edge((v, "in"), (v, "out"), capacity=1)
+            for u, v in d.arcs:
+                g.add_edge((u, "out"), (v, "in"), capacity=1)
+            want = nx.maximum_flow_value(g, (s, "out"), (t, "in"))
+            got = vertex_capacitated_connectivity(d, s, t, uncapped)
+            assert got == want, (d.arcs, s, t, uncapped)
+
     def test_vertex_disjoint_paths_match(self):
         import networkx as nx
         rng = random.Random(32)
