@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Subcommands: analyze, pack, verify, exact, reduce, gen, survey and
-decompose.  Exit codes: 0 success, 2 precondition violation or bad
-arguments, 3 parse error or an unreadable input file, 4 size-limit refusal.
+decompose.  Exit codes: 0 success, 2 precondition violation, bad
+arguments or an unwritable output path, 3 parse error or an unreadable
+input file, 4 size-limit refusal.
 """
 
 from __future__ import annotations
@@ -43,10 +44,17 @@ def _read(path: str) -> str:
         raise GraphFormatError(str(exc))
 
 
+def _write_file(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise PreconditionError(f"cannot write {path}: {exc.strerror or exc}")
+
+
 def _write_out(text: str, out: str | None) -> None:
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write_file(out, text)
     else:
         sys.stdout.write(text)
 
@@ -179,13 +187,11 @@ def cmd_reduce(args) -> int:
         "ell": out.ell,
         "roles": {str(v): role for v, role in sorted(out.provenance.items())},
     }
-    side_path = (args.out + ".provenance.json") if args.out else None
-    if side_path:
-        with open(side_path, "w", encoding="utf-8") as fh:
-            json.dump(sidecar, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+    side_text = json.dumps(sidecar, indent=2, sort_keys=True) + "\n"
+    if args.out:
+        _write_file(args.out + ".provenance.json", side_text)
     else:
-        sys.stdout.write(json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
+        sys.stdout.write(side_text)
     return EXIT_OK
 
 
@@ -354,9 +360,6 @@ def main(argv=None) -> int:
     except PreconditionError as exc:
         print(f"precondition violated: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except FileNotFoundError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
     except StrongpackError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION

@@ -15,7 +15,7 @@ from typing import Iterable, Optional
 
 from . import _kernel
 from .composition import CompositionSpec, canonical_decomposition_strong_qt, compose
-from .digraph import (Arc, Digraph, as_terminals, complete_bipartite_digraph,
+from .digraph import (Arc, Digraph, as_terminals, bits, complete_bipartite_digraph,
                       directed_cycle, directed_path, empty_digraph,
                       is_semicomplete, is_strong, is_symmetric, mask_of, reachable)
 from .errors import (GraphFormatError, InfeasibleError, PreconditionError,
@@ -251,14 +251,29 @@ def pack_semicomplete_composition(spec: CompositionSpec, terminals) -> Packing:
     outer digraph is strong semicomplete, refusing the three exceptional
     hosts.
 
-    n0 = 1 takes the whole digraph.  n0 = 2 finds two arc-disjoint strong
-    spanning subgraphs by exact search (they exist for every non-
-    exceptional host); hosts above the search's 64 vertices are refused
-    with SizeLimitError.  For n0 >= 3 a Hamiltonian cycle of the outer
-    digraph yields a spanning cycle blow-up on the first n0 vertices of
-    each layer; its Hamiltonian decomposition gives the cores, and each
-    leftover vertex joins core j through its layer's neighbors of index j
-    along the outer cycle.
+    n0 = 1 takes the whole digraph.  Otherwise the parts grow from a spine:
+    a directed cycle through the outer digraph whose blow-up by n0 has a
+    shift decomposition into n0 Hamiltonian cycles (``decompose_cycle_blowup``
+    on the first n0 vertices of every spine layer); cycle j is the core of
+    part j.
+
+    * If t is even or n0 != 2 (mod 4), the spine is a Hamiltonian cycle of
+      the outer digraph.
+    * Otherwise the smallest outer vertex x whose removal keeps the outer
+      digraph strong is dropped, and the spine is a Hamiltonian cycle of
+      the rest: an even cycle of t - 1 layers.  Every vertex of layer x
+      joins part j through vertex j of its smallest-index in-neighbour layer
+      and vertex j of its smallest-index out-neighbour layer.
+    * Such an x exists unless t = 3 and the outer digraph is C3.  There, for
+      n0 = 2, an exact search splits the core of the first min(|H_i|, 3)
+      vertices of each layer (4 of the layer that has them when that core
+      is the exceptional 2-2-3) into two strong spanning parts, so the
+      search sees at most 8 vertices; the other vertices of each layer
+      join as on a spine along the C3.  For n0 >= 6 that case raises
+      UnsupportedCaseError.
+
+    Every other vertex of a spine layer joins part j through vertex j of
+    its predecessor and successor layers on the spine.
     """
     outer = spec.outer
     if not is_semicomplete(outer):
@@ -278,44 +293,92 @@ def pack_semicomplete_composition(spec: CompositionSpec, terminals) -> Packing:
     if n0 == 1:
         return _checked(Packing(host, ts, MODE_ARC, (host.arcs,)))
 
-    if n0 == 2:
-        arcs = sorted(host.arcs)
-        full = (1 << host.n) - 1
-        found = _kernel.search_arc_disjoint(host.n, arcs, full, 2)
-        if found is None:
-            raise StrongpackError("exact search found no strong arc "
-                                  "decomposition on a non-exceptional host")
-        parts = tuple(frozenset(arcs[i] for i in pt) for pt in found)
-        return _checked(Packing(host, ts, MODE_ARC, parts))
-
-    # n0 >= 3
-    ham = hamilton_semicomplete(outer)
-    order = list(ham.order)
-    offs = spec.offsets()
     t = spec.t
-    dec = decompose_cycle_blowup(t, n0)
+    offs = spec.offsets()
+    dropped = _droppable_layer(outer) if t % 2 and n0 % 4 == 2 else None
+    if dropped is None and t % 2 and n0 == 2:
+        # no layer can go, so t = 3 and the outer digraph is C3
+        order = hamilton_semicomplete(outer).order
+        parts, core = _c3_core_parts(spec, host)
+    else:
+        spine = [i for i in range(t) if i != dropped]
+        order = [spine[i] for i in hamilton_semicomplete(_induced(outer, spine)).order]
+        parts = _blowup_parts(order, n0, offs)
+        core = [n0] * t
 
-    def rep(layer: int, j: int) -> int:
-        return offs[layer] + j
+    # layer -> (layer feeding its other vertices, layer they feed)
+    links = {layer: (order[pos - 1], order[(pos + 1) % len(order)])
+             for pos, layer in enumerate(order)}
+    if dropped is not None:
+        links[dropped] = (_lowest(outer.in_masks()[dropped]), _lowest(outer.out[dropped]))
+        core[dropped] = 0
+    for layer, (a, b) in links.items():
+        for v in range(offs[layer] + core[layer], offs[layer + 1]):
+            for j, arcs in enumerate(parts):
+                arcs.add((offs[a] + j, v))
+                arcs.add((v, offs[b] + j))
+    return _checked(Packing(host, ts, MODE_ARC, tuple(frozenset(p) for p in parts)))
 
+
+def _lowest(mask: int) -> int:
+    return (mask & -mask).bit_length() - 1
+
+
+def _induced(d: Digraph, keep: list[int]) -> Digraph:
+    """The subdigraph induced by the ascending ids ``keep``, with keep[i]
+    renamed i."""
+    pos = {v: i for i, v in enumerate(keep)}
+    within = mask_of(keep)
+    return Digraph.from_masks(
+        len(keep), [mask_of(pos[v] for v in bits(d.out[u] & within)) for u in keep])
+
+
+def _droppable_layer(outer: Digraph) -> Optional[int]:
+    """The smallest outer vertex whose removal leaves a strong digraph, or
+    None when there is none."""
+    inn = outer.in_masks()
+    full = (1 << outer.n) - 1
+    for x in range(outer.n):
+        rest = full & ~(1 << x)
+        root = _lowest(rest)
+        if reachable(outer.out, root, rest) == rest == reachable(inn, root, rest):
+            return x
+    return None
+
+
+def _blowup_parts(order: list[int], n0: int, offs: list[int]) -> list[set[Arc]]:
+    """The Hamiltonian cycles of the spine's blow-up by n0, in host ids:
+    blow-up vertex (i, k) is vertex k of the layer at spine position i."""
     parts = []
-    for j, cyc in enumerate(dec.cycles):
+    for cyc in decompose_cycle_blowup(len(order), n0).cycles:
         arcs: set[Arc] = set()
         for x, y in cyc.arcs():
-            # blow-up vertex (i, k) stands for vertex k of the layer at
-            # cycle position i
             xi, xk = divmod(x, n0)
             yi, yk = divmod(y, n0)
-            arcs.add((rep(order[xi], xk), rep(order[yi], yk)))
-        for pos, layer in enumerate(order):
-            pred = order[(pos - 1) % t]
-            succ = order[(pos + 1) % t]
-            for k in range(n0, spec.inners[layer].n):
-                v = offs[layer] + k
-                arcs.add((rep(pred, j), v))
-                arcs.add((v, rep(succ, j)))
-        parts.append(frozenset(arcs))
-    return _checked(Packing(host, ts, MODE_ARC, tuple(parts)))
+            arcs.add((offs[order[xi]] + xk, offs[order[yi]] + yk))
+        parts.append(arcs)
+    return parts
+
+
+def _c3_core_parts(spec: CompositionSpec, host: Digraph) -> tuple[list[set[Arc]], list[int]]:
+    """Two arc-disjoint strong spanning subgraphs of the host induced by
+    the first min(|H_i|, 3) vertices of each layer, or 4 when those form
+    an exceptional host, found by exact search; returned in host ids with
+    the core size of every layer."""
+    offs = spec.offsets()
+    for cap in (3, 4):
+        core = [min(h.n, cap) for h in spec.inners]
+        keep = [offs[i] + k for i, size in enumerate(core) for k in range(size)]
+        sub = _induced(host, keep)
+        if not is_in_exceptional(sub).member:
+            break
+    arcs = sorted(sub.arcs)
+    found = _kernel.search_arc_disjoint(sub.n, arcs, (1 << sub.n) - 1, 2)
+    if found is None:
+        raise StrongpackError("exact search found no strong arc "
+                              "decomposition of a non-exceptional core")
+    parts = [{(keep[u], keep[v]) for u, v in (arcs[i] for i in part)} for part in found]
+    return parts, core
 
 
 def pack_quasi_transitive(d: Digraph, terminals) -> Packing:

@@ -299,20 +299,29 @@ def write_hypergraph(h: Hypergraph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _data_rows(text: str) -> list[tuple[int, str]]:
+    """(1-based physical line number, line) of every non-blank line that
+    is not a comment."""
+    return [(lineno, ln) for lineno, ln in enumerate(text.splitlines(), start=1)
+            if ln.strip() and not ln.startswith("#")]
+
+
 def read_hypergraph(text: str) -> Hypergraph:
-    rows = [ln for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
+    rows = _data_rows(text)
     if not rows:
         raise GraphFormatError("empty hypergraph file")
     try:
-        n, e = (int(x) for x in rows[0].split())
+        n, e = (int(x) for x in rows[0][1].split())
     except ValueError:
-        raise GraphFormatError("expected header 'n e'", 1)
+        raise GraphFormatError("expected header 'n e'", rows[0][0])
     if len(rows) - 1 != e:
         raise GraphFormatError(f"header promises {e} edges, found {len(rows) - 1}")
-    try:
-        edges = [frozenset(int(x) for x in row.split()) for row in rows[1:]]
-    except ValueError:
-        raise GraphFormatError("edge lines must hold integers")
+    edges = []
+    for lineno, row in rows[1:]:
+        try:
+            edges.append(frozenset(int(x) for x in row.split()))
+        except ValueError:
+            raise GraphFormatError("edge lines must hold integers", lineno)
     return Hypergraph(n, edges)
 
 
@@ -323,17 +332,17 @@ def write_bipartite(g: BipartiteGraph) -> str:
 
 
 def read_bipartite(text: str) -> BipartiteGraph:
-    rows = [ln for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
+    rows = _data_rows(text)
     if not rows:
         raise GraphFormatError("empty bipartite file")
     try:
-        c, b, e = (int(x) for x in rows[0].split())
+        c, b, e = (int(x) for x in rows[0][1].split())
     except ValueError:
-        raise GraphFormatError("expected header 'c b e'", 1)
+        raise GraphFormatError("expected header 'c b e'", rows[0][0])
     if len(rows) - 1 != e:
         raise GraphFormatError(f"header promises {e} edges, found {len(rows) - 1}")
     edges = []
-    for lineno, row in enumerate(rows[1:], start=2):
+    for lineno, row in rows[1:]:
         fields = row.split()
         if len(fields) != 2:
             raise GraphFormatError("expected edge line 'c_idx b_idx'", lineno)

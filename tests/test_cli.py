@@ -81,17 +81,18 @@ class TestPackVerify:
         assert main(["pack", "--composition", comp, "--terminals", "0,1"]) == 2
         assert "exceptional" in capsys.readouterr().err
 
-    def test_n0_two_host_above_kernel_limit_exits_4(self, workdir, capsys):
+    def test_n0_two_host_above_kernel_limit_packs(self, workdir, capsys):
         spec = sp.CompositionSpec(sp.directed_cycle(3), (
             sp.empty_digraph(2), sp.empty_digraph(32), sp.empty_digraph(32)))
         comp = write(workdir / "big.comp", sp.write_composition(spec))
         out = workdir / "big.pack"
         assert main(["pack", "--composition", comp, "--terminals", "0,1",
-                     "--out", str(out)]) == 4
-        err = capsys.readouterr().err
-        assert err.startswith("size limit: ") and err.count("\n") == 1
-        assert "Traceback" not in err
-        assert not out.exists()
+                     "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        host = sp.compose(spec)
+        packing = sp.read_packing(out.read_text(), host, [0, 1])
+        assert len(packing.parts) == 2
+        assert sp.verify_packing(packing).ok
 
     def test_bipartite_auto_detection(self, workdir):
         for a, b in ((1, 1), (1, 4), (3, 3)):
@@ -350,6 +351,30 @@ class TestRefusals:
         assert code == 2
         assert err.splitlines()[-1] == (
             "strongpack pack: error: argument --composition: not allowed with argument --graph")
+
+    def test_out_is_a_directory_exits_2(self, workdir, capsys):
+        code, err = refusal(["gen", "bipartite", "--seed", "1", "--out", str(workdir)],
+                            capsys)
+        assert code == 2
+        assert err.startswith(f"precondition violated: cannot write {workdir}: ")
+        assert err.count("\n") == 1
+
+    def test_out_in_missing_directory_exits_2(self, workdir, capsys):
+        out = workdir / "missing" / "x.dg"
+        code, err = refusal(["gen", "bipartite", "--seed", "1", "--out", str(out)], capsys)
+        assert code == 2
+        assert err == (f"precondition violated: cannot write {out}: "
+                       f"No such file or directory\n")
+
+    def test_unwritable_provenance_sidecar_exits_2(self, workdir, capsys):
+        h = write(workdir / "h.hg", sp.write_hypergraph(sp.Hypergraph(3, [{0, 1}, {1, 2}])))
+        out = workdir / "g.dg"
+        (workdir / "g.dg.provenance.json").mkdir()
+        code, err = refusal(["reduce", "--from", "hypergraph", "--input", h,
+                             "--out", str(out)], capsys)
+        assert code == 2
+        assert err.startswith("precondition violated: cannot write ")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("argv", [
         ["gen", "hypergraph", "--n", "0"],

@@ -24,8 +24,9 @@ OUTER_ORDERS = (5, 12, 20)
 
 
 def _sizes(rng, t):
-    # at least 3 per layer, and never a smallest layer of 6: odd t with
-    # n0 = 2 (mod 4) has no construction
+    # at least 3 per layer and never 6, so n0 >= 3 and these digests pin
+    # the Hamiltonian-spine construction (odd t with n0 = 6 would drop a
+    # layer); n0 = 2 has its own cases
     sizes = [rng.randint(3, 9) for _ in range(t)]
     return [s if s != 6 else 7 for s in sizes]
 
@@ -72,6 +73,15 @@ def _case(kind, t):
         host = sp.relabel(sp.compose(spec), perm)
         ts = sorted(rng.sample(range(host.n), 3))
         return host, sp.pack_quasi_transitive(host, ts)
+    if kind == "n0two":
+        # t = 3 uses a C3 outer: a core search plus leftover vertices; odd
+        # t >= 5 drops a layer from the spine; even t keeps all of them
+        outer = sp.directed_cycle(3) if t == 3 else gen.random_strong_semicomplete(t, rng)
+        sizes = [rng.randint(4, 9) for _ in range(t)]
+        sizes[rng.randrange(t)] = 2
+        spec = sp.CompositionSpec(outer, [gen.random_inner(s, 0.15, rng) for s in sizes])
+        ts = sorted(rng.sample(range(spec.n), 3))
+        return sp.compose(spec), sp.pack_semicomplete_composition(spec, ts)
     if kind == "bipartite":
         a, b = t, t + rng.randint(0, 7)
         ts = sorted(rng.sample(range(a + b), 3))
@@ -80,7 +90,7 @@ def _case(kind, t):
 
 
 CASES = [(kind, t) for kind in ("semicomplete", "symmetric", "qt", "bipartite")
-         for t in OUTER_ORDERS]
+         for t in OUTER_ORDERS] + [("n0two", t) for t in (3, 5, 12)]
 
 
 def _digests(kind, t):

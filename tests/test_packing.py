@@ -1,9 +1,13 @@
 import random
+import time
 
 import pytest
 
 import strongpack as sp
-from strongpack.errors import GraphFormatError, InfeasibleError, PreconditionError
+from strongpack import _kernel
+from strongpack import generators as gen
+from strongpack.errors import (GraphFormatError, InfeasibleError, PreconditionError,
+                               UnsupportedCaseError)
 from strongpack.packing import MODE_ARC, MODE_INTERNAL
 
 from conftest import exceptional_member
@@ -219,6 +223,61 @@ class TestPackSemicompleteComposition:
         spec = sp.CompositionSpec(outer, tuple(sp.empty_digraph(2) for _ in range(4)))
         with pytest.raises(PreconditionError):
             sp.pack_semicomplete_composition(spec, [0, 1])
+
+
+GRID = [(t, n0, two_cycles) for t in (3, 5, 7, 21) for n0 in (2, 6, 10)
+        for two_cycles in (False, True)]
+
+
+def _grid_spec(t, n0, two_cycles):
+    """A random strong semicomplete outer, with at least one 2-cycle or
+    none, over layers of n0..40 vertices (one of exactly n0) with inner
+    arc probability 0.15."""
+    rng = random.Random(f"grid:{t}:{n0}:{two_cycles}")
+    while True:
+        outer = gen.random_strong_semicomplete(t, rng, two_cycle_prob=0.3 * two_cycles)
+        if not two_cycles or outer.m > t * (t - 1) // 2:
+            break
+    sizes = [rng.randint(n0, 40) for _ in range(t)]
+    sizes[rng.randrange(t)] = n0
+    return sp.CompositionSpec(outer, [gen.random_inner(s, 0.15, rng) for s in sizes])
+
+
+class TestSemicompleteGrid:
+    """n0 parts in polynomial time on every non-exceptional host: the exact
+    kernel only ever sees the core of a C3 outer, and only the C3 outer
+    with n0 = 2 (mod 4) >= 6 is left without a construction."""
+
+    @pytest.mark.parametrize("t,n0,two_cycles", GRID,
+                             ids=[f"t{t}-n0{n0}-{'2cyc' if c else 'tour'}"
+                                  for t, n0, c in GRID])
+    def test_grid(self, monkeypatch, t, n0, two_cycles):
+        spec = _grid_spec(t, n0, two_cycles)
+        c3 = spec.outer in (sp.directed_cycle(3), sp.directed_cycle(3).reverse())
+        sizes = []
+        search = _kernel.search_arc_disjoint
+
+        def spy(n, arcs, s_mask, ell):
+            sizes.append(n)
+            return search(n, arcs, s_mask, ell)
+
+        monkeypatch.setattr(_kernel, "search_arc_disjoint", spy)
+        start = time.perf_counter()
+        if c3 and n0 >= 6:
+            with pytest.raises(UnsupportedCaseError):
+                sp.pack_semicomplete_composition(spec, [0, 1])
+        else:
+            p = sp.pack_semicomplete_composition(spec, [0, 1])
+            assert len(p.parts) == n0 and sp.verify_packing(p).ok
+        assert time.perf_counter() - start < 1.0
+        assert all(n <= 8 for n in sizes)
+        assert bool(sizes) == (c3 and n0 == 2)
+
+    def test_grid_draws_c3_and_two_cycle_outers(self):
+        c3 = sp.directed_cycle(3)
+        outers = [_grid_spec(*case).outer for case in GRID]
+        assert sum(o in (c3, c3.reverse()) for o in outers) == 3
+        assert sum(o.m > o.n * (o.n - 1) // 2 for o in outers) == len(GRID) // 2
 
 
 class TestPackQuasiTransitive:

@@ -172,3 +172,15 @@ class TestFormats:
     def test_bipartite_count_mismatch(self):
         with pytest.raises(GraphFormatError):
             sp.read_bipartite("2 2 3\n0 0\n")
+
+    def test_bipartite_error_names_physical_line(self):
+        with pytest.raises(GraphFormatError) as err:
+            sp.read_bipartite("# cover graph\n2 1 2\n0 0\n1 x\n")
+        assert err.value.line == 4
+        assert str(err.value) == "line 4: edge fields must be integers"
+
+    def test_hypergraph_error_names_physical_line(self):
+        with pytest.raises(GraphFormatError) as err:
+            sp.read_hypergraph("# two edges\n4 2\n0 1\n\n2 y\n")
+        assert err.value.line == 5
+        assert str(err.value) == "line 5: edge lines must hold integers"
