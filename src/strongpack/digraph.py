@@ -355,3 +355,11 @@ def read_digraph(text: str) -> Digraph:
             raise GraphFormatError(f"loop arc ({u}, {u}) not allowed")
         raise GraphFormatError(f"arc ({u}, {v}) out of range for n={n}")
     return Digraph.from_masks(n, out)
+
+
+def _data_rows(text: str) -> list[tuple[int, str]]:
+    """(1-based physical line number, line) of every non-blank line that
+    is not a comment; the row scanner of the packing, hypergraph and
+    bipartite text formats."""
+    return [(lineno, ln) for lineno, ln in enumerate(text.splitlines(), start=1)
+            if ln.strip() and not ln.startswith("#")]

@@ -5,6 +5,11 @@ A packing is a collection of arc sets over one host digraph.  Each part
 must induce a strong subgraph containing every terminal; parts never share
 an arc, and in "internal" mode the vertex sets of two parts meet exactly
 in the terminal set.
+
+Every constructive packer is one spine construction (``_spine_parts``):
+the Hamiltonian cycles of a blown-up cycle of layers, with the other
+vertices joined to every part.  A complete bipartite host is packed as the
+2-cycle composition.  Each packer self-checks its result once.
 """
 
 from __future__ import annotations
@@ -15,9 +20,9 @@ from typing import Iterable, Optional
 
 from . import _kernel
 from .composition import CompositionSpec, canonical_decomposition_strong_qt, compose
-from .digraph import (Arc, Digraph, as_terminals, bits, complete_bipartite_digraph,
-                      directed_cycle, directed_path, empty_digraph,
-                      is_semicomplete, is_strong, is_symmetric, mask_of, reachable)
+from .digraph import (Arc, Digraph, _data_rows, as_terminals, bits, directed_cycle,
+                      directed_path, empty_digraph, is_semicomplete, is_strong,
+                      is_symmetric, mask_of, reachable)
 from .errors import (GraphFormatError, InfeasibleError, PreconditionError,
                      StrongpackError)
 from .hamilton import decompose_cycle_blowup, hamilton_semicomplete
@@ -121,26 +126,13 @@ def _checked(p: Packing) -> Packing:
 
 def pack_bipartite(a: int, b: int, terminals: Iterable[int] | None = None) -> Packing:
     """``a`` arc-disjoint strong spanning subgraphs of the complete
-    bipartite digraph with sides of size a <= b.
-
-    The balanced sub-digraph on the first a vertices of each side splits
-    into a Hamiltonian cycles; part i additionally picks up both arcs
-    between vertex i of the small side and every unmatched vertex of the
-    large side.
-    """
+    bipartite digraph with sides of size a <= b (terminals: every vertex by
+    default): ``pack_symmetric_composition`` on the 2-cycle with independent
+    layers of sizes a and b."""
     if not (1 <= a <= b):
         raise PreconditionError("need 1 <= a <= b")
-    host = complete_bipartite_digraph(a, b)
-    dec = decompose_cycle_blowup(2, a)  # ids align: layer 0 -> 0..a-1, layer 1 -> a..2a-1
-    parts = []
-    for i, cyc in enumerate(dec.cycles):
-        arcs = set(cyc.arcs())
-        for z in range(2 * a, a + b):
-            arcs.add((i, z))
-            arcs.add((z, i))
-        parts.append(frozenset(arcs))
-    ts = frozenset(range(a + b)) if terminals is None else as_terminals(host, terminals)
-    return _checked(Packing(host, ts, MODE_ARC, tuple(parts)))
+    spec = CompositionSpec(directed_cycle(2), (empty_digraph(a), empty_digraph(b)))
+    return pack_symmetric_composition(spec, range(a + b) if terminals is None else terminals)
 
 
 # -- the exceptional compositions ----------------------------------------------
@@ -208,8 +200,11 @@ def pack_symmetric_composition(spec: CompositionSpec, terminals) -> Packing:
     outer digraph is strong and symmetric.
 
     Inner arcs are ignored.  Every symmetric outer pair spans a complete
-    bipartite digraph across its two layers; that digraph is packed as in
-    ``pack_bipartite`` and part s collects the s-th piece from every pair.
+    bipartite digraph across its two layers: the spine is the 2-cycle
+    through its smaller layer (the lower index on a tie) and its larger
+    one, blown up by the smaller layer's order, and every other vertex of
+    the larger layer joins part s through vertex s of the smaller one.
+    Part s collects the s-th piece from every pair.
     """
     outer = spec.outer
     if not is_symmetric(outer):
@@ -222,28 +217,37 @@ def pack_symmetric_composition(spec: CompositionSpec, terminals) -> Packing:
     offs = spec.offsets()
 
     parts: list[set[Arc]] = [set() for _ in range(n0)]
-    pairs = sorted({(min(i, p), max(i, p)) for (i, p) in outer.arcs})
-    for p, q in pairs:
-        np_, nq = spec.inners[p].n, spec.inners[q].n
-        # smaller layer plays the small side; ties go to the lower index
-        if nq < np_:
-            small, large = q, p
-        else:
-            small, large = p, q
-        a, b = spec.inners[small].n, spec.inners[large].n
-        block = pack_bipartite(a, b)
-        for s in range(n0):
-            for u, v in block.parts[s]:
-                parts[s].add((_bip_to_flat(u, a, offs, small, large),
-                              _bip_to_flat(v, a, offs, small, large)))
-    packing = Packing(host, ts, MODE_ARC, tuple(frozenset(p) for p in parts))
-    return _checked(packing)
+    for p, q in sorted({(min(i, p), max(i, p)) for (i, p) in outer.arcs}):
+        small, large = (q, p) if spec.inners[q].n < spec.inners[p].n else (p, q)
+        a = spec.inners[small].n
+        for part, arcs in zip(parts, _spine_parts([small, large], a, offs,
+                                                  [(large, a, small, small)])):
+            part |= arcs
+    return _checked(Packing(host, ts, MODE_ARC, tuple(frozenset(p) for p in parts)))
 
 
-def _bip_to_flat(x: int, a: int, offs, small: int, large: int) -> int:
-    if x < a:
-        return offs[small] + x
-    return offs[large] + (x - a)
+def _spine_parts(order: list[int], r: int, offs: list[int],
+                 joins: list[tuple[int, int, int, int]]) -> list[set[Arc]]:
+    """The spine construction, in host ids: part j is Hamiltonian cycle j
+    of the cycle of layers ``order`` blown up by r, on the first r
+    vertices of each spine layer; ``_join`` then attaches ``joins``."""
+    ids = [offs[layer] + k for layer in order for k in range(r)]
+    parts = [{(ids[x], ids[y]) for x, y in cyc.arcs()}
+             for cyc in decompose_cycle_blowup(len(order), r).cycles]
+    _join(parts, offs, joins)
+    return parts
+
+
+def _join(parts: list[set[Arc]], offs: list[int],
+          joins: list[tuple[int, int, int, int]]) -> None:
+    """Each join (layer, first, a, b) adds every vertex of ``layer`` from
+    index ``first`` onward to part j, through an arc from vertex j of
+    layer a and an arc to vertex j of layer b."""
+    for layer, first, a, b in joins:
+        for v in range(offs[layer] + first, offs[layer + 1]):
+            for j, arcs in enumerate(parts):
+                arcs.add((offs[a] + j, v))
+                arcs.add((v, offs[b] + j))
 
 
 def pack_semicomplete_composition(spec: CompositionSpec, terminals) -> Packing:
@@ -288,36 +292,30 @@ def pack_semicomplete_composition(spec: CompositionSpec, terminals) -> Packing:
             f"mapping {verdict.witness}), which has no pair of arc-disjoint "
             f"strong spanning subgraphs")
     ts = as_terminals(host, terminals)
-    n0 = spec.n0
+    parts = [host.arcs] if spec.n0 == 1 else _semicomplete_parts(spec)
+    return _checked(Packing(host, ts, MODE_ARC, tuple(frozenset(p) for p in parts)))
 
-    if n0 == 1:
-        return _checked(Packing(host, ts, MODE_ARC, (host.arcs,)))
 
-    t = spec.t
+def _semicomplete_parts(spec: CompositionSpec) -> list[set[Arc]]:
+    """The n0 >= 2 parts of ``pack_semicomplete_composition`` in flat ids,
+    unchecked; the outer digraph must be strong semicomplete and the host
+    not exceptional."""
+    outer, t, n0 = spec.outer, spec.t, spec.n0
     offs = spec.offsets()
     dropped = _droppable_layer(outer) if t % 2 and n0 % 4 == 2 else None
-    if dropped is None and t % 2 and n0 == 2:
-        # no layer can go, so t = 3 and the outer digraph is C3
-        order = hamilton_semicomplete(outer).order
-        parts, core = _c3_core_parts(spec, host)
-    else:
-        spine = [i for i in range(t) if i != dropped]
-        order = [spine[i] for i in hamilton_semicomplete(_induced(outer, spine)).order]
-        parts = _blowup_parts(order, n0, offs)
-        core = [n0] * t
-
-    # layer -> (layer feeding its other vertices, layer they feed)
-    links = {layer: (order[pos - 1], order[(pos + 1) % len(order)])
-             for pos, layer in enumerate(order)}
+    spine = [i for i in range(t) if i != dropped]
+    order = [spine[i] for i in hamilton_semicomplete(_induced(outer, spine)).order]
+    joins = [(layer, n0, order[pos - 1], order[(pos + 1) % len(order)])
+             for pos, layer in enumerate(order)]
     if dropped is not None:
-        links[dropped] = (_lowest(outer.in_masks()[dropped]), _lowest(outer.out[dropped]))
-        core[dropped] = 0
-    for layer, (a, b) in links.items():
-        for v in range(offs[layer] + core[layer], offs[layer + 1]):
-            for j, arcs in enumerate(parts):
-                arcs.add((offs[a] + j, v))
-                arcs.add((v, offs[b] + j))
-    return _checked(Packing(host, ts, MODE_ARC, tuple(frozenset(p) for p in parts)))
+        joins.append((dropped, 0, _lowest(outer.in_masks()[dropped]),
+                      _lowest(outer.out[dropped])))
+    elif t % 2 and n0 == 2:
+        # no layer can go, so t = 3 and the outer digraph is C3
+        parts, core = _c3_core_parts(spec)
+        _join(parts, offs, [(layer, core[layer], a, b) for layer, _, a, b in joins])
+        return parts
+    return _spine_parts(order, n0, offs, joins)
 
 
 def _lowest(mask: int) -> int:
@@ -346,32 +344,19 @@ def _droppable_layer(outer: Digraph) -> Optional[int]:
     return None
 
 
-def _blowup_parts(order: list[int], n0: int, offs: list[int]) -> list[set[Arc]]:
-    """The Hamiltonian cycles of the spine's blow-up by n0, in host ids:
-    blow-up vertex (i, k) is vertex k of the layer at spine position i."""
-    parts = []
-    for cyc in decompose_cycle_blowup(len(order), n0).cycles:
-        arcs: set[Arc] = set()
-        for x, y in cyc.arcs():
-            xi, xk = divmod(x, n0)
-            yi, yk = divmod(y, n0)
-            arcs.add((offs[order[xi]] + xk, offs[order[yi]] + yk))
-        parts.append(arcs)
-    return parts
-
-
-def _c3_core_parts(spec: CompositionSpec, host: Digraph) -> tuple[list[set[Arc]], list[int]]:
-    """Two arc-disjoint strong spanning subgraphs of the host induced by
-    the first min(|H_i|, 3) vertices of each layer, or 4 when those form
-    an exceptional host, found by exact search; returned in host ids with
-    the core size of every layer."""
+def _c3_core_parts(spec: CompositionSpec) -> tuple[list[set[Arc]], list[int]]:
+    """Two arc-disjoint strong spanning subgraphs of the composition of the
+    first min(|H_i|, 3) vertices of each layer, or 4 when those form an
+    exceptional host, found by exact search; returned in host ids with the
+    core size of every layer."""
     offs = spec.offsets()
     for cap in (3, 4):
         core = [min(h.n, cap) for h in spec.inners]
-        keep = [offs[i] + k for i, size in enumerate(core) for k in range(size)]
-        sub = _induced(host, keep)
+        sub = compose(CompositionSpec(
+            spec.outer, [_induced(h, list(range(k))) for h, k in zip(spec.inners, core)]))
         if not is_in_exceptional(sub).member:
             break
+    keep = [offs[i] + k for i, size in enumerate(core) for k in range(size)]
     arcs = sorted(sub.arcs)
     found = _kernel.search_arc_disjoint(sub.n, arcs, (1 << sub.n) - 1, 2)
     if found is None:
@@ -391,12 +376,10 @@ def pack_quasi_transitive(d: Digraph, terminals) -> Packing:
             f"(vertex mapping {verdict.witness})")
     spec = canonical_decomposition_strong_qt(d)
     ts = as_terminals(d, terminals)
-    flat_of = {orig: flat for flat, orig in enumerate(spec.original_ids)}
-    inner = pack_semicomplete_composition(spec, frozenset(flat_of[v] for v in ts))
     back = spec.original_ids
-    parts = tuple(
-        frozenset((back[u], back[v]) for (u, v) in part) for part in inner.parts)
-    return _checked(Packing(d, ts, MODE_ARC, parts))
+    parts = [d.arcs] if spec.n0 == 1 else [
+        {(back[u], back[v]) for u, v in part} for part in _semicomplete_parts(spec)]
+    return _checked(Packing(d, ts, MODE_ARC, tuple(frozenset(p) for p in parts)))
 
 
 # -- text format ---------------------------------------------------------------
@@ -412,23 +395,25 @@ def write_packing(p: Packing) -> str:
 
 
 def read_packing(text: str, host: Digraph, terminals) -> Packing:
-    lines = [ln for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
-    if not lines:
+    rows = _data_rows(text)
+    if not rows:
         raise GraphFormatError("empty packing file")
-    head = dict(item.split("=", 1) for item in lines[0].split() if "=" in item)
+    head_line, head_row = rows[0]
+    head = dict(item.split("=", 1) for item in head_row.split() if "=" in item)
     try:
         count = int(head["parts"])
         mode = head["mode"]
     except (KeyError, ValueError):
-        raise GraphFormatError("expected header 'parts=<count> mode=<arc|internal>'", 1)
+        raise GraphFormatError("expected header 'parts=<count> mode=<arc|internal>'",
+                               head_line)
     if mode not in (MODE_ARC, MODE_INTERNAL):
-        raise GraphFormatError(f"unknown mode {mode!r}", 1)
-    if len(lines) - 1 != count:
-        raise GraphFormatError(f"header promises {count} parts, found {len(lines) - 1}")
+        raise GraphFormatError(f"unknown mode {mode!r}", head_line)
+    if len(rows) - 1 != count:
+        raise GraphFormatError(f"header promises {count} parts, found {len(rows) - 1}")
     parts = []
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, row in rows[1:]:
         arcs = []
-        for token in line.split():
+        for token in row.split():
             try:
                 u, v = token.split(">")
                 arcs.append((int(u), int(v)))

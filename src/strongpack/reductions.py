@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .digraph import Arc, Digraph, biorientation, is_eulerian
+from .digraph import Arc, Digraph, _data_rows, biorientation, is_eulerian
 from .errors import GraphFormatError, PreconditionError, SizeLimitError
 
 
@@ -297,13 +297,6 @@ def write_hypergraph(h: Hypergraph) -> str:
     lines = [f"{h.n} {len(h.edges)}"]
     lines.extend(" ".join(str(v) for v in sorted(e)) for e in h.edges)
     return "\n".join(lines) + "\n"
-
-
-def _data_rows(text: str) -> list[tuple[int, str]]:
-    """(1-based physical line number, line) of every non-blank line that
-    is not a comment."""
-    return [(lineno, ln) for lineno, ln in enumerate(text.splitlines(), start=1)
-            if ln.strip() and not ln.startswith("#")]
 
 
 def read_hypergraph(text: str) -> Hypergraph:

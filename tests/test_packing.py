@@ -4,10 +4,10 @@ import time
 import pytest
 
 import strongpack as sp
-from strongpack import _kernel
+from strongpack import _kernel, packing
 from strongpack import generators as gen
 from strongpack.errors import (GraphFormatError, InfeasibleError, PreconditionError,
-                               UnsupportedCaseError)
+                               StrongpackError, UnsupportedCaseError)
 from strongpack.packing import MODE_ARC, MODE_INTERNAL
 
 from conftest import exceptional_member
@@ -320,6 +320,63 @@ class TestPackQuasiTransitive:
             sp.pack_quasi_transitive(k23, [0, 2])
 
 
+def _layers(outer, *sizes):
+    return sp.CompositionSpec(outer, [sp.empty_digraph(s) for s in sizes])
+
+
+# Every packer, on a host where the join step attaches at least one vertex:
+# (name, call with all vertices as terminals).
+def _packer_cases():
+    c3 = sp.directed_cycle(3)
+    sym = _layers(sp.biorientation(4, [(0, 1), (1, 2), (2, 3), (3, 0)]), 2, 3, 2, 4)
+    spine = _layers(c3, 3, 4, 3)
+    dropped = _layers(sp.biorientation(3, [(0, 1), (1, 2), (2, 0)]), 2, 3, 3)
+    core = _layers(c3, 2, 3, 5)
+    qt = sp.relabel(sp.compose(spine), [(7 * v + 3) % 10 for v in range(10)])
+    return [
+        ("bipartite", lambda: sp.pack_bipartite(2, 3)),
+        ("symmetric", lambda: sp.pack_symmetric_composition(sym, range(sym.n))),
+        ("semicomplete-spine",
+         lambda: sp.pack_semicomplete_composition(spine, range(spine.n))),
+        ("semicomplete-dropped",
+         lambda: sp.pack_semicomplete_composition(dropped, range(dropped.n))),
+        ("semicomplete-c3-core",
+         lambda: sp.pack_semicomplete_composition(core, range(core.n))),
+        ("quasi-transitive", lambda: sp.pack_quasi_transitive(qt, range(qt.n))),
+    ]
+
+
+PACKERS = _packer_cases()
+
+
+class TestSelfCheck:
+    """Each packer verifies what it built, on the host it was given, exactly
+    once, and refuses a construction that does not pass."""
+
+    @pytest.mark.parametrize("name,call", PACKERS, ids=[n for n, _ in PACKERS])
+    def test_broken_join_fails_self_check(self, monkeypatch, name, call):
+        monkeypatch.setattr(packing, "_join", lambda parts, offs, joins: None)
+        with pytest.raises(StrongpackError, match="failed self-check"):
+            call()
+
+    @pytest.mark.parametrize("name,call", PACKERS, ids=[n for n, _ in PACKERS])
+    def test_verifies_once(self, monkeypatch, name, call):
+        calls = []
+        verify = packing.verify_packing
+        monkeypatch.setattr(packing, "verify_packing",
+                            lambda p: calls.append(p) or verify(p))
+        result = call()
+        assert calls == [result]
+
+    def test_quasi_transitive_checks_exceptional_once(self, monkeypatch):
+        calls = []
+        check = packing.is_in_exceptional
+        monkeypatch.setattr(packing, "is_in_exceptional",
+                            lambda d: calls.append(d) or check(d))
+        result = dict(PACKERS)["quasi-transitive"]()
+        assert calls == [result.host]
+
+
 class TestPackingFormat:
     def test_round_trip(self):
         p = sp.pack_bipartite(2, 3)
@@ -339,3 +396,14 @@ class TestPackingFormat:
     def test_bad_token(self, c3):
         with pytest.raises(GraphFormatError):
             sp.read_packing("parts=1 mode=arc\n0-1\n", c3, [0, 1])
+
+    def test_bad_token_names_its_physical_line(self, c3):
+        with pytest.raises(GraphFormatError) as err:
+            sp.read_packing("# c\nparts=1 mode=arc\n0>x\n", c3, [0, 1])
+        assert err.value.line == 3 and str(err.value).startswith("line 3:")
+
+    def test_header_after_comment_names_its_physical_line(self, c3):
+        for header in ("nonsense", "parts=1 mode=weird"):
+            with pytest.raises(GraphFormatError) as err:
+                sp.read_packing(f"# c\n\n{header}\n0>1 1>2 2>0\n", c3, [0, 1])
+            assert err.value.line == 3
