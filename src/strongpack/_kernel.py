@@ -1,7 +1,7 @@
 """Search kernel for the exact packing decisions.
 
 Two backtracking decision procedures with a fixed branching order, so their
-outputs are deterministic:
+outputs and node counts are deterministic:
 
 * ``search_arc_disjoint``: are there ``ell`` pairwise arc-disjoint strongly
   connected subgraphs each containing every terminal?  Backtracking assigns
@@ -19,6 +19,34 @@ soon as every class is already complete.  Graphs above ``MAX_VERTICES`` are
 refused with ``SizeLimitError``; the public solvers enforce far smaller
 limits anyway.
 
+Both searches are iterative: the path from the root is kept in arrays
+indexed by depth (one level per arc, or per variable), so a host with
+thousands of arcs needs no recursion.  A node is one visit of a level,
+root included; a caller-owned ``counters`` dict receives the node count
+and the prunes by reason, ``degree`` and ``feasibility``.
+
+The arc-disjoint search reuses its parent's pruning work.  Each open class
+c keeps the pivot terminal's forward and backward closures F_c and B_c in
+its potential graph (class arcs plus the pool of undecided arcs), whose
+strong component S_c = F_c & B_c must hold the class's targets; the
+classes not yet opened share one such pair for the bare pool.
+
+* Colouring u->v into c leaves c's potential graph unchanged, so c stays
+  feasible iff u and v are in S_c.
+* Removing u->v from the pool changes S_c only if u is in F_c and v in B_c:
+  a closed walk through the pivot that uses u->v puts u in F_c and v in B_c.
+  Otherwise the closures are kept as they are.  They may then be supersets
+  of the true ones, but their intersection stays exactly S_c, and a
+  superset only makes this test recheck more often.
+* A recheck recomputes F from the pivot and stops as soon as v is reached:
+  then F is unchanged, since everything u->v led to is still reachable.
+  Likewise B stops once u is reached.  A closure that runs to the end is
+  exact and replaces the cached one.
+
+The class-only closures behind the completion test only grow: adding u->v
+extends F from v when u is in F and v is not, and B from u symmetrically.
+Every change is undone on backtrack, the closures through a trail.
+
 All reachability work runs on out/in-neighborhood bitmasks.
 """
 
@@ -35,16 +63,18 @@ def backend() -> str:
     return "pure"
 
 
-def _reach(adj_a, adj_b, start):
-    """Closure of ``start`` under the union of two mask adjacencies."""
-    seen = start
-    frontier = start
+def _closure(adj_a, adj_b, frontier, seen=0, stop=0):
+    """``seen`` grown by ``frontier`` and everything reachable from it
+    under the union of two mask adjacencies, or None as soon as a vertex
+    of ``stop`` is reached."""
+    seen |= frontier
     while frontier:
+        if frontier & stop:
+            return None
         nxt = 0
-        f = frontier
-        while f:
-            low = f & -f
-            f ^= low
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
             i = low.bit_length() - 1
             nxt |= adj_a[i] | adj_b[i]
         frontier = nxt & ~seen
@@ -52,16 +82,20 @@ def _reach(adj_a, adj_b, start):
     return seen
 
 
-def _in_one_scc(adj_out, adj_in, extra_out, extra_in, pivot_bit, targets):
-    """True iff every target vertex lies in the pivot's strong component."""
-    fwd = _reach(adj_out, extra_out, pivot_bit)
-    if targets & ~fwd:
-        return False
-    bwd = _reach(adj_in, extra_in, pivot_bit)
-    return not (targets & ~bwd)
+def _check_size(n):
+    if n > MAX_VERTICES:
+        raise SizeLimitError(f"{n} vertices exceeds the exact search's limit "
+                             f"of {MAX_VERTICES}")
 
 
-def search_arc_disjoint(n, arcs, s_mask, ell):
+def _record(counters, nodes, degree, feasibility):
+    if counters is not None:
+        for key, value in (("nodes", nodes), ("degree", degree),
+                           ("feasibility", feasibility)):
+            counters[key] = counters.get(key, 0) + value
+
+
+def search_arc_disjoint(n, arcs, s_mask, ell, counters=None):
     """Find ``ell`` arc-disjoint terminal-spanning strong subgraphs.
 
     Returns a list of ``ell`` lists of arc indices, or None.  Deterministic:
@@ -70,121 +104,238 @@ def search_arc_disjoint(n, arcs, s_mask, ell):
     last.
     """
     m = len(arcs)
-    if n > MAX_VERTICES:
-        raise SizeLimitError(f"{n} vertices exceeds the exact search's limit "
-                             f"of {MAX_VERTICES}")
-    pivot_bit = s_mask & -s_mask
-
-    und_out = [0] * n
-    und_in = [0] * n
-    for u, v in arcs:
-        und_out[u] |= 1 << v
-        und_in[v] |= 1 << u
-
-    cls_out = [[0] * n for _ in range(ell + 1)]
-    cls_in = [[0] * n for _ in range(ell + 1)]
-    cls_verts = [0] * (ell + 1)
-    complete = [False] * (ell + 1)
-    label = [0] * m
+    _check_size(n)
+    pivot = s_mask & -s_mask
     zeros = [0] * n
+    pool_out = [0] * n
+    pool_in = [0] * n
+    for u, v in arcs:
+        pool_out[u] |= 1 << v
+        pool_in[v] |= 1 << u
 
-    state = {"used": 0, "done": 0}
+    # Per class 1..ell; index 0 stands for every class not opened yet.
+    k = ell + 1
+    cls_out = [[0] * n for _ in range(k)]
+    cls_in = [[0] * n for _ in range(k)]
+    has_out = [0] * k       # vertices with an out-arc in the class
+    has_in = [0] * k
+    cf = [pivot] * k        # pivot's closures in the class graph
+    cb = [pivot] * k
+    pf = [0] * k            # ... in the class graph plus the pool
+    pb = [0] * k
+    complete = [False] * k
+    used = done = 0
+    nodes = degree_prunes = feasibility_prunes = 0
 
-    def class_complete(c):
-        t = s_mask | cls_verts[c]
-        return _in_one_scc(cls_out[c], cls_in[c], zeros, zeros, pivot_bit, t)
+    frames = [None] * m     # per depth: the arc and what its branches share
+    next_branch = [0] * m
+    undo = [None] * m       # what the branch taken at each depth changed
+    trail = []              # (class, pf, pb) overwritten below some depth
 
-    def class_feasible(c):
-        t = s_mask | cls_verts[c]
-        return _in_one_scc(cls_out[c], cls_in[c], und_out, und_in, pivot_bit, t)
-
-    def degree_ok(v):
-        # every class that touches v (or will, via the terminals) still
-        # needs an in and an out arc there unless it already has one
-        need_out = need_in = 0
-        vbit = 1 << v
-        for c in range(1, ell + 1):
-            if complete[c]:
-                continue
-            if (s_mask | cls_verts[c]) & vbit:
-                if not cls_out[c][v]:
-                    need_out += 1
-                if not cls_in[c][v]:
-                    need_in += 1
-        return (need_out <= bin(und_out[v]).count("1")
-                and need_in <= bin(und_in[v]).count("1"))
-
-    def all_feasible():
-        for c in range(1, ell + 1):
-            if not complete[c] and not class_feasible(c):
-                return False
-        return True
-
-    def solve(idx):
-        if state["done"] == ell:
-            # success: arcs from idx on stay unused
-            for i in range(idx, m):
-                label[i] = 0
+    def after_removal(c, u, v):
+        """Class c's closures once u->v has left the pool: True when the
+        cached ones stand, False when the targets no longer fit in one
+        strong component, else the new pair."""
+        f, b = pf[c], pb[c]
+        if not (f >> u & 1 and b >> v & 1):
             return True
-        if idx == m:
+        targets = s_mask | has_out[c] | has_in[c]
+        exact_f = _closure(cls_out[c], pool_out, pivot, stop=1 << v)
+        if exact_f is not None:
+            if targets & ~exact_f:
+                return False
+            f = exact_f
+        exact_b = _closure(cls_in[c], pool_in, pivot, stop=1 << u)
+        if exact_b is not None:
+            b = exact_b
+        if targets & ~(f & b):
             return False
-        u, v = arcs[idx]
-        ubit, vbit = 1 << u, 1 << v
-        und_out[u] &= ~vbit
-        und_in[v] &= ~ubit
+        return True if exact_f is exact_b is None else (f, b)
 
-        cap = min(state["used"] + 1, ell)
-        for c in range(1, cap + 1):
-            if complete[c]:
-                continue
-            opened = cls_verts[c] == 0
-            old_verts = cls_verts[c]
-            cls_out[c][u] |= vbit
-            cls_in[c][v] |= ubit
-            cls_verts[c] |= ubit | vbit
-            if opened:
-                state["used"] += 1
-            finished = class_complete(c)
-            if finished:
-                complete[c] = True
-                state["done"] += 1
-            label[idx] = c
-            if degree_ok(u) and degree_ok(v) and all_feasible() and solve(idx + 1):
-                return True
+    def grow(c, u, v):
+        """Class c's closures in its own graph once u->v joins it, and
+        whether they then hold all its targets.  The closures only grow,
+        and the new arc matters only from the endpoint they already hold."""
+        ubit, vbit = 1 << u, 1 << v
+        f, b = cf[c], cb[c]
+        if f & ubit and not f & vbit:
+            f = _closure(cls_out[c], zeros, vbit, f)
+        if b & vbit and not b & ubit:
+            b = _closure(cls_in[c], zeros, ubit, b)
+        return f, b, not (s_mask | has_out[c] | has_in[c] | ubit | vbit) & ~(f & b)
+
+    def revert(idx):
+        nonlocal used, done
+        c, was_used, finished, saved, mark = undo[idx]
+        undo[idx] = None
+        while len(trail) > mark:
+            j, pf[j], pb[j] = trail.pop()
+        if c:
+            u, v = arcs[idx]
+            cls_out[c][u] &= ~(1 << v)
+            cls_in[c][v] &= ~(1 << u)
+            has_out[c], has_in[c], cf[c], cb[c], pf[c], pb[c] = saved
+            used = was_used
             if finished:
                 complete[c] = False
-                state["done"] -= 1
-            if opened:
-                state["used"] -= 1
-            cls_out[c][u] &= ~vbit
-            cls_in[c][v] &= ~ubit
-            cls_verts[c] = old_verts
-        label[idx] = 0
-        if degree_ok(u) and degree_ok(v) and all_feasible() and solve(idx + 1):
-            return True
-        und_out[u] |= vbit
-        und_in[v] |= ubit
-        return False
+                done -= 1
 
-    # root-level degree check: unused classes still need arcs at terminals
-    s = s_mask
-    while s:
-        low = s & -s
-        s ^= low
-        if not degree_ok(low.bit_length() - 1):
+    try:
+        # root: every class still needs an arc each way at every terminal
+        for t in range(n):
+            if s_mask >> t & 1 and ell > min(pool_out[t].bit_count(),
+                                             pool_in[t].bit_count()):
+                degree_prunes += 1
+                return None
+        pf[0] = _closure(pool_out, zeros, pivot)
+        pb[0] = _closure(pool_in, zeros, pivot)
+        if s_mask & ~(pf[0] & pb[0]):
+            feasibility_prunes += 1
             return None
-    if not all_feasible():
-        return None
-    if not solve(0):
-        return None
+
+        idx = 0
+        while True:
+            nodes += 1
+            if done == ell:
+                break
+            if idx < m:
+                u, v = arcs[idx]
+                ubit, vbit = 1 << u, 1 << v
+                pool_out[u] &= ~vbit
+                pool_in[v] &= ~ubit
+                live = [c for c in range(1, used + 1) if not complete[c]]
+                # slack of the degree test at u and v: arcs left in the
+                # pool minus the live classes that still lack one there
+                # (a class not opened yet lacks both at every terminal)
+                su, sv = s_mask >> u & 1, s_mask >> v & 1
+                spare = ell - used
+                out_u = pool_out[u].bit_count() - spare * su
+                in_u = pool_in[u].bit_count() - spare * su
+                out_v = pool_out[v].bit_count() - spare * sv
+                in_v = pool_in[v].bit_count() - spare * sv
+                for c in live:
+                    ho, hi = has_out[c], has_in[c]
+                    lack_out, lack_in = (s_mask | hi) & ~ho, (s_mask | ho) & ~hi
+                    out_u -= lack_out >> u & 1
+                    in_u -= lack_in >> u & 1
+                    out_v -= lack_out >> v & 1
+                    in_v -= lack_in >> v & 1
+                todo = live + [used + 1, 0] if spare else live + [0]
+                checks = live + [0] if spare else live
+                frames[idx] = (u, v, ubit, vbit, todo, checks, [None] * k,
+                               out_u, in_u, out_v, in_v)
+                next_branch[idx] = 0
+            else:
+                idx -= 1
+            # take the next branch that passes at the deepest level left
+            while idx >= 0:
+                if undo[idx] is not None:
+                    revert(idx)
+                (u, v, ubit, vbit, todo, checks, memo,
+                 out_u, in_u, out_v, in_v) = frames[idx]
+                p = next_branch[idx]
+                while p < len(todo):
+                    c = todo[p]
+                    p += 1
+                    finished = None     # not worked out unless needed
+                    if c:
+                        new = c > used
+                        src = 0 if new else c
+                        ho, hi = has_out[c], has_in[c]
+                        # colouring keeps c's potential graph, so c stays
+                        # feasible iff u and v are in its strong component
+                        # (a class that completes passes this too)
+                        own_ok = not (ubit | vbit) & ~(pf[src] & pb[src])
+                        # degree slack: c's lacks at u and v before the arc
+                        # come back, those after it (an in-arc at u, an
+                        # out-arc at v) count unless c completes
+                        if new:
+                            d_out_u = d_in_u = s_mask >> u & 1
+                            d_out_v = d_in_v = s_mask >> v & 1
+                        else:
+                            lack_out, lack_in = (s_mask | hi) & ~ho, (s_mask | ho) & ~hi
+                            d_out_u = lack_out >> u & 1
+                            d_in_u = lack_in >> u & 1
+                            d_out_v = lack_out >> v & 1
+                            d_in_v = lack_in >> v & 1
+                        after_u, after_v = not hi & ubit, not ho & vbit
+                        if own_ok and (in_u + d_in_u < after_u or out_v + d_out_v < after_v):
+                            f, b, finished = grow(c, u, v)
+                            if finished:
+                                after_u = after_v = 0
+                        degree = (out_u + d_out_u >= 0 and in_v + d_in_v >= 0
+                                  and in_u + d_in_u >= after_u and out_v + d_out_v >= after_v)
+                    else:
+                        new, own_ok = False, True
+                        degree = out_u >= 0 and in_u >= 0 and out_v >= 0 and in_v >= 0
+                    if not degree:
+                        degree_prunes += 1
+                        continue
+                    if not own_ok:
+                        feasibility_prunes += 1
+                        continue
+                    # the other live classes lose the arc from their pool,
+                    # and so do the unopened ones unless c was the last
+                    excluded = (c, 0) if new and c == ell else (c,) if c else ()
+                    for j in checks:
+                        if j in excluded:
+                            continue
+                        got = memo[j]
+                        if got is None:
+                            got = memo[j] = after_removal(j, u, v)
+                        if got is False:
+                            break
+                    else:
+                        break
+                    feasibility_prunes += 1
+                else:
+                    pool_out[u] |= vbit
+                    pool_in[v] |= ubit
+                    idx -= 1
+                    continue
+                # take branch c
+                if c and finished is None:
+                    f, b, finished = grow(c, u, v)
+                undo[idx] = (c, used, finished,
+                             (has_out[c], has_in[c], cf[c], cb[c], pf[c], pb[c]),
+                             len(trail))
+                if c:
+                    if new:
+                        pf[c], pb[c] = pf[0], pb[0]
+                        used = c
+                    cls_out[c][u] |= vbit
+                    cls_in[c][v] |= ubit
+                    has_out[c] |= ubit
+                    has_in[c] |= vbit
+                    cf[c], cb[c] = f, b
+                    if finished:
+                        complete[c] = True
+                        done += 1
+                for j in checks:
+                    if j in excluded:
+                        continue
+                    got = memo[j]
+                    if got is not True:
+                        trail.append((j, pf[j], pb[j]))
+                        pf[j], pb[j] = got
+                next_branch[idx] = p
+                idx += 1
+                break
+            else:
+                return None
+    finally:
+        _record(counters, nodes, degree_prunes, feasibility_prunes)
+
+    # success: arcs below the current depth stay unused
     parts = [[] for _ in range(ell)]
-    for idx in range(m):
-        if label[idx]:
-            parts[label[idx] - 1].append(idx)
+    for depth in range(idx):
+        c = undo[depth][0]
+        if c:
+            parts[c - 1].append(depth)
     return parts
 
 
-def search_internally_disjoint(n, arcs, s_mask, ell):
+def search_internally_disjoint(n, arcs, s_mask, ell, counters=None):
     """Find ``ell`` arc-disjoint strong subgraphs meeting pairwise exactly
     in the terminal set.
 
@@ -195,10 +346,7 @@ def search_internally_disjoint(n, arcs, s_mask, ell):
 
     Returns ``ell`` lists of arc indices or None.  Deterministic.
     """
-    m = len(arcs)
-    if n > MAX_VERTICES:
-        raise SizeLimitError(f"{n} vertices exceeds the exact search's limit "
-                             f"of {MAX_VERTICES}")
+    _check_size(n)
     pivot_bit = s_mask & -s_mask
 
     base_out = [0] * n  # arcs with at least one non-terminal endpoint
@@ -212,23 +360,24 @@ def search_internally_disjoint(n, arcs, s_mask, ell):
             base_in[v] |= 1 << u
 
     free_verts = [v for v in range(n) if not (s_mask >> v & 1)]
-    nvars = len(free_verts) + len(ss_arcs)
+    nfree = len(free_verts)
+    nvars = nfree + len(ss_arcs)
 
     ss_label = [-1] * len(ss_arcs)  # -1 unassigned, 0 unused, 1..ell
     cls_vmask = [0] * (ell + 1)
-    unassigned_mask = 0
+    unassigned = 0
     for v in free_verts:
-        unassigned_mask |= 1 << v
-
-    state = {"used": 0, "done": 0, "unassigned": unassigned_mask}
+        unassigned |= 1 << v
     complete = [False] * (ell + 1)
     zeros = [0] * n
+    used = done = 0
+    nodes = feasibility_prunes = 0
 
     def build(c, potential):
         """Adjacency of class c, optionally including unassigned material."""
         allowed = s_mask | cls_vmask[c]
         if potential:
-            allowed |= state["unassigned"]
+            allowed |= unassigned
         out = [0] * n
         inn = [0] * n
         a = allowed
@@ -246,79 +395,111 @@ def search_internally_disjoint(n, arcs, s_mask, ell):
                 inn[v] |= 1 << u
         return out, inn
 
-    def class_complete(c):
-        out, inn = build(c, potential=False)
-        t = s_mask | cls_vmask[c]
-        return _in_one_scc(out, inn, zeros, zeros, pivot_bit, t)
-
-    def class_feasible(c):
-        out, inn = build(c, potential=True)
-        t = s_mask | cls_vmask[c]
-        return _in_one_scc(out, inn, zeros, zeros, pivot_bit, t)
+    def in_one_scc(c, potential):
+        """True iff class c's targets lie in the pivot's strong component."""
+        out, inn = build(c, potential)
+        targets = s_mask | cls_vmask[c]
+        return not (targets & ~_closure(out, zeros, pivot_bit)
+                    or targets & ~_closure(inn, zeros, pivot_bit))
 
     def all_feasible():
-        for c in range(1, ell + 1):
-            if not complete[c] and not class_feasible(c):
-                return False
-        return True
+        return all(complete[c] or in_one_scc(c, True) for c in range(1, ell + 1))
 
     def assign(pos, value):
-        if pos < len(free_verts):
+        nonlocal unassigned
+        if pos < nfree:
             v = free_verts[pos]
-            state["unassigned"] &= ~(1 << v)
+            unassigned &= ~(1 << v)
             if value > 0:
                 cls_vmask[value] |= 1 << v
         else:
-            ss_label[pos - len(free_verts)] = value
+            ss_label[pos - nfree] = value
 
     def unassign(pos, value):
-        if pos < len(free_verts):
+        nonlocal unassigned
+        if pos < nfree:
             v = free_verts[pos]
-            state["unassigned"] |= 1 << v
+            unassigned |= 1 << v
             if value > 0:
                 cls_vmask[value] &= ~(1 << v)
         else:
-            ss_label[pos - len(free_verts)] = -1
+            ss_label[pos - nfree] = -1
 
-    def solve(pos):
-        if state["done"] == ell:
-            return True
-        if pos == nvars:
-            return False
-        cap = min(state["used"] + 1, ell)
-        for c in range(1, cap + 1):
-            if complete[c]:
-                continue
-            opened = cls_vmask[c] == 0 and not _class_used_ss(c)
+    def try_branch(pos, c):
+        """Take value c at variable pos if every class stays feasible;
+        undo it and return False otherwise."""
+        nonlocal used, done, feasibility_prunes
+        opened = finished = False
+        if c:
+            opened = cls_vmask[c] == 0 and c not in ss_label
             assign(pos, c)
             if opened:
-                state["used"] += 1
-            finished = class_complete(c)
+                used += 1
+            finished = in_one_scc(c, False)
             if finished:
                 complete[c] = True
-                state["done"] += 1
-            if all_feasible():
-                if state["done"] == ell or solve(pos + 1):
-                    return True
-            if finished:
-                complete[c] = False
-                state["done"] -= 1
-            if opened:
-                state["used"] -= 1
-            unassign(pos, c)
-        assign(pos, 0)
-        if all_feasible() and solve(pos + 1):
+                done += 1
+        else:
+            assign(pos, 0)
+        taken[pos] = (c, opened, finished)
+        if all_feasible():
             return True
-        unassign(pos, 0)
+        feasibility_prunes += 1
+        revert(pos)
         return False
 
-    def _class_used_ss(c):
-        return any(lab == c for lab in ss_label)
+    def revert(pos):
+        nonlocal used, done
+        c, opened, finished = taken[pos]
+        taken[pos] = None
+        if finished:
+            complete[c] = False
+            done -= 1
+        if opened:
+            used -= 1
+        unassign(pos, c)
 
-    if not all_feasible():
-        return None
-    if not solve(0):
-        return None
+    branches = [None] * nvars   # values to try at each variable, 0 last
+    next_branch = [0] * nvars
+    taken = [None] * nvars      # (value, opened, finished) on the path
+
+    try:
+        if not all_feasible():
+            feasibility_prunes += 1
+            return None
+        pos = 0
+        while True:
+            nodes += 1
+            if done == ell:
+                break
+            if pos < nvars:
+                branches[pos] = [c for c in range(1, min(used + 1, ell) + 1)
+                                 if not complete[c]] + [0]
+                next_branch[pos] = 0
+            else:
+                pos -= 1
+            # advance the deepest variable that has a value left
+            while pos >= 0:
+                if taken[pos] is not None:
+                    revert(pos)
+                todo = branches[pos]
+                p = next_branch[pos]
+                while p < len(todo):
+                    p += 1
+                    if try_branch(pos, todo[p - 1]):
+                        break
+                else:
+                    pos -= 1
+                    continue
+                next_branch[pos] = p
+                break
+            else:
+                return None
+            if done == ell:
+                break  # the value just taken completed the last class
+            pos += 1
+    finally:
+        _record(counters, nodes, 0, feasibility_prunes)
 
     ss_set = set(ss_arcs)
     parts = []

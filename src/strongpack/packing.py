@@ -25,7 +25,7 @@ from .digraph import (Arc, Digraph, _data_rows, as_terminals, bits, directed_cyc
                       is_symmetric, mask_of, reachable)
 from .errors import (GraphFormatError, InfeasibleError, PreconditionError,
                      StrongpackError)
-from .hamilton import decompose_cycle_blowup, hamilton_semicomplete
+from .hamilton import HamCycle, decompose_cycle_blowup, hamilton_semicomplete
 
 MODE_ARC = "arc"
 MODE_INTERNAL = "internal"
@@ -217,23 +217,27 @@ def pack_symmetric_composition(spec: CompositionSpec, terminals) -> Packing:
     offs = spec.offsets()
 
     parts: list[set[Arc]] = [set() for _ in range(n0)]
+    cycles: dict[int, tuple[HamCycle, ...]] = {}    # per smaller-layer order
     for p, q in sorted({(min(i, p), max(i, p)) for (i, p) in outer.arcs}):
         small, large = (q, p) if spec.inners[q].n < spec.inners[p].n else (p, q)
         a = spec.inners[small].n
-        for part, arcs in zip(parts, _spine_parts([small, large], a, offs,
+        if a not in cycles:
+            cycles[a] = decompose_cycle_blowup(2, a).cycles
+        for part, arcs in zip(parts, _spine_parts([small, large], cycles[a], offs,
                                                   [(large, a, small, small)])):
             part |= arcs
     return _checked(Packing(host, ts, MODE_ARC, tuple(frozenset(p) for p in parts)))
 
 
-def _spine_parts(order: list[int], r: int, offs: list[int],
+def _spine_parts(order: list[int], cycles: tuple[HamCycle, ...], offs: list[int],
                  joins: list[tuple[int, int, int, int]]) -> list[set[Arc]]:
     """The spine construction, in host ids: part j is Hamiltonian cycle j
-    of the cycle of layers ``order`` blown up by r, on the first r
-    vertices of each spine layer; ``_join`` then attaches ``joins``."""
+    of ``cycles``, the decomposition of the cycle of layers ``order``
+    blown up by r = len(cycles), on the first r vertices of each spine
+    layer; ``_join`` then attaches ``joins``."""
+    r = len(cycles)
     ids = [offs[layer] + k for layer in order for k in range(r)]
-    parts = [{(ids[x], ids[y]) for x, y in cyc.arcs()}
-             for cyc in decompose_cycle_blowup(len(order), r).cycles]
+    parts = [{(ids[x], ids[y]) for x, y in cyc.arcs()} for cyc in cycles]
     _join(parts, offs, joins)
     return parts
 
@@ -315,7 +319,8 @@ def _semicomplete_parts(spec: CompositionSpec) -> list[set[Arc]]:
         parts, core = _c3_core_parts(spec)
         _join(parts, offs, [(layer, core[layer], a, b) for layer, _, a, b in joins])
         return parts
-    return _spine_parts(order, n0, offs, joins)
+    return _spine_parts(order, decompose_cycle_blowup(len(order), n0).cycles,
+                        offs, joins)
 
 
 def _lowest(mask: int) -> int:

@@ -182,6 +182,20 @@ class TestExact:
                      "--limit-m", "40"]) == 0
         assert "value=4" in capsys.readouterr().out
 
+    def test_k40_strong_arc_decomposition(self, workdir, capsys):
+        # 1,560 arcs, one search level each
+        arcs = [(u, v) for u in range(40) for v in range(40) if u != v]
+        k40 = write(workdir / "k40.dg", sp.write_digraph(sp.Digraph(40, arcs)))
+        out = str(workdir / "sad.pack")
+        assert main(["exact", "--mode", "sad", "--graph", k40, "--limit-n", "64",
+                     "--limit-m", "5000", "--out", out]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == "strong_arc_decomposition=True\n"
+        assert captured.err == ""
+        host = sp.read_digraph((workdir / "k40.dg").read_text())
+        packing = sp.read_packing((workdir / "sad.pack").read_text(), host, range(40))
+        assert sp.verify_packing(packing)
+
 
 class TestReduce:
     def test_hypergraph_with_sidecar(self, workdir):

@@ -10,8 +10,11 @@ import itertools
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
+from hypothesis.strategies import composite
 
 import strongpack as sp
+from strongpack import _kernel
 from strongpack.exact import SolverLimits
 
 WIDE = SolverLimits(max_vertices=10, max_arcs=48)
@@ -68,6 +71,46 @@ def naive_packing_number(d, terminals, internal):
             break
         best = ell
     return best
+
+
+@composite
+def two_part_hosts(draw):
+    """A strong host on at most 7 arcs whose two terminals a, b carry two
+    arc-disjoint strong parts, so lambda >= 2: the 2-cycle a <-> b and a
+    closed walk a -> xs -> b -> ys -> a through every other vertex, plus
+    extra arcs up to 7; returned relabelled, with its terminal set.  At
+    most 7 arcs keeps the naive oracle fast, and rules out lambda = 3,
+    which needs 10 arcs."""
+    n = draw(st.integers(3, 5))
+    a, b = 0, 1
+    inner = draw(st.permutations(range(2, n)))
+    cut = draw(st.integers(1, len(inner)))
+    xs, ys = inner[:cut], inner[cut:] or [draw(st.sampled_from(inner))]
+    arcs = {(a, b), (b, a)}
+    for walk in ([a, *xs, b], [b, *ys, a]):
+        arcs |= set(zip(walk, walk[1:]))
+    assume(len(arcs) <= 7)
+    spare = sorted({(u, v) for u in range(n) for v in range(n) if u != v} - arcs)
+    room = min(len(spare), 7 - len(arcs))
+    extra = draw(st.lists(st.sampled_from(spare), unique=True,
+                          max_size=room)) if room > 0 else []
+    label = draw(st.permutations(range(n)))
+    d = sp.Digraph(n, [(label[u], label[v]) for u, v in arcs | set(extra)])
+    return d, {label[a], label[b]}
+
+
+@settings(max_examples=30, deadline=None)
+@given(two_part_hosts())
+def test_kernel_verdicts_match_naive_on_two_part_hosts(host):
+    d, terminals = host
+    assert sp.is_strong(d) and d.m <= 7
+    best = naive_packing_number(d, terminals, internal=False)
+    assert best >= 2
+    arcs = sorted(d.arcs)
+    s_mask = sum(1 << t for t in terminals)
+    for ell in (2, 3):
+        found = _kernel.search_arc_disjoint(d.n, arcs, s_mask, ell)
+        assert (found is not None) == (best >= ell)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])

@@ -1,6 +1,7 @@
 import pytest
 
 import strongpack as sp
+from strongpack import packing
 from strongpack.errors import InfeasibleError, PreconditionError
 from strongpack.hamilton import blowup_host, shift_rows
 
@@ -107,6 +108,22 @@ class TestBlowupDecomposition:
         a = sp.decompose_cycle_blowup(4, 3)
         b = sp.decompose_cycle_blowup(4, 3)
         assert [c.order for c in a.cycles] == [c.order for c in b.cycles]
+
+    def test_symmetric_packing_builds_each_shape_once(self, monkeypatch):
+        # a bioriented 4-cycle has four outer pairs: two with a smaller
+        # layer of order 3 and two with one of order 2
+        built = []
+
+        def counting(t, r):
+            built.append((t, r))
+            return sp.decompose_cycle_blowup(t, r)
+
+        monkeypatch.setattr(packing, "decompose_cycle_blowup", counting)
+        outer = sp.biorientation(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+        spec = sp.CompositionSpec(outer, tuple(sp.empty_digraph(r) for r in (3, 3, 2, 4)))
+        result = sp.pack_symmetric_composition(spec, [0, 3])
+        assert len(result.parts) == 2
+        assert sorted(built) == [(2, 2), (2, 3)]
 
     def test_rejects_small_t(self):
         with pytest.raises(PreconditionError):
