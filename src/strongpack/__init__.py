@@ -22,9 +22,8 @@ from .exact import (CutCertificate, CutRelationReport, SolverLimits,
                     max_disjoint_paths_undirected, min_strong_cut,
                     min_strong_cut_exhaustive, steiner_cut_undirected,
                     terminal_semi_degree)
-from .hamilton import (HamCycle, HamDecomposition,
-                       decompose_complete_bipartite_balanced,
-                       decompose_cycle_blowup, hamilton_semicomplete)
+from .hamilton import (BlowupDecomposition, HamCycle, decompose_cycle_blowup,
+                       hamilton_semicomplete)
 from .packing import (EXCEPTIONAL_COMPOSITIONS, ExceptionalVerdict, Packing,
                       Verdict, is_in_exceptional, pack_bipartite,
                       pack_quasi_transitive, pack_semicomplete_composition,

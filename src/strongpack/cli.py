@@ -255,7 +255,7 @@ def cmd_survey(args) -> int:
 
 def cmd_decompose(args) -> int:
     dec = decompose_cycle_blowup(args.t, args.r)
-    lines = [" ".join(str(v) for v in cyc.order) for cyc in dec.cycles]
+    lines = [" ".join(map(str, order)) for order in dec.orders()]
     _write_out("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 

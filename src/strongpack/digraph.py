@@ -30,6 +30,11 @@ def bits(mask: int) -> list[int]:
                          bin(mask)[:1:-1].encode().translate(_BIT_OF_CHAR)))
 
 
+def _lowest(mask: int) -> int:
+    """The position of the lowest set bit of a positive int."""
+    return (mask & -mask).bit_length() - 1
+
+
 def mask_of(vertices: Iterable[int]) -> int:
     """The bitmask with exactly the given bits set."""
     mask = 0
@@ -114,9 +119,6 @@ class Digraph:
     @property
     def m(self) -> int:
         return sum(x.bit_count() for x in self.out)
-
-    def vertices(self) -> range:
-        return range(self.n)
 
     def has_arc(self, u: int, v: int) -> bool:
         return 0 <= u < self.n and 0 <= v < self.n and bool(self.out[u] >> v & 1)

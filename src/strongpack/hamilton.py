@@ -2,27 +2,29 @@
 decompositions of directed-cycle blow-ups.
 
 The blow-up of a directed t-cycle by r independent vertices has vertices
-(i, j) for i < t, j < r and all arcs (i, j) -> (i+1 mod t, j').  Its arc set
-splits into r Hamiltonian cycles whenever such a decomposition exists; the
-construction here assigns to colour c a cyclic-shift matching at every
-interface, encoded by a t x r matrix whose rows are permutations of Z_r
-(so colours never collide and every arc is used) and whose column sums are
-coprime to r (so each colour closes into a single cycle).
+(i, j) for i < t, j < r and all arcs (i, j) -> (i+1 mod t, j').  Its arcs
+from layer i to layer i+1 are the r shift matchings j -> j + s (mod r).  A
+decomposition into r Hamiltonian cycles is held as its shift rows alone: a
+t x r matrix whose entry (i, c) is the shift colour c uses from layer i to
+layer i+1.  No host digraph is built.  ``BlowupDecomposition.check`` proves
+the decomposition arithmetically:
+
+* every row is a permutation of Z_r, so the r colours use r distinct
+  matchings at each interface, and these cover its r^2 arcs exactly once;
+* every column sums to a unit mod r.  Once around the blow-up, colour c
+  maps (0, j) to (0, j + s) with s its column sum.  That return map is one
+  r-cycle, so the colour's walk visits all t*r vertices: a Hamiltonian cycle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from typing import Iterator
 
-from .composition import lexicographic_product
-from .digraph import Digraph, directed_cycle, empty_digraph, is_semicomplete, is_strong
-from .errors import InfeasibleError, PreconditionError, UnsupportedCaseError
-
-
-def _cycle_arcs(order: tuple[int, ...]):
-    """The arcs of the closed walk through ``order``, in order."""
-    return zip(order, order[1:] + order[:1])
+from .digraph import Digraph, _lowest, is_semicomplete, is_strong, mask_of
+from .errors import (InfeasibleError, PreconditionError, StrongpackError,
+                     UnsupportedCaseError)
 
 
 @dataclass(frozen=True)
@@ -32,35 +34,13 @@ class HamCycle:
     host: Digraph
     order: tuple[int, ...]
 
-    def arcs(self) -> frozenset[tuple[int, int]]:
-        return frozenset(_cycle_arcs(self.order))
-
     def check(self) -> None:
         if sorted(self.order) != list(range(self.host.n)):
             raise PreconditionError("order must visit every vertex exactly once")
         out = self.host.out
-        for u, v in _cycle_arcs(self.order):
+        for u, v in zip(self.order, self.order[1:] + self.order[:1]):
             if not out[u] >> v & 1:
                 raise PreconditionError(f"cycle uses missing arc {(u, v)}")
-
-
-@dataclass(frozen=True)
-class HamDecomposition:
-    """Hamiltonian cycles over one host whose arc sets partition its arcs."""
-
-    host: Digraph
-    cycles: tuple[HamCycle, ...]
-
-    def check(self) -> None:
-        seen = [0] * self.host.n
-        for cyc in self.cycles:
-            cyc.check()
-            for u, v in _cycle_arcs(cyc.order):
-                if seen[u] >> v & 1:
-                    raise PreconditionError("cycles share an arc")
-                seen[u] |= 1 << v
-        if tuple(seen) != self.host.out:
-            raise PreconditionError("cycles do not cover the host arc set")
 
 
 def hamilton_semicomplete(d: Digraph) -> HamCycle:
@@ -81,70 +61,97 @@ def hamilton_semicomplete(d: Digraph) -> HamCycle:
     if not is_strong(d):
         raise PreconditionError("digraph is not strong")
 
-    cycle = _seed_cycle(d)
-    outside = [v for v in range(d.n) if v not in cycle]
+    out, inn = d.out, d.in_masks()
+    cycle = _seed_cycle(out, inn)
+    on = mask_of(cycle)
+    outside = [v for v in range(d.n) if not on >> v & 1]
     while outside:
-        inserted = False
         for v in outside:
-            pos = _insertion_point(d, cycle, v)
+            pos = _insertion_point(cycle, out[v], inn[v])
             if pos is not None:
                 cycle.insert(pos + 1, v)
-                outside.remove(v)
-                inserted = True
                 break
-        if inserted:
-            continue
-        # every remaining vertex one-way dominates or is dominated by the cycle
-        dominating = [v for v in outside if all(d.has_arc(v, c) for c in cycle)]
-        dominated = [v for v in outside if all(d.has_arc(c, v) for c in cycle)]
-        bridge = None
-        for b in sorted(dominated):
-            for a in sorted(dominating):
-                if d.has_arc(b, a):
-                    bridge = (b, a)
-                    break
-            if bridge:
-                break
-        if bridge is None:
-            raise PreconditionError("digraph is not strong")  # unreachable on valid input
-        b, a = bridge
-        cycle.insert(1, a)
-        cycle.insert(1, b)
-        outside.remove(a)
-        outside.remove(b)
-    out = HamCycle(d, tuple(cycle))
-    out.check()
-    return out
+        else:
+            # every remaining vertex one-way dominates or is dominated by the
+            # cycle: join the lowest dominated b with an arc into the
+            # dominating set, and its lowest out-neighbour a there
+            dominating = mask_of(v for v in outside if out[v] & on == on)
+            v = next((b for b in outside if inn[b] & on == on and out[b] & dominating),
+                     None)
+            if v is None:
+                raise PreconditionError("digraph is not strong")  # unreachable on valid input
+            a = _lowest(out[v] & dominating)
+            cycle[1:1] = [v, a]
+            on |= 1 << a
+            outside.remove(a)
+        on |= 1 << v
+        outside.remove(v)
+    found = HamCycle(d, tuple(cycle))
+    found.check()
+    return found
 
 
-def _seed_cycle(d: Digraph) -> list[int]:
-    for u, v in sorted(d.arcs):
-        if d.has_arc(v, u):
-            return [u, v]
+def _seed_cycle(out: tuple[int, ...], inn: list[int]) -> list[int]:
+    """The 2-cycle of the lowest u on one and the lowest such partner,
+    else the first directed triangle x, y, z in id order."""
+    for u, (x, y) in enumerate(zip(out, inn)):
+        if x & y:
+            return [u, _lowest(x & y)]
     # no 2-cycle: a strong tournament, which contains a directed triangle
-    for x in range(d.n):
-        for y in range(d.n):
-            if x == y or not d.has_arc(x, y):
-                continue
-            for z in range(d.n):
-                if z in (x, y):
-                    continue
-                if d.has_arc(y, z) and d.has_arc(z, x):
-                    return [x, y, z]
+    for x, succ in enumerate(out):
+        for y in range(len(out)):
+            if succ >> y & 1 and out[y] & inn[x]:
+                return [x, y, _lowest(out[y] & inn[x])]
     raise PreconditionError("digraph is not strong")
 
 
-def _insertion_point(d: Digraph, cycle: list[int], v: int):
+def _insertion_point(cycle: list[int], out_v: int, inn_v: int):
+    """The first i with cycle[i] -> v -> cycle[i+1], or None."""
     k = len(cycle)
     for i in range(k):
-        if d.has_arc(cycle[i], v) and d.has_arc(v, cycle[(i + 1) % k]):
+        if inn_v >> cycle[i] & 1 and out_v >> cycle[(i + 1) % k] & 1:
             return i
     return None
 
 
-def blowup_host(t: int, r: int) -> Digraph:
-    """The directed t-cycle with every vertex replaced by r independent ones."""
-    return lexicographic_product(directed_cycle(t), empty_digraph(r))
+@dataclass(frozen=True)
+class BlowupDecomposition:
+    """r Hamiltonian cycles partitioning the arcs of the directed t-cycle
+    blown up by r independent vertices, as shift rows: colour c goes from
+    (i, j) to (i+1 mod t, j + rows[i][c] mod r)."""
+
+    t: int
+    r: int
+    rows: tuple[tuple[int, ...], ...]
+
+    def check(self) -> None:
+        """Raise StrongpackError unless every row is a permutation of Z_r
+        (each arc is used exactly once) and every column sums to a unit
+        mod r (each colour is one Hamiltonian cycle)."""
+        t, r, rows = self.t, self.r, self.rows
+        if len(rows) != t:
+            raise StrongpackError(f"{len(rows)} shift rows for {t} interfaces")
+        for i, row in enumerate(rows):
+            if sorted(row) != list(range(r)):
+                raise StrongpackError(f"interface {i}: shifts {list(row)} are not "
+                                      f"a permutation of Z_{r}, so colours share arcs")
+        for c in range(r):
+            total = sum(row[c] for row in rows) % r
+            if gcd(total, r) != 1:
+                raise StrongpackError(f"colour {c}: shifts sum to {total}, not a unit "
+                                      f"mod {r}, so it is not one Hamiltonian cycle")
+
+    def orders(self) -> Iterator[tuple[int, ...]]:
+        """Each colour's cycle as a vertex order from (0, 0); vertex (i, j)
+        has id i*r + j."""
+        r = self.r
+        for c in range(r):
+            order, j = [], 0
+            for _ in range(r):
+                for i, row in enumerate(self.rows):
+                    order.append(i * r + j)
+                    j = (j + row[c]) % r
+            yield tuple(order)
 
 
 def shift_rows(t: int, r: int) -> list[list[int]]:
@@ -179,88 +186,67 @@ def shift_rows(t: int, r: int) -> list[list[int]]:
         return rows
 
     if t % 2 == 0:
-        rows = [ident, one_minus] + pairs(t - 2)
-    elif r % 2 == 1:
+        return [ident, one_minus] + pairs(t - 2)
+    if r % 2 == 1:
         third = [(1 - 2 * c) % r for c in range(r)]
-        rows = [ident, ident, third] + pairs(t - 3)
-    elif r % 4 == 0:
+        return [ident, ident, third] + pairs(t - 3)
+    if r % 4 == 0:
         second, third = _odd_t_base(r)
-        rows = [ident, second, third] + pairs(t - 3)
-    elif r == 2:
+        return [ident, second, third] + pairs(t - 3)
+    if r == 2:
         raise InfeasibleError(
             "no Hamiltonian decomposition exists for an odd cycle blown up "
             "by 2 (the doubled odd cycle has no pair of arc-disjoint strong "
             "spanning subgraphs)")
-    else:
-        raise UnsupportedCaseError(
-            f"odd t with r = {r} (2 mod 4) needs non-shift matchings; "
-            f"not constructed here")
-
-    for row in rows:
-        assert sorted(row) == ident
-    for c in range(r):
-        assert gcd(sum(rows[i][c] for i in range(t)) % r, r) == 1
-    return rows
+    raise UnsupportedCaseError(
+        f"odd t with r = {r} (2 mod 4) needs non-shift matchings; "
+        f"not constructed here")
 
 
 def _odd_t_base(r: int) -> tuple[list[int], list[int]]:
     """Two permutations p, q of Z_r with c + p[c] + q[c] coprime to r for
-    every c (r divisible by 4).  Found by a deterministic column search."""
-    sol: list[tuple[list[int], list[int]]] = []
+    every c (r divisible by 4): the first found by a depth-first search
+    that fills columns in order and tries (p[c], q[c]) in lexicographic
+    order, on an explicit stack so that large r cannot overflow Python's."""
 
-    def backtrack(col, p, q, used_p, used_q):
-        if sol:
-            return
-        if col == r:
-            sol.append((p[:], q[:]))
-            return
+    def choices(col, used_p, used_q):
         for a in range(r):
-            if used_p >> a & 1:
-                continue
-            for b in range(r):
-                if used_q >> b & 1:
-                    continue
-                if gcd((col + a + b) % r, r) != 1:
-                    continue
-                p.append(a)
-                q.append(b)
-                backtrack(col + 1, p, q, used_p | 1 << a, used_q | 1 << b)
-                p.pop()
-                q.pop()
-                if sol:
-                    return
+            if not used_p >> a & 1:
+                for b in range(r):
+                    if not used_q >> b & 1 and gcd((col + a + b) % r, r) == 1:
+                        yield a, b
 
-    backtrack(0, [], [], 0, 0)
-    if not sol:
-        raise UnsupportedCaseError(f"no shift base found for r={r}")
-    return sol[0]
+    p: list[int] = []
+    q: list[int] = []
+    used_p = used_q = 0
+    stack = [choices(0, 0, 0)]
+    while stack:
+        pick = next(stack[-1], None)
+        if pick is None:
+            stack.pop()
+            if p:
+                used_p ^= 1 << p.pop()
+                used_q ^= 1 << q.pop()
+            continue
+        a, b = pick
+        p.append(a)
+        q.append(b)
+        if len(p) == r:
+            return p, q
+        used_p |= 1 << a
+        used_q |= 1 << b
+        stack.append(choices(len(p), used_p, used_q))
+    raise UnsupportedCaseError(f"no shift base found for r={r}")
 
 
-def decompose_cycle_blowup(t: int, r: int) -> HamDecomposition:
-    """Partition the arcs of the cycle blow-up into r Hamiltonian cycles.
+def decompose_cycle_blowup(t: int, r: int) -> BlowupDecomposition:
+    """Partition the arcs of the cycle blow-up into r Hamiltonian cycles,
+    checked arithmetically before it is returned.
 
-    Vertex (i, j) has id i*r + j.  Raises InfeasibleError for the two
-    genuinely undecomposable shapes (odd t with r=2) and
-    UnsupportedCaseError when t is odd and r = 2 (mod 4) with r >= 6.
+    Raises InfeasibleError for the genuinely undecomposable shapes (odd t
+    with r = 2) and UnsupportedCaseError when t is odd and r = 2 (mod 4)
+    with r >= 6.
     """
-    rows = shift_rows(t, r)
-    host = blowup_host(t, r)
-    cycles = []
-    for c in range(r):
-        order = []
-        i, j = 0, 0
-        for _ in range(t * r):
-            order.append(i * r + j)
-            j = (j + rows[i][c]) % r
-            i = (i + 1) % t
-        cycles.append(HamCycle(host, tuple(order)))
-    out = HamDecomposition(host, tuple(cycles))
-    out.check()
-    return out
-
-
-def decompose_complete_bipartite_balanced(a: int) -> HamDecomposition:
-    """The complete bipartite digraph with equal sides as a 2-cycle blow-up."""
-    if a < 1:
-        raise PreconditionError("need a >= 1")
-    return decompose_cycle_blowup(2, a)
+    dec = BlowupDecomposition(t, r, tuple(tuple(row) for row in shift_rows(t, r)))
+    dec.check()
+    return dec

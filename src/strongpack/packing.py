@@ -8,8 +8,10 @@ in the terminal set.
 
 Every constructive packer is one spine construction (``_spine_parts``):
 the Hamiltonian cycles of a blown-up cycle of layers, with the other
-vertices joined to every part.  A complete bipartite host is packed as the
-2-cycle composition.  Each packer self-checks its result once.
+vertices joined to every part.  The cycles come from the shift rows of
+``decompose_cycle_blowup`` and are written straight into host ids, so no
+blow-up digraph or vertex order is built.  A complete bipartite host is
+packed as the 2-cycle composition.  Each packer self-checks its result once.
 """
 
 from __future__ import annotations
@@ -20,12 +22,12 @@ from typing import Iterable, Optional
 
 from . import _kernel
 from .composition import CompositionSpec, canonical_decomposition_strong_qt, compose
-from .digraph import (Arc, Digraph, _data_rows, as_terminals, bits, directed_cycle,
-                      directed_path, empty_digraph, is_semicomplete, is_strong,
-                      is_symmetric, mask_of, reachable)
+from .digraph import (Arc, Digraph, _data_rows, _lowest, as_terminals, bits,
+                      directed_cycle, directed_path, empty_digraph, is_semicomplete,
+                      is_strong, is_symmetric, mask_of, reachable)
 from .errors import (GraphFormatError, InfeasibleError, PreconditionError,
                      StrongpackError)
-from .hamilton import HamCycle, decompose_cycle_blowup, hamilton_semicomplete
+from .hamilton import BlowupDecomposition, decompose_cycle_blowup, hamilton_semicomplete
 
 MODE_ARC = "arc"
 MODE_INTERNAL = "internal"
@@ -217,27 +219,34 @@ def pack_symmetric_composition(spec: CompositionSpec, terminals) -> Packing:
     offs = spec.offsets()
 
     parts: list[set[Arc]] = [set() for _ in range(n0)]
-    cycles: dict[int, tuple[HamCycle, ...]] = {}    # per smaller-layer order
+    decs: dict[int, BlowupDecomposition] = {}    # per smaller-layer order
     for p, q in sorted({(min(i, p), max(i, p)) for (i, p) in outer.arcs}):
         small, large = (q, p) if spec.inners[q].n < spec.inners[p].n else (p, q)
         a = spec.inners[small].n
-        if a not in cycles:
-            cycles[a] = decompose_cycle_blowup(2, a).cycles
-        for part, arcs in zip(parts, _spine_parts([small, large], cycles[a], offs,
+        if a not in decs:
+            decs[a] = decompose_cycle_blowup(2, a)
+        for part, arcs in zip(parts, _spine_parts([small, large], decs[a], offs,
                                                   [(large, a, small, small)])):
             part |= arcs
     return _checked(Packing(host, ts, MODE_ARC, tuple(frozenset(p) for p in parts)))
 
 
-def _spine_parts(order: list[int], cycles: tuple[HamCycle, ...], offs: list[int],
+def _spine_parts(order: list[int], dec: BlowupDecomposition, offs: list[int],
                  joins: list[tuple[int, int, int, int]]) -> list[set[Arc]]:
-    """The spine construction, in host ids: part j is Hamiltonian cycle j
-    of ``cycles``, the decomposition of the cycle of layers ``order``
-    blown up by r = len(cycles), on the first r vertices of each spine
-    layer; ``_join`` then attaches ``joins``."""
-    r = len(cycles)
-    ids = [offs[layer] + k for layer in order for k in range(r)]
-    parts = [{(ids[x], ids[y]) for x, y in cyc.arcs()} for cyc in cycles]
+    """The spine construction, in host ids.  ``dec`` decomposes the cycle
+    of layers ``order`` blown up by r = dec.r, on the first r vertices of
+    each spine layer: part j is its Hamiltonian cycle j, read straight off
+    the shift rows as the arcs from vertex x of each spine layer to vertex
+    x + rows[i][j] (mod r) of the next.  ``_join`` then attaches ``joins``."""
+    r = dec.r
+    starts = [offs[layer] for layer in order]
+    parts = []
+    for j in range(r):
+        arcs = set()
+        for i, row in enumerate(dec.rows):
+            a, b, s = starts[i], starts[(i + 1) % dec.t], row[j]
+            arcs.update((a + x, b + (x + s) % r) for x in range(r))
+        parts.append(arcs)
     _join(parts, offs, joins)
     return parts
 
@@ -319,12 +328,7 @@ def _semicomplete_parts(spec: CompositionSpec) -> list[set[Arc]]:
         parts, core = _c3_core_parts(spec)
         _join(parts, offs, [(layer, core[layer], a, b) for layer, _, a, b in joins])
         return parts
-    return _spine_parts(order, decompose_cycle_blowup(len(order), n0).cycles,
-                        offs, joins)
-
-
-def _lowest(mask: int) -> int:
-    return (mask & -mask).bit_length() - 1
+    return _spine_parts(order, decompose_cycle_blowup(len(order), n0), offs, joins)
 
 
 def _induced(d: Digraph, keep: list[int]) -> Digraph:

@@ -30,5 +30,30 @@ def all_hamiltonian_cycles(d):
     return found
 
 
+def reference_blowup(t, r):
+    """The directed t-cycle with every vertex replaced by r independent
+    ones, built by the product rather than read off a decomposition."""
+    return sp.lexicographic_product(sp.directed_cycle(t), sp.empty_digraph(r))
+
+
+def check_decomposes_host(dec):
+    """Check a cycle blow-up decomposition on the host it claims to
+    decompose: every vertex order is a Hamiltonian cycle of that host, and
+    the cycles' arc sets partition its t*r*r arcs.  Returns the host."""
+    host = reference_blowup(dec.t, dec.r)
+    orders = list(dec.orders())
+    assert len(orders) == dec.r
+    used = set()
+    for order in orders:
+        assert sorted(order) == list(range(host.n))
+        arcs = set(zip(order, order[1:] + order[:1]))
+        assert arcs <= host.arcs
+        assert not arcs & used
+        used |= arcs
+    assert used == host.arcs
+    assert len(used) == dec.t * dec.r * dec.r
+    return host
+
+
 def exceptional_member(i):
     return sp.EXCEPTIONAL_COMPOSITIONS[i][1]

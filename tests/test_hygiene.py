@@ -1,15 +1,21 @@
 """Static hygiene of the package source, read with the standard library's
-``ast``: every imported name is used, and every private module-level
-function or class is referenced somewhere beyond its own definition."""
+``ast``: every imported name is used, every private module-level function
+or class is referenced somewhere in the package beyond its own definition,
+and every public one somewhere in the package, its tests or its benchmark
+(the ``__init__`` re-export does not count)."""
 
 import ast
+import functools
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "strongpack"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "strongpack"
 TREES = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in sorted(SRC.glob("*.py"))}
 CHECKED = sorted(name for name in TREES if name != "__init__.py")
+CALLERS = [ast.parse(p.read_text(), filename=str(p))
+           for d in (ROOT / "tests", ROOT / "perfbench") for p in sorted(d.glob("*.py"))]
 
 
 def _annotation_names(node: ast.AST) -> set[str]:
@@ -55,12 +61,36 @@ def test_every_import_is_used(module):
     assert sorted(bound - _loaded_names(tree)) == []
 
 
-@pytest.mark.parametrize("module", CHECKED)
-def test_every_private_definition_is_referenced(module):
-    uses = [(stmt, _referenced(stmt)) for tree in TREES.values() for stmt in tree.body]
-    unused = [
+# a name the package re-exports under an alias is used under either name
+ALIASES = {(node.module, a.name): a.asname for node in TREES["__init__.py"].body
+           if isinstance(node, ast.ImportFrom) for a in node.names if a.asname}
+
+
+@functools.cache
+def _uses(with_callers: bool) -> list[tuple[ast.stmt, set[str]]]:
+    """Every top-level statement of the package (and of the tests and the
+    benchmark when ``with_callers``) with the names it references."""
+    trees = list(TREES.values()) + (CALLERS if with_callers else [])
+    return [(stmt, _referenced(stmt)) for tree in trees for stmt in tree.body]
+
+
+def _unused(module: str, public: bool) -> list[str]:
+    """The public (or private) module-level functions and classes of
+    ``module`` that no other top-level statement references, in the
+    package and, for public ones, in the tests and the benchmark too."""
+    return [
         stmt.name for stmt in TREES[module].body
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        and stmt.name.startswith("_") and not stmt.name.startswith("__")
-        and not any(stmt.name in names for other, names in uses if other is not stmt)]
-    assert unused == []
+        and stmt.name.startswith("_") != public and not stmt.name.startswith("__")
+        and not any({stmt.name, ALIASES.get((module[:-3], stmt.name))} & names
+                    for other, names in _uses(public) if other is not stmt)]
+
+
+@pytest.mark.parametrize("module", CHECKED)
+def test_every_private_definition_is_referenced(module):
+    assert _unused(module, public=False) == []
+
+
+@pytest.mark.parametrize("module", CHECKED)
+def test_every_public_definition_is_referenced(module):
+    assert _unused(module, public=True) == []
