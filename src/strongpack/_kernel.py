@@ -1,31 +1,40 @@
 """Search kernel for the exact packing decisions.
 
-Two backtracking decision procedures with a fixed branching order, so their
-outputs and node counts are deterministic:
+One backtracking decision procedure with a fixed branching order, so its
+outputs and node counts are deterministic: are there ``ell`` pairwise
+arc-disjoint strongly connected subgraphs each containing every terminal?
+It assigns each arc to one of the ``ell`` colour classes or leaves it
+unused.  ``search_arc_disjoint`` runs it on the caller's host.
 
-* ``search_arc_disjoint``: are there ``ell`` pairwise arc-disjoint strongly
-  connected subgraphs each containing every terminal?  Backtracking assigns
-  each arc to one of the ``ell`` colour classes or leaves it unused.
+``search_internally_disjoint`` adds that no two subgraphs share a
+non-terminal vertex, and runs the same search on the split host: a
+non-terminal v keeps id v as its entry and gets an exit, joined by the one
+split arc v -> exit(v), and every arc u->w becomes exit(u) -> w (terminals
+stay single).  A class that holds an arc into or out of v must hold the
+split arc, since it is v's only way on or back, so two classes never share
+v; contracting the split arcs turns each class back into a strong subgraph
+of the host.  The split arcs come first, so the search settles which
+class, if any, owns each non-terminal before it looks at the other arcs.
+Hosts above ``MAX_VERTICES`` are refused with ``SizeLimitError``; the cap
+applies to the caller's host, so a split host may go above it.
 
-* ``search_internally_disjoint``: additionally no two subgraphs may share a
-  non-terminal vertex.  Because a non-terminal can then serve at most one
-  class, the search labels non-terminal vertices (and the few arcs joining
-  two terminals) instead of individual arcs, which collapses the space.
+The search prunes a class as soon as its targets (the terminals plus every
+vertex the class already touches) can no longer sit inside one strongly
+connected component of "committed union still-available" arcs, and stops
+as soon as every class is complete.  It also skips a dominated "unused"
+branch: at arc u->v, when a class offered earlier at the same level already
+has u and v among its targets.  Any packing below "unused" stays a packing
+once u->v joins that class, since the class keeps its vertex set, and that
+class's subtree was searched first, so the skipped subtree holds none.
+This leaves every result as it was and lowers only the node counts.
 
-Both searches prune a class as soon as the terminals (plus whatever the
-class already committed to) can no longer sit inside one strongly connected
-component of "committed union still-available" material, and both stop as
-soon as every class is already complete.  Graphs above ``MAX_VERTICES`` are
-refused with ``SizeLimitError``; the public solvers enforce far smaller
-limits anyway.
+The search is iterative: the path from the root is kept in arrays indexed
+by depth (one level per arc), so a host with thousands of arcs needs no
+recursion.  A node is one visit of a level, root included; a caller-owned
+``counters`` dict receives the node count and the prunes by reason,
+``degree``, ``feasibility`` and ``dominated``.
 
-Both searches are iterative: the path from the root is kept in arrays
-indexed by depth (one level per arc, or per variable), so a host with
-thousands of arcs needs no recursion.  A node is one visit of a level,
-root included; a caller-owned ``counters`` dict receives the node count
-and the prunes by reason, ``degree`` and ``feasibility``.
-
-The arc-disjoint search reuses its parent's pruning work.  Each open class
+The search reuses its parent's pruning work.  Each open class
 c keeps the pivot terminal's forward and backward closures F_c and B_c in
 its potential graph (class arcs plus the pool of undecided arcs), whose
 strong component S_c = F_c & B_c must hold the class's targets; the
@@ -47,7 +56,8 @@ The class-only closures behind the completion test only grow: adding u->v
 extends F from v when u is in F and v is not, and B from u symmetrically.
 Every change is undone on backtrack, the closures through a trail.
 
-All reachability work runs on out/in-neighborhood bitmasks.
+All reachability work runs on out/in-neighborhood bitmasks, which are
+Python ints of any width.
 """
 
 from __future__ import annotations
@@ -88,10 +98,10 @@ def _check_size(n):
                              f"of {MAX_VERTICES}")
 
 
-def _record(counters, nodes, degree, feasibility):
+def _record(counters, nodes, degree, feasibility, dominated):
     if counters is not None:
         for key, value in (("nodes", nodes), ("degree", degree),
-                           ("feasibility", feasibility)):
+                           ("feasibility", feasibility), ("dominated", dominated)):
             counters[key] = counters.get(key, 0) + value
 
 
@@ -103,8 +113,31 @@ def search_arc_disjoint(n, arcs, s_mask, ell, counters=None):
     order (never opening class c+1 before class c has an arc), "unused"
     last.
     """
-    m = len(arcs)
     _check_size(n)
+    return _search(n, arcs, s_mask, ell, counters)
+
+
+def search_internally_disjoint(n, arcs, s_mask, ell, counters=None):
+    """Find ``ell`` arc-disjoint strong subgraphs meeting pairwise exactly
+    in the terminal set: the arc-disjoint search on the split host (see
+    the module docstring).  Returns ``ell`` sorted lists of arc indices, or
+    None.  Deterministic."""
+    _check_size(n)
+    inner = [v for v in range(n) if not s_mask >> v & 1]
+    k = len(inner)
+    exit_of = list(range(n))
+    for i, v in enumerate(inner):
+        exit_of[v] = n + i
+    split = [(v, exit_of[v]) for v in inner] + [(exit_of[u], v) for u, v in arcs]
+    found = _search(n + k, split, s_mask, ell, counters)
+    if found is None:
+        return None
+    return [[i - k for i in part if i >= k] for part in found]
+
+
+def _search(n, arcs, s_mask, ell, counters):
+    """The search of the module docstring; the callers check the size."""
+    m = len(arcs)
     pivot = s_mask & -s_mask
     zeros = [0] * n
     pool_out = [0] * n
@@ -125,7 +158,7 @@ def search_arc_disjoint(n, arcs, s_mask, ell, counters=None):
     pb = [0] * k
     complete = [False] * k
     used = done = 0
-    nodes = degree_prunes = feasibility_prunes = 0
+    nodes = degree_prunes = feasibility_prunes = dominated = 0
 
     frames = [None] * m     # per depth: the arc and what its branches share
     next_branch = [0] * m
@@ -265,6 +298,11 @@ def search_arc_disjoint(n, arcs, s_mask, ell, counters=None):
                                 after_u = after_v = 0
                         degree = (out_u + d_out_u >= 0 and in_v + d_in_v >= 0
                                   and in_u + d_in_u >= after_u and out_v + d_out_v >= after_v)
+                    elif any(not (ubit | vbit) & ~(s_mask | has_out[j] | has_in[j])
+                             for j in todo[:-1]):
+                        # a class offered first already spans u and v
+                        dominated += 1
+                        continue
                     else:
                         new, own_ok = False, True
                         degree = out_u >= 0 and in_u >= 0 and out_v >= 0 and in_v >= 0
@@ -324,7 +362,7 @@ def search_arc_disjoint(n, arcs, s_mask, ell, counters=None):
             else:
                 return None
     finally:
-        _record(counters, nodes, degree_prunes, feasibility_prunes)
+        _record(counters, nodes, degree_prunes, feasibility_prunes, dominated)
 
     # success: arcs below the current depth stay unused
     parts = [[] for _ in range(ell)]
@@ -335,184 +373,3 @@ def search_arc_disjoint(n, arcs, s_mask, ell, counters=None):
     return parts
 
 
-def search_internally_disjoint(n, arcs, s_mask, ell, counters=None):
-    """Find ``ell`` arc-disjoint strong subgraphs meeting pairwise exactly
-    in the terminal set.
-
-    Variables are the non-terminal vertices followed by the terminal-to-
-    terminal arcs; each gets a class 1..ell or 0 (unused).  A class's
-    subgraph is every arc both of whose endpoints it owns (terminals are
-    shared), so classes never share an arc or an inner vertex.
-
-    Returns ``ell`` lists of arc indices or None.  Deterministic.
-    """
-    _check_size(n)
-    pivot_bit = s_mask & -s_mask
-
-    base_out = [0] * n  # arcs with at least one non-terminal endpoint
-    base_in = [0] * n
-    ss_arcs = []        # indices of terminal-terminal arcs
-    for idx, (u, v) in enumerate(arcs):
-        if (s_mask >> u & 1) and (s_mask >> v & 1):
-            ss_arcs.append(idx)
-        else:
-            base_out[u] |= 1 << v
-            base_in[v] |= 1 << u
-
-    free_verts = [v for v in range(n) if not (s_mask >> v & 1)]
-    nfree = len(free_verts)
-    nvars = nfree + len(ss_arcs)
-
-    ss_label = [-1] * len(ss_arcs)  # -1 unassigned, 0 unused, 1..ell
-    cls_vmask = [0] * (ell + 1)
-    unassigned = 0
-    for v in free_verts:
-        unassigned |= 1 << v
-    complete = [False] * (ell + 1)
-    zeros = [0] * n
-    used = done = 0
-    nodes = feasibility_prunes = 0
-
-    def build(c, potential):
-        """Adjacency of class c, optionally including unassigned material."""
-        allowed = s_mask | cls_vmask[c]
-        if potential:
-            allowed |= unassigned
-        out = [0] * n
-        inn = [0] * n
-        a = allowed
-        while a:
-            low = a & -a
-            a ^= low
-            u = low.bit_length() - 1
-            out[u] = base_out[u] & allowed
-            inn[u] = base_in[u] & allowed
-        for k, idx in enumerate(ss_arcs):
-            lab = ss_label[k]
-            if lab == c or (potential and lab == -1):
-                u, v = arcs[idx]
-                out[u] |= 1 << v
-                inn[v] |= 1 << u
-        return out, inn
-
-    def in_one_scc(c, potential):
-        """True iff class c's targets lie in the pivot's strong component."""
-        out, inn = build(c, potential)
-        targets = s_mask | cls_vmask[c]
-        return not (targets & ~_closure(out, zeros, pivot_bit)
-                    or targets & ~_closure(inn, zeros, pivot_bit))
-
-    def all_feasible():
-        return all(complete[c] or in_one_scc(c, True) for c in range(1, ell + 1))
-
-    def assign(pos, value):
-        nonlocal unassigned
-        if pos < nfree:
-            v = free_verts[pos]
-            unassigned &= ~(1 << v)
-            if value > 0:
-                cls_vmask[value] |= 1 << v
-        else:
-            ss_label[pos - nfree] = value
-
-    def unassign(pos, value):
-        nonlocal unassigned
-        if pos < nfree:
-            v = free_verts[pos]
-            unassigned |= 1 << v
-            if value > 0:
-                cls_vmask[value] &= ~(1 << v)
-        else:
-            ss_label[pos - nfree] = -1
-
-    def try_branch(pos, c):
-        """Take value c at variable pos if every class stays feasible;
-        undo it and return False otherwise."""
-        nonlocal used, done, feasibility_prunes
-        opened = finished = False
-        if c:
-            opened = cls_vmask[c] == 0 and c not in ss_label
-            assign(pos, c)
-            if opened:
-                used += 1
-            finished = in_one_scc(c, False)
-            if finished:
-                complete[c] = True
-                done += 1
-        else:
-            assign(pos, 0)
-        taken[pos] = (c, opened, finished)
-        if all_feasible():
-            return True
-        feasibility_prunes += 1
-        revert(pos)
-        return False
-
-    def revert(pos):
-        nonlocal used, done
-        c, opened, finished = taken[pos]
-        taken[pos] = None
-        if finished:
-            complete[c] = False
-            done -= 1
-        if opened:
-            used -= 1
-        unassign(pos, c)
-
-    branches = [None] * nvars   # values to try at each variable, 0 last
-    next_branch = [0] * nvars
-    taken = [None] * nvars      # (value, opened, finished) on the path
-
-    try:
-        if not all_feasible():
-            feasibility_prunes += 1
-            return None
-        pos = 0
-        while True:
-            nodes += 1
-            if done == ell:
-                break
-            if pos < nvars:
-                branches[pos] = [c for c in range(1, min(used + 1, ell) + 1)
-                                 if not complete[c]] + [0]
-                next_branch[pos] = 0
-            else:
-                pos -= 1
-            # advance the deepest variable that has a value left
-            while pos >= 0:
-                if taken[pos] is not None:
-                    revert(pos)
-                todo = branches[pos]
-                p = next_branch[pos]
-                while p < len(todo):
-                    p += 1
-                    if try_branch(pos, todo[p - 1]):
-                        break
-                else:
-                    pos -= 1
-                    continue
-                next_branch[pos] = p
-                break
-            else:
-                return None
-            if done == ell:
-                break  # the value just taken completed the last class
-            pos += 1
-    finally:
-        _record(counters, nodes, 0, feasibility_prunes)
-
-    ss_set = set(ss_arcs)
-    parts = []
-    for c in range(1, ell + 1):
-        allowed = s_mask | cls_vmask[c]
-        chosen = []
-        for idx, (u, v) in enumerate(arcs):
-            if idx in ss_set:
-                continue
-            if (allowed >> u & 1) and (allowed >> v & 1):
-                chosen.append(idx)
-        for k, idx in enumerate(ss_arcs):
-            if ss_label[k] == c:
-                chosen.append(idx)
-        parts.append(sorted(chosen))
-    return parts

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .digraph import Digraph, bits
-from .errors import PreconditionError
+from .errors import PreconditionError, StrongpackError
 
 
 def _max_flow(out: Sequence[int], s: int, t: int) -> tuple[int, int]:
@@ -61,7 +61,8 @@ def min_arc_cut(d: Digraph, s: int, t: int):
     """
     value, side = _max_flow(d.out, s, t)
     cut = frozenset((u, v) for u in bits(side) for v in bits(d.out[u] & ~side))
-    assert len(cut) == value
+    if len(cut) != value:
+        raise StrongpackError(f"cut of {len(cut)} arcs for a flow of {value}")
     return value, cut
 
 

@@ -2,7 +2,8 @@
 ``ast``: every imported name is used, every private module-level function
 or class is referenced somewhere in the package beyond its own definition,
 and every public one somewhere in the package, its tests or its benchmark
-(the ``__init__`` re-export does not count)."""
+(the ``__init__`` re-export does not count); and no ``assert`` statement,
+since ``python -O`` strips it, so a check must raise instead."""
 
 import ast
 import functools
@@ -94,3 +95,9 @@ def test_every_private_definition_is_referenced(module):
 @pytest.mark.parametrize("module", CHECKED)
 def test_every_public_definition_is_referenced(module):
     assert _unused(module, public=True) == []
+
+
+@pytest.mark.parametrize("module", sorted(TREES))
+def test_no_assert_statement(module):
+    lines = [node.lineno for node in ast.walk(TREES[module]) if isinstance(node, ast.Assert)]
+    assert lines == []
