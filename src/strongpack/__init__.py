@@ -3,37 +3,110 @@
 Digraph classes and compositions, constructive packings with a verifier,
 exhaustive oracles for small instances, and hardness-gadget generators.
 All public functions are pure and safe to call concurrently.
+
+The names below load their module on first use (PEP 562), so importing
+the package, or one of its modules, loads only what that use needs.
 """
 
-from ._kernel import backend as kernel_backend
-from .composition import (CompositionSpec, canonical_decomposition_strong_qt,
-                          compose, lexicographic_product, read_composition,
-                          relabel, write_composition)
-from .digraph import (Digraph, TerminalSet, biorientation,
-                      complete_bipartite_digraph, directed_cycle, directed_path,
-                      empty_digraph, is_eulerian, is_quasi_transitive,
-                      is_semicomplete, is_strong, is_symmetric, min_semi_degree,
-                      read_digraph, strong_components, write_digraph)
-from .errors import (GraphFormatError, InfeasibleError, PreconditionError,
-                     SizeLimitError, StrongpackError, UnsupportedCaseError)
-from .exact import (CutCertificate, CutRelationReport, SolverLimits,
-                    check_cut_relation, exact_kappa, exact_lambda,
-                    has_strong_arc_decomposition, kappa_k, lambda_k,
-                    max_disjoint_paths_undirected, min_strong_cut,
-                    min_strong_cut_exhaustive, steiner_cut_undirected,
-                    terminal_semi_degree)
-from .hamilton import (BlowupDecomposition, HamCycle, decompose_cycle_blowup,
-                       hamilton_semicomplete)
-from .packing import (EXCEPTIONAL_COMPOSITIONS, ExceptionalVerdict, Packing,
-                      Verdict, is_in_exceptional, pack_bipartite,
-                      pack_quasi_transitive, pack_semicomplete_composition,
-                      pack_symmetric_composition, read_packing, verify_packing,
-                      write_packing)
-from .reductions import (BipartiteGraph, Hypergraph, ReductionOutput,
-                         cover_packing_gadget_arc, cover_packing_gadget_internal,
-                         cover_packing_number, has_disjoint_paths,
-                         hypergraph_gadget, is_two_colorable, linkage_gadget,
-                         read_bipartite, read_hypergraph, write_bipartite,
-                         write_hypergraph)
+import importlib
 
 __version__ = "0.1.0"
+
+# Each exported name and the module that defines it.  An alias gives the
+# defining module and the name there, joined by a dot.
+_EXPORTS = {
+    "kernel_backend": "_kernel.backend",
+    "CompositionSpec": "composition",
+    "canonical_decomposition_strong_qt": "composition",
+    "compose": "composition",
+    "lexicographic_product": "composition",
+    "read_composition": "composition",
+    "relabel": "composition",
+    "write_composition": "composition",
+    "Digraph": "digraph",
+    "TerminalSet": "digraph",
+    "biorientation": "digraph",
+    "complete_bipartite_digraph": "digraph",
+    "directed_cycle": "digraph",
+    "directed_path": "digraph",
+    "empty_digraph": "digraph",
+    "is_eulerian": "digraph",
+    "is_quasi_transitive": "digraph",
+    "is_semicomplete": "digraph",
+    "is_strong": "digraph",
+    "is_symmetric": "digraph",
+    "min_semi_degree": "digraph",
+    "read_digraph": "digraph",
+    "strong_components": "digraph",
+    "write_digraph": "digraph",
+    "GraphFormatError": "errors",
+    "InfeasibleError": "errors",
+    "PreconditionError": "errors",
+    "SizeLimitError": "errors",
+    "StrongpackError": "errors",
+    "UnsupportedCaseError": "errors",
+    "CutCertificate": "exact",
+    "CutRelationReport": "exact",
+    "SolverLimits": "exact",
+    "check_cut_relation": "exact",
+    "exact_kappa": "exact",
+    "exact_lambda": "exact",
+    "has_strong_arc_decomposition": "exact",
+    "kappa_k": "exact",
+    "lambda_k": "exact",
+    "max_disjoint_paths_undirected": "exact",
+    "min_strong_cut": "exact",
+    "min_strong_cut_exhaustive": "exact",
+    "steiner_cut_undirected": "exact",
+    "terminal_semi_degree": "exact",
+    "BlowupDecomposition": "hamilton",
+    "HamCycle": "hamilton",
+    "decompose_cycle_blowup": "hamilton",
+    "hamilton_semicomplete": "hamilton",
+    "EXCEPTIONAL_COMPOSITIONS": "packing",
+    "ExceptionalVerdict": "packing",
+    "Packing": "packing",
+    "Verdict": "packing",
+    "is_in_exceptional": "packing",
+    "pack_bipartite": "packing",
+    "pack_quasi_transitive": "packing",
+    "pack_semicomplete_composition": "packing",
+    "pack_symmetric_composition": "packing",
+    "read_packing": "packing",
+    "verify_packing": "packing",
+    "write_packing": "packing",
+    "BipartiteGraph": "reductions",
+    "Hypergraph": "reductions",
+    "ReductionOutput": "reductions",
+    "cover_packing_gadget_arc": "reductions",
+    "cover_packing_gadget_internal": "reductions",
+    "cover_packing_number": "reductions",
+    "has_disjoint_paths": "reductions",
+    "hypergraph_gadget": "reductions",
+    "is_two_colorable": "reductions",
+    "linkage_gadget": "reductions",
+    "read_bipartite": "reductions",
+    "read_hypergraph": "reductions",
+    "write_bipartite": "reductions",
+    "write_hypergraph": "reductions",
+}
+
+_SUBMODULES = frozenset({"_kernel", "cli", "composition", "digraph", "errors", "exact",
+                         "flows", "generators", "hamilton", "packing", "reductions"})
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module, _, attr = _EXPORTS[name].partition(".")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), attr or name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_EXPORTS) | _SUBMODULES)

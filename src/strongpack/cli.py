@@ -1,32 +1,19 @@
 """Command-line interface.
 
 Subcommands: analyze, pack, verify, exact, reduce, gen, survey and
-decompose.  Exit codes: 0 success, 2 precondition violation, bad
-arguments or an unwritable output path, 3 parse error or an unreadable
-input file, 4 size-limit refusal.
+decompose.  Each subcommand imports the modules it runs when it is
+called, so an op loads only what it needs.  Exit codes: 0 success, 2
+precondition violation, bad arguments or an unwritable output path, 3
+parse error or an unreadable input file, 4 size-limit refusal.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
-import json
-import random
 import sys
 
-from . import exact as ex
-from . import generators as gen
-from . import packing as pk
-from . import reductions as red
-from .composition import read_composition, write_composition
-from .digraph import (Digraph, complete_bipartite_digraph, is_eulerian,
-                      is_quasi_transitive, is_semicomplete, is_strong,
-                      is_symmetric, read_digraph, strong_components,
-                      write_digraph)
 from .errors import (GraphFormatError, PreconditionError, SizeLimitError,
                      StrongpackError)
-from .hamilton import decompose_cycle_blowup
 
 EXIT_OK = 0
 EXIT_PRECONDITION = 2
@@ -66,11 +53,19 @@ def _terminals(arg: str) -> list[int]:
         raise PreconditionError(f"bad terminal list {arg!r}")
 
 
-def _limits(args) -> ex.SolverLimits:
-    return ex.SolverLimits(args.limit_n, args.limit_m)
+def _limits(args):
+    """The solver limits the flags ask for, each unset flag at its default."""
+    from .exact import DEFAULT_LIMITS, SolverLimits
+
+    return SolverLimits(
+        DEFAULT_LIMITS.max_vertices if args.limit_n is None else args.limit_n,
+        DEFAULT_LIMITS.max_arcs if args.limit_m is None else args.limit_m)
 
 
 def cmd_analyze(args) -> int:
+    from .digraph import (is_eulerian, is_quasi_transitive, is_semicomplete,
+                          is_strong, is_symmetric, read_digraph, strong_components)
+
     d = read_digraph(_read(args.graph))
     comps = strong_components(d)
     print(f"n={d.n} m={d.m} scc={len(comps)}")
@@ -83,6 +78,10 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_pack(args) -> int:
+    from . import packing as pk
+    from .composition import read_composition
+    from .digraph import is_symmetric, read_digraph
+
     terminals = _terminals(args.terminals)
     if args.composition:
         spec = read_composition(_read(args.composition))
@@ -116,10 +115,12 @@ def cmd_pack(args) -> int:
     return EXIT_OK
 
 
-def _bipartite_sides(d: Digraph):
+def _bipartite_sides(d):
     """(a, b) if the graph is exactly a complete bipartite digraph with the
     standard vertex layout, else None.  Vertex 0 lies on the first side,
     so its out-degree is the size b of the second."""
+    from .digraph import complete_bipartite_digraph
+
     if d.n < 2:
         return None
     a = d.n - d.out_degree(0)
@@ -129,6 +130,9 @@ def _bipartite_sides(d: Digraph):
 
 
 def cmd_verify(args) -> int:
+    from . import packing as pk
+    from .digraph import read_digraph
+
     d = read_digraph(_read(args.graph))
     packing = pk.read_packing(_read(args.packing), d, _terminals(args.terminals))
     verdict = pk.verify_packing(packing)
@@ -140,6 +144,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_exact(args) -> int:
+    from . import exact as ex
+    from . import packing as pk
+    from .digraph import read_digraph
+
     d = read_digraph(_read(args.graph))
     limits = _limits(args)
     if args.mode in ("lambda", "kappa"):
@@ -165,6 +173,11 @@ def cmd_exact(args) -> int:
 
 
 def cmd_reduce(args) -> int:
+    import json
+
+    from . import reductions as red
+    from .digraph import read_digraph, write_digraph
+
     if args.source == "hypergraph":
         h = red.read_hypergraph(_read(args.input))
         out = red.hypergraph_gadget(h, args.ell)
@@ -196,6 +209,12 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    import random
+
+    from . import generators as gen
+    from .composition import write_composition
+    from .digraph import write_digraph
+
     rng = random.Random(args.seed)
     if args.kind == "sym-comp":
         spec = gen.random_symmetric_composition(args.t, args.max_inner, rng)
@@ -206,8 +225,10 @@ def cmd_gen(args) -> int:
     elif args.kind == "bipartite":
         _write_out(write_digraph(gen.random_bipartite_host(args.a, args.b)), args.out)
     elif args.kind == "hypergraph":
+        from .reductions import write_hypergraph
+
         h = gen.random_hypergraph(args.n, args.e, rng)
-        _write_out(red.write_hypergraph(h), args.out)
+        _write_out(write_hypergraph(h), args.out)
     elif args.kind == "eulerian-linkage":
         d = gen.random_eulerian(args.n, args.cycles, rng)
         _write_out(write_digraph(d), args.out)
@@ -220,6 +241,14 @@ SURVEY_COLUMNS = ["instance", "n", "m", "k", "lambda_S", "c2", "c1", "status"]
 
 
 def cmd_survey(args) -> int:
+    import csv
+    import io
+    import random
+
+    from . import exact as ex
+    from . import generators as gen
+    from .composition import compose
+
     rng = random.Random(args.seed)
     limits = _limits(args)
     buf = io.StringIO()
@@ -233,7 +262,6 @@ def cmd_survey(args) -> int:
             symmetric = True
         elif args.family == "semi-comp":
             spec = gen.random_semicomplete_composition(rng.randint(2, 3), 3, rng)
-            from .composition import compose
             d = compose(spec)
             symmetric = False
         else:
@@ -254,6 +282,8 @@ def cmd_survey(args) -> int:
 
 
 def cmd_decompose(args) -> int:
+    from .hamilton import decompose_cycle_blowup
+
     dec = decompose_cycle_blowup(args.t, args.r)
     lines = [" ".join(map(str, order)) for order in dec.orders()]
     _write_out("\n".join(lines) + "\n", args.out)
@@ -296,10 +326,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", required=True, choices=["lambda", "kappa", "sad", "cut"])
     p.add_argument("--graph", required=True)
     p.add_argument("--terminals", default="")
-    p.add_argument("--limit-n", type=int, dest="limit_n",
-                   default=ex.DEFAULT_LIMITS.max_vertices)
-    p.add_argument("--limit-m", type=int, dest="limit_m",
-                   default=ex.DEFAULT_LIMITS.max_arcs)
+    p.add_argument("--limit-n", type=int, dest="limit_n")
+    p.add_argument("--limit-m", type=int, dest="limit_m")
     p.add_argument("--out")
     p.set_defaults(fn=cmd_exact)
 
@@ -331,10 +359,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", default="symmetric", choices=["symmetric", "semi-comp"])
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=10)
-    p.add_argument("--limit-n", type=int, dest="limit_n",
-                   default=ex.DEFAULT_LIMITS.max_vertices)
-    p.add_argument("--limit-m", type=int, dest="limit_m",
-                   default=ex.DEFAULT_LIMITS.max_arcs)
+    p.add_argument("--limit-n", type=int, dest="limit_n")
+    p.add_argument("--limit-m", type=int, dest="limit_m")
     p.add_argument("--out")
     p.set_defaults(fn=cmd_survey)
 

@@ -13,7 +13,6 @@ import random
 from .composition import CompositionSpec
 from .digraph import Digraph, biorientation, complete_bipartite_digraph, is_strong
 from .errors import PreconditionError, StrongpackError
-from .reductions import Hypergraph
 
 _RETRIES = 64
 
@@ -89,6 +88,8 @@ def random_semicomplete_composition(t: int, max_inner: int, rng: random.Random,
 
 
 def random_hypergraph(n: int, e: int, rng: random.Random) -> Hypergraph:
+    from .reductions import Hypergraph
+
     if n < 1:
         raise PreconditionError("hypergraph needs at least 1 vertex")
     edges = []

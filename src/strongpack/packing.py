@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from itertools import permutations
 from typing import Iterable, Optional
 
-from . import _kernel
 from .composition import CompositionSpec, canonical_decomposition_strong_qt, compose
 from .digraph import (Arc, Digraph, _data_rows, _lowest, as_terminals, bits,
                       directed_cycle, directed_path, empty_digraph, is_semicomplete,
@@ -358,6 +357,8 @@ def _c3_core_parts(spec: CompositionSpec) -> tuple[list[set[Arc]], list[int]]:
     first min(|H_i|, 3) vertices of each layer, or 4 when those form an
     exceptional host, found by exact search; returned in host ids with the
     core size of every layer."""
+    from . import _kernel
+
     offs = spec.offsets()
     for cap in (3, 4):
         core = [min(h.n, cap) for h in spec.inners]

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -182,6 +186,16 @@ class TestExact:
                      "--limit-m", "40"]) == 0
         assert "value=4" in capsys.readouterr().out
 
+    def test_default_limits(self, workdir, capsys):
+        # without --limit-n/--limit-m the solver limits are 10 vertices, 26 arcs
+        c11 = write(workdir / "c11.dg", sp.write_digraph(sp.directed_cycle(11)))
+        arcs = [(u, v) for u in range(10) for v in range(10) if u != v][:27]
+        d10 = write(workdir / "d10.dg", sp.write_digraph(sp.Digraph(10, arcs)))
+        for g, what in ((c11, "11 vertices exceeds limit 10"), (d10, "27 arcs exceeds limit 26")):
+            assert main(["exact", "--mode", "lambda", "--graph", g, "--terminals", "0,1"]) == 4
+            assert capsys.readouterr().err == \
+                f"size limit: {what}; raise the limit explicitly to proceed\n"
+
     def test_k40_strong_arc_decomposition(self, workdir, capsys):
         # 1,560 arcs, one search level each
         arcs = [(u, v) for u in range(40) for v in range(40) if u != v]
@@ -300,6 +314,14 @@ class TestGenAndSurvey:
             assert int(row["lambda_S"]) <= int(row["c2"])
             assert row["c1"] == ""  # undirected cut only defined on symmetric hosts
 
+    def test_survey_default_limits(self, workdir):
+        argv = ["survey", "--family", "semi-comp", "--seed", "1", "--trials", "6", "--out"]
+        assert main(argv + [str(workdir / "default.csv")]) == 0
+        assert main(argv + [str(workdir / "given.csv"), "--limit-n", "10",
+                            "--limit-m", "26"]) == 0
+        text = (workdir / "default.csv").read_text()
+        assert "skipped" in text and ",ok" in text
+        assert text == (workdir / "given.csv").read_text()
 
     def test_survey_zero_limit_skips_every_row(self, workdir):
         out = str(workdir / "z.csv")
@@ -412,3 +434,38 @@ class TestDecompose:
 
     def test_impossible_pair_exits_2(self, workdir, capsys):
         assert main(["decompose", "3", "2"]) == 2
+
+
+class TestImportFootprint:
+    """Each subcommand loads only the package modules it runs."""
+
+    @staticmethod
+    def loaded(argv, workdir):
+        code = ("import sys\n"
+                "from strongpack.cli import main\n"
+                "try:\n    code = main(sys.argv[1:])\nexcept SystemExit as exc:\n"
+                "    code = exc.code\n"
+                "print(code, *sorted(m for m in sys.modules if m.startswith('strongpack')))\n")
+        src = str(Path(sp.__file__).resolve().parents[1])
+        run = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                             text=True, check=True, cwd=workdir,
+                             env={**os.environ, "PYTHONPATH": src})
+        code, *modules = run.stdout.splitlines()[-1].split()
+        assert code == "0"
+        return {m.removeprefix("strongpack.") for m in modules}
+
+    def test_version(self, workdir):
+        assert self.loaded(["--version"], workdir) == {"strongpack", "cli", "errors"}
+
+    def test_decompose(self, workdir):
+        assert self.loaded(["decompose", "3", "4"], workdir) == {
+            "strongpack", "cli", "errors", "digraph", "hamilton"}
+
+    def test_pack_and_verify_load_no_solver(self, workdir, strong_tournament4):
+        spec = sp.CompositionSpec(strong_tournament4, tuple(sp.empty_digraph(3) for _ in range(4)))
+        write(workdir / "t.comp", sp.write_composition(spec))
+        write(workdir / "t.dg", sp.write_digraph(sp.compose(spec)))
+        for argv in (["pack", "--composition", "t.comp", "--terminals", "0,4", "--out", "t.pack"],
+                     ["verify", "--graph", "t.dg", "--terminals", "0,4", "t.pack"]):
+            assert not self.loaded(argv, workdir) & {
+                "exact", "flows", "_kernel", "reductions", "generators"}

@@ -1,9 +1,10 @@
 """Static hygiene of the package source, read with the standard library's
 ``ast``: every imported name is used, every private module-level function
 or class is referenced somewhere in the package beyond its own definition,
-and every public one somewhere in the package, its tests or its benchmark
-(the ``__init__`` re-export does not count); and no ``assert`` statement,
-since ``python -O`` strips it, so a check must raise instead."""
+and every public one somewhere in the package or through ``strongpack`` in
+its tests or its benchmark (the ``__init__`` export table does not count);
+and no ``assert`` statement, since ``python -O`` strips it, so a check must
+raise instead."""
 
 import ast
 import functools
@@ -17,6 +18,12 @@ TREES = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in sorted(SRC.g
 CHECKED = sorted(name for name in TREES if name != "__init__.py")
 CALLERS = [ast.parse(p.read_text(), filename=str(p))
            for d in (ROOT / "tests", ROOT / "perfbench") for p in sorted(d.glob("*.py"))]
+MODULES = {name[:-3] for name in TREES} - {"__init__"}
+# the package's export table: exported name -> (defining module, name there)
+EXPORTS = {name: (where.partition(".")[0], where.partition(".")[2] or name)
+           for name, where in ast.literal_eval(next(
+               stmt.value for stmt in TREES["__init__.py"].body
+               if isinstance(stmt, ast.Assign) and stmt.targets[0].id == "_EXPORTS")).items()}
 
 
 def _annotation_names(node: ast.AST) -> set[str]:
@@ -62,29 +69,66 @@ def test_every_import_is_used(module):
     assert sorted(bound - _loaded_names(tree)) == []
 
 
-# a name the package re-exports under an alias is used under either name
-ALIASES = {(node.module, a.name): a.asname for node in TREES["__init__.py"].body
-           if isinstance(node, ast.ImportFrom) for a in node.names if a.asname}
+def _caller_refs(tree: ast.Module) -> set[tuple[str, str]]:
+    """The (module, name) pairs a test or benchmark file reaches through
+    ``strongpack``: ``from strongpack[.module] import X``, and ``alias.X``
+    where the alias is the package (resolved through the export table) or
+    one of its modules.  A bare name that no import binds to the package
+    does not count, however it is spelled."""
+    homes = {"strongpack": ""}  # local name -> module; "" is the package
+    refs = set()
+
+    def resolve(home, name):
+        return EXPORTS.get(name, (home, name)) if home == "" else (home, name)
+
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                if a.name.split(".")[0] == "strongpack":
+                    homes[a.asname or "strongpack"] = a.name.partition(".")[2] if a.asname else ""
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 \
+                and (node.module or "").split(".")[0] == "strongpack":
+            home = node.module.partition(".")[2]
+            for a in node.names:
+                if home == "" and a.name in MODULES:
+                    homes[a.asname or a.name] = a.name
+                else:
+                    refs.add(resolve(home, a.name))
+
+    def home_of(node):
+        if isinstance(node, ast.Name):
+            return homes.get(node.id)
+        if isinstance(node, ast.Attribute) and node.attr in MODULES \
+                and home_of(node.value) == "":
+            return node.attr
+        return None
+
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and (home := home_of(node.value)) is not None:
+            refs.add(resolve(home, node.attr))
+    return refs
+
+
+CALLER_REFS = set().union(*map(_caller_refs, CALLERS))
 
 
 @functools.cache
-def _uses(with_callers: bool) -> list[tuple[ast.stmt, set[str]]]:
-    """Every top-level statement of the package (and of the tests and the
-    benchmark when ``with_callers``) with the names it references."""
-    trees = list(TREES.values()) + (CALLERS if with_callers else [])
-    return [(stmt, _referenced(stmt)) for tree in trees for stmt in tree.body]
+def _uses() -> list[tuple[ast.stmt, set[str]]]:
+    """Every top-level statement of the package with the names it references."""
+    return [(stmt, _referenced(stmt)) for tree in TREES.values() for stmt in tree.body]
 
 
 def _unused(module: str, public: bool) -> list[str]:
     """The public (or private) module-level functions and classes of
-    ``module`` that no other top-level statement references, in the
-    package and, for public ones, in the tests and the benchmark too."""
+    ``module`` that no other top-level statement of the package references
+    and, for public ones, that the tests and the benchmark do not reach
+    through ``strongpack`` either."""
     return [
         stmt.name for stmt in TREES[module].body
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
         and stmt.name.startswith("_") != public and not stmt.name.startswith("__")
-        and not any({stmt.name, ALIASES.get((module[:-3], stmt.name))} & names
-                    for other, names in _uses(public) if other is not stmt)]
+        and not (public and (module[:-3], stmt.name) in CALLER_REFS)
+        and not any(stmt.name in names for other, names in _uses() if other is not stmt)]
 
 
 @pytest.mark.parametrize("module", CHECKED)
