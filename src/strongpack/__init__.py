@@ -24,7 +24,6 @@ _EXPORTS = {
     "relabel": "composition",
     "write_composition": "composition",
     "Digraph": "digraph",
-    "TerminalSet": "digraph",
     "biorientation": "digraph",
     "complete_bipartite_digraph": "digraph",
     "directed_cycle": "digraph",
@@ -60,7 +59,6 @@ _EXPORTS = {
     "steiner_cut_undirected": "exact",
     "terminal_semi_degree": "exact",
     "BlowupDecomposition": "hamilton",
-    "HamCycle": "hamilton",
     "decompose_cycle_blowup": "hamilton",
     "hamilton_semicomplete": "hamilton",
     "EXCEPTIONAL_COMPOSITIONS": "packing",

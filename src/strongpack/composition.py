@@ -8,27 +8,25 @@ rely on that convention.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .digraph import (Digraph, bits, is_quasi_transitive, is_semicomplete,
                       is_strong, mask_of, reachable, read_digraph, write_digraph)
 from .errors import GraphFormatError, PreconditionError, StrongpackError
 
 
-@dataclass(frozen=True)
-class CompositionSpec:
+class CompositionSpec(NamedTuple("CompositionSpec", [
+        ("outer", Digraph), ("inners", tuple[Digraph, ...]),
+        ("original_ids", tuple[int, ...] | None)])):
     """An outer digraph on t >= 2 vertices plus one inner digraph per
     outer vertex.  ``original_ids`` optionally records which external
     vertex each flattened id stands for (used when a digraph was
     decomposed rather than built)."""
 
-    outer: Digraph
-    inners: tuple[Digraph, ...]
-    original_ids: tuple[int, ...] | None = None
+    __slots__ = ()
 
-    def __init__(self, outer: Digraph, inners: Sequence[Digraph],
-                 original_ids: Sequence[int] | None = None):
+    def __new__(cls, outer: Digraph, inners: Sequence[Digraph],
+                original_ids: Sequence[int] | None = None):
         inners = tuple(inners)
         if outer.n < 2:
             raise PreconditionError("outer digraph needs at least 2 vertices")
@@ -36,13 +34,11 @@ class CompositionSpec:
             raise PreconditionError("need one inner digraph per outer vertex")
         if any(h.n < 1 for h in inners):
             raise PreconditionError("inner digraphs must be nonempty")
-        object.__setattr__(self, "outer", outer)
-        object.__setattr__(self, "inners", inners)
         if original_ids is not None:
             original_ids = tuple(original_ids)
             if sorted(original_ids) != list(range(sum(h.n for h in inners))):
                 raise PreconditionError("original_ids must be a permutation")
-        object.__setattr__(self, "original_ids", original_ids)
+        return super().__new__(cls, outer, inners, original_ids)
 
     @property
     def t(self) -> int:
@@ -174,18 +170,35 @@ def write_composition(spec: CompositionSpec) -> str:
 
 
 def read_composition(text: str) -> CompositionSpec:
+    """Parse the text format; a parse error names its line in ``text``."""
     chunks = text.split("---\n")
-    head = chunks[0].strip().splitlines()
-    if not head:
+    starts = [1]  # the line of ``text`` each chunk starts on
+    for chunk in chunks[:-1]:
+        starts.append(starts[-1] + chunk.count("\n") + 1)
+    head = chunks[0].splitlines()
+    first = next((i for i, ln in enumerate(head) if ln.strip()), None)
+    if first is None:
         raise GraphFormatError("empty composition file")
     try:
-        t = int(head[0].strip())
+        t = int(head[first].strip())
     except ValueError:
-        raise GraphFormatError("first line must be the outer order t", 1)
-    outer = read_digraph("\n".join(head[1:]))
+        raise GraphFormatError("first line must be the outer order t", first + 1)
+    outer = _read_block("\n".join(head[first + 1:]), first + 2)
     if outer.n != t:
         raise GraphFormatError(f"outer digraph has {outer.n} vertices, expected {t}")
     if len(chunks) - 1 != t:
         raise GraphFormatError(f"expected {t} inner digraphs, found {len(chunks) - 1}")
-    inners = [read_digraph(chunk) for chunk in chunks[1:]]
+    inners = [_read_block(chunk, start) for chunk, start in zip(chunks[1:], starts[1:])]
     return CompositionSpec(outer, inners)
+
+
+def _read_block(text: str, start: int) -> Digraph:
+    """``read_digraph`` on a block that starts on line ``start`` of its
+    file, with a parse error's line number made the file's."""
+    try:
+        return read_digraph(text)
+    except GraphFormatError as exc:
+        if exc.line is None:
+            raise
+        raise GraphFormatError(str(exc).removeprefix(f"line {exc.line}: "),
+                               exc.line + start - 1) from None

@@ -13,9 +13,8 @@ check its input.  All functions here are pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import compress
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .errors import GraphFormatError, PreconditionError
 
@@ -150,34 +149,9 @@ class Digraph:
         return f"Digraph(n={self.n}, m={self.m})"
 
 
-@dataclass(frozen=True)
-class TerminalSet:
-    """A set of at least two vertex ids singled out as terminals."""
-
-    members: frozenset[int]
-
-    def __init__(self, members: Iterable[int]):
-        ms = frozenset(int(v) for v in members)
-        if len(ms) < 2:
-            raise PreconditionError("terminal set needs at least 2 vertices")
-        object.__setattr__(self, "members", ms)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(sorted(self.members))
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __contains__(self, v) -> bool:
-        return v in self.members
-
-
 def as_terminals(d: Digraph, terminals) -> frozenset[int]:
     """Normalize and validate a terminal collection against a host digraph."""
-    if isinstance(terminals, TerminalSet):
-        ts = terminals.members
-    else:
-        ts = frozenset(int(v) for v in terminals)
+    ts = frozenset(int(v) for v in terminals)
     if len(ts) < 2:
         raise PreconditionError("terminal set needs at least 2 vertices")
     if any(not (0 <= v < d.n) for v in ts):

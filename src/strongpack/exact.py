@@ -8,8 +8,8 @@ above the configured limits are refused rather than attempted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, permutations
+from typing import NamedTuple
 
 from . import _kernel
 from .digraph import Arc, Digraph, as_terminals, bits, is_strong, \
@@ -20,8 +20,7 @@ from .flows import max_vertex_disjoint_paths, min_arc_cut, \
 from .packing import MODE_ARC, MODE_INTERNAL, Packing, verify_packing
 
 
-@dataclass(frozen=True)
-class SolverLimits:
+class SolverLimits(NamedTuple):
     """Upper bounds on instances the exhaustive solvers will accept."""
 
     max_vertices: int = 10
@@ -41,8 +40,7 @@ class SolverLimits:
 DEFAULT_LIMITS = SolverLimits()
 
 
-@dataclass(frozen=True)
-class CutCertificate:
+class CutCertificate(NamedTuple):
     """An arc set whose removal leaves the witness terminals in different
     strong components."""
 
@@ -221,8 +219,7 @@ def steiner_cut_undirected(d: Digraph, terminals) -> int:
     return min(min_arc_cut(d, u, v)[0] for u, v in combinations(sorted(ts), 2))
 
 
-@dataclass(frozen=True)
-class CutRelationReport:
+class CutRelationReport(NamedTuple):
     c1: int
     c2: int
     holds: bool

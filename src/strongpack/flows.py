@@ -66,10 +66,6 @@ def min_arc_cut(d: Digraph, s: int, t: int):
     return value, cut
 
 
-def arc_connectivity(d: Digraph, s: int, t: int) -> int:
-    return min_arc_cut(d, s, t)[0]
-
-
 def vertex_capacitated_connectivity(d: Digraph, s: int, t: int,
                                     uncapped: frozenset[int]) -> int:
     """Max s->t flow where arcs have capacity 1 and every vertex outside

@@ -18,33 +18,17 @@ the decomposition arithmetically:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .digraph import Digraph, _lowest, is_semicomplete, is_strong, mask_of
 from .errors import (InfeasibleError, PreconditionError, StrongpackError,
                      UnsupportedCaseError)
 
 
-@dataclass(frozen=True)
-class HamCycle:
-    """A Hamiltonian cycle of ``host`` given as a vertex order."""
-
-    host: Digraph
-    order: tuple[int, ...]
-
-    def check(self) -> None:
-        if sorted(self.order) != list(range(self.host.n)):
-            raise PreconditionError("order must visit every vertex exactly once")
-        out = self.host.out
-        for u, v in zip(self.order, self.order[1:] + self.order[:1]):
-            if not out[u] >> v & 1:
-                raise PreconditionError(f"cycle uses missing arc {(u, v)}")
-
-
-def hamilton_semicomplete(d: Digraph) -> HamCycle:
-    """Hamiltonian cycle of a strong semicomplete digraph.
+def hamilton_semicomplete(d: Digraph) -> tuple[int, ...]:
+    """Hamiltonian cycle of a strong semicomplete digraph, as the order in
+    which it visits the vertices.
 
     Grows a cycle by vertex insertion.  When some outside vertex has both
     an in- and an out-neighbor on the cycle, it can be spliced between two
@@ -86,9 +70,10 @@ def hamilton_semicomplete(d: Digraph) -> HamCycle:
             outside.remove(a)
         on |= 1 << v
         outside.remove(v)
-    found = HamCycle(d, tuple(cycle))
-    found.check()
-    return found
+    if sorted(cycle) != list(range(d.n)) or any(
+            not out[u] >> v & 1 for u, v in zip(cycle, cycle[1:] + cycle[:1])):
+        raise StrongpackError("constructed vertex order is not a Hamiltonian cycle")
+    return tuple(cycle)
 
 
 def _seed_cycle(out: tuple[int, ...], inn: list[int]) -> list[int]:
@@ -114,8 +99,7 @@ def _insertion_point(cycle: list[int], out_v: int, inn_v: int):
     return None
 
 
-@dataclass(frozen=True)
-class BlowupDecomposition:
+class BlowupDecomposition(NamedTuple):
     """r Hamiltonian cycles partitioning the arcs of the directed t-cycle
     blown up by r independent vertices, as shift rows: colour c goes from
     (i, j) to (i+1 mod t, j + rows[i][c] mod r)."""

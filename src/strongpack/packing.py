@@ -16,9 +16,8 @@ packed as the 2-cycle composition.  Each packer self-checks its result once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import permutations
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .composition import CompositionSpec, canonical_decomposition_strong_qt, compose
 from .digraph import (Arc, Digraph, _data_rows, _lowest, as_terminals, bits,
@@ -32,8 +31,7 @@ MODE_ARC = "arc"
 MODE_INTERNAL = "internal"
 
 
-@dataclass(frozen=True)
-class Packing:
+class Packing(NamedTuple):
     host: Digraph
     terminals: frozenset[int]
     mode: str
@@ -43,8 +41,7 @@ class Packing:
         return frozenset(v for arc in self.parts[i] for v in arc)
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     """Outcome of verify_packing: ok, or the first violated clause."""
 
     ok: bool
@@ -152,8 +149,7 @@ def _exceptional_members() -> tuple[tuple[str, Digraph], ...]:
 EXCEPTIONAL_COMPOSITIONS = _exceptional_members()
 
 
-@dataclass(frozen=True)
-class ExceptionalVerdict:
+class ExceptionalVerdict(NamedTuple):
     """Whether a digraph is one of the three small compositions with no
     pair of arc-disjoint strong spanning subgraphs.  ``witness`` maps the
     input's vertices onto the named member."""
@@ -316,7 +312,7 @@ def _semicomplete_parts(spec: CompositionSpec) -> list[set[Arc]]:
     offs = spec.offsets()
     dropped = _droppable_layer(outer) if t % 2 and n0 % 4 == 2 else None
     spine = [i for i in range(t) if i != dropped]
-    order = [spine[i] for i in hamilton_semicomplete(_induced(outer, spine)).order]
+    order = [spine[i] for i in hamilton_semicomplete(_induced(outer, spine))]
     joins = [(layer, n0, order[pos - 1], order[(pos + 1) % len(order)])
              for pos, layer in enumerate(order)]
     if dropped is not None:

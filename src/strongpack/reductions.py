@@ -10,53 +10,50 @@ turns those equivalences into executable tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
+from typing import NamedTuple
 
 from .digraph import Arc, Digraph, _data_rows, biorientation, is_eulerian
 from .errors import GraphFormatError, PreconditionError, SizeLimitError
 
 
-@dataclass(frozen=True)
-class Hypergraph:
+class Hypergraph(NamedTuple("Hypergraph", [("n", int),
+                                            ("edges", tuple[frozenset[int], ...])])):
     """Vertices 0..n-1 and a list of nonempty hyperedges."""
 
-    n: int
-    edges: tuple[frozenset[int], ...]
+    __slots__ = ()
 
-    def __init__(self, n: int, edges):
+    def __new__(cls, n: int, edges):
         edges = tuple(frozenset(e) for e in edges)
+        if n < 0:
+            raise PreconditionError("vertex count must be nonnegative")
         if any(not e for e in edges):
             raise PreconditionError("hyperedges must be nonempty")
         if any(v < 0 or v >= n for e in edges for v in e):
             raise PreconditionError("hyperedge member out of range")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "edges", edges)
+        return super().__new__(cls, n, edges)
 
 
-@dataclass(frozen=True)
-class BipartiteGraph:
+class BipartiteGraph(NamedTuple("BipartiteGraph", [("c", int), ("b", int),
+                                                    ("edges", frozenset[tuple[int, int]])])):
     """Two-sided graph: cover side of size c, element side of size b,
     edges as (cover_index, element_index) pairs."""
 
-    c: int
-    b: int
-    edges: frozenset[tuple[int, int]]
+    __slots__ = ()
 
-    def __init__(self, c: int, b: int, edges):
+    def __new__(cls, c: int, b: int, edges):
         edges = frozenset((int(x), int(y)) for x, y in edges)
+        if c < 0 or b < 0:
+            raise PreconditionError("side sizes must be nonnegative")
         if any(not (0 <= x < c and 0 <= y < b) for x, y in edges):
             raise PreconditionError("edge endpoint out of range")
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "edges", edges)
+        return super().__new__(cls, c, b, edges)
 
     def neighbors_of_element(self, y: int) -> frozenset[int]:
         return frozenset(x for (x, yy) in self.edges if yy == y)
 
 
-@dataclass(frozen=True)
-class ReductionOutput:
+class ReductionOutput(NamedTuple):
     """A generated instance plus a role label for every vertex."""
 
     digraph: Digraph

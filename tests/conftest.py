@@ -30,6 +30,14 @@ def all_hamiltonian_cycles(d):
     return found
 
 
+def check_hamiltonian_cycle(d, order):
+    """Check that the vertex order visits every vertex of ``d`` once and
+    that each step, the last back to the first, is an arc of ``d``."""
+    assert sorted(order) == list(range(d.n))
+    for u, v in zip(order, order[1:] + order[:1]):
+        assert d.has_arc(u, v), (u, v)
+
+
 def reference_blowup(t, r):
     """The directed t-cycle with every vertex replaced by r independent
     ones, built by the product rather than read off a decomposition."""

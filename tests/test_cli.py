@@ -412,6 +412,13 @@ class TestRefusals:
         assert err.startswith("precondition violated: cannot write ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("source", ["setcover-issp", "setcover-assp"])
+    def test_bipartite_negative_side_exits_2(self, workdir, capsys, source):
+        g = write(workdir / "g.bp", "-1 2 0\n")
+        code, err = refusal(["reduce", "--from", source, "--input", g], capsys)
+        assert code == 2
+        assert err == "precondition violated: side sizes must be nonnegative\n"
+
     @pytest.mark.parametrize("argv", [
         ["gen", "hypergraph", "--n", "0"],
         ["gen", "eulerian-linkage", "--n", "2"],
@@ -437,15 +444,18 @@ class TestDecompose:
 
 
 class TestImportFootprint:
-    """Each subcommand loads only the package modules it runs."""
+    """Each subcommand loads only the package modules it runs, and none
+    loads ``dataclasses`` (with ``inspect``, ``ast`` and ``dis`` behind it)."""
 
     @staticmethod
     def loaded(argv, workdir):
+        """The package modules an op loads, plus ``dataclasses`` if it is loaded."""
         code = ("import sys\n"
                 "from strongpack.cli import main\n"
                 "try:\n    code = main(sys.argv[1:])\nexcept SystemExit as exc:\n"
                 "    code = exc.code\n"
-                "print(code, *sorted(m for m in sys.modules if m.startswith('strongpack')))\n")
+                "print(code, *sorted(m for m in sys.modules\n"
+                "                    if m.startswith('strongpack') or m == 'dataclasses'))\n")
         src = str(Path(sp.__file__).resolve().parents[1])
         run = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
                              text=True, check=True, cwd=workdir,
@@ -468,4 +478,10 @@ class TestImportFootprint:
         for argv in (["pack", "--composition", "t.comp", "--terminals", "0,4", "--out", "t.pack"],
                      ["verify", "--graph", "t.dg", "--terminals", "0,4", "t.pack"]):
             assert not self.loaded(argv, workdir) & {
-                "exact", "flows", "_kernel", "reductions", "generators"}
+                "exact", "flows", "_kernel", "reductions", "generators", "dataclasses"}
+
+    def test_exact_lambda(self, workdir):
+        write(workdir / "k.dg", sp.write_digraph(sp.complete_bipartite_digraph(2, 3)))
+        loaded = self.loaded(["exact", "--mode", "lambda", "--graph", "k.dg",
+                              "--terminals", "0,2"], workdir)
+        assert "exact" in loaded and "dataclasses" not in loaded

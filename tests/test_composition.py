@@ -115,6 +115,16 @@ class TestCompositionFormat:
         with pytest.raises(GraphFormatError):
             sp.read_composition("3\n2 0\n---\n1 0\n---\n1 0\n---\n1 0\n")
 
+    @pytest.mark.parametrize("text, line", [
+        ("2\n2 2\n0 1\n1 0\n---\n1 0\n---\n2 1\n0 x\n", 9),
+        ("\n\n2\n2 2\n0 1\n1 x\n---\n1 0\n---\n1 0\n", 6),
+    ], ids=["inner-block", "after-leading-blanks"])
+    def test_parse_error_names_physical_line(self, text, line):
+        with pytest.raises(GraphFormatError) as err:
+            sp.read_composition(text)
+        assert err.value.line == line
+        assert str(err.value) == f"line {line}: arc endpoints must be integers"
+
     def test_inner_count_mismatch(self):
         with pytest.raises(GraphFormatError):
             sp.read_composition("2\n2 0\n---\n1 0\n")

@@ -1,7 +1,7 @@
 import pytest
 
 import strongpack as sp
-from strongpack.digraph import underlying_connected
+from strongpack.digraph import as_terminals, underlying_connected
 from strongpack.errors import GraphFormatError, PreconditionError
 
 
@@ -123,9 +123,9 @@ class TestTextFormat:
 
 
 class TestTerminalSet:
-    def test_needs_two(self):
-        with pytest.raises(PreconditionError):
-            sp.TerminalSet([1])
+    def test_needs_two(self, c3):
+        with pytest.raises(PreconditionError, match="at least 2"):
+            as_terminals(c3, [1, 1])
 
     def test_validates_against_host(self, c3):
         with pytest.raises(PreconditionError):

@@ -16,9 +16,9 @@ import strongpack as sp
 PUBLIC = [
     "BipartiteGraph", "BlowupDecomposition", "CompositionSpec", "CutCertificate",
     "CutRelationReport", "Digraph", "EXCEPTIONAL_COMPOSITIONS", "ExceptionalVerdict",
-    "GraphFormatError", "HamCycle", "Hypergraph", "InfeasibleError", "Packing",
+    "GraphFormatError", "Hypergraph", "InfeasibleError", "Packing",
     "PreconditionError", "ReductionOutput", "SizeLimitError", "SolverLimits",
-    "StrongpackError", "TerminalSet", "UnsupportedCaseError", "Verdict", "biorientation",
+    "StrongpackError", "UnsupportedCaseError", "Verdict", "biorientation",
     "canonical_decomposition_strong_qt", "check_cut_relation", "complete_bipartite_digraph",
     "compose", "cover_packing_gadget_arc", "cover_packing_gadget_internal",
     "cover_packing_number", "decompose_cycle_blowup", "directed_cycle", "directed_path",
@@ -52,7 +52,7 @@ def test_exported_name_is_its_modules_object(name):
 
 
 def test_public_names_are_unchanged():
-    assert len(PUBLIC) == 74
+    assert len(PUBLIC) == 72
     assert sorted(sp.__all__) == PUBLIC
     assert set(PUBLIC) <= set(dir(sp))
 

@@ -169,6 +169,15 @@ class TestFormats:
         text = sp.write_bipartite(g)
         assert sp.write_bipartite(sp.read_bipartite(text)) == text
 
+    @pytest.mark.parametrize("build", [
+        lambda: sp.Hypergraph(-3, []),
+        lambda: sp.BipartiteGraph(-1, 2, []),
+        lambda: sp.BipartiteGraph(1, -2, []),
+    ], ids=["hypergraph", "cover-side", "element-side"])
+    def test_negative_sizes_refused(self, build):
+        with pytest.raises(PreconditionError, match="nonnegative"):
+            build()
+
     def test_bipartite_count_mismatch(self):
         with pytest.raises(GraphFormatError):
             sp.read_bipartite("2 2 3\n0 0\n")
