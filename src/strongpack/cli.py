@@ -98,10 +98,10 @@ def cmd_pack(args) -> int:
     else:
         d = read_digraph(_read(args.graph))
         strategy = args.strategy
+        sides = _bipartite_sides(d) if strategy in ("auto", "bipartite") else None
         if strategy == "auto":
-            strategy = "bipartite" if _bipartite_sides(d) else "qt"
+            strategy = "bipartite" if sides else "qt"
         if strategy == "bipartite":
-            sides = _bipartite_sides(d)
             if sides is None:
                 raise PreconditionError("graph is not a complete bipartite digraph")
             a, b = sides
@@ -159,9 +159,8 @@ def cmd_exact(args) -> int:
     elif args.mode == "sad":
         flag, witness = ex.has_strong_arc_decomposition(d, limits)
         print(f"strong_arc_decomposition={flag}")
-        if flag and witness is not None:
-            packing = pk.Packing(d, frozenset(range(d.n)) if d.n >= 2 else frozenset(),
-                                 pk.MODE_ARC, witness)
+        if flag:
+            packing = pk.Packing(d, frozenset(range(d.n)), pk.MODE_ARC, witness)
             _write_out(pk.write_packing(packing), args.out)
     elif args.mode == "cut":
         cert = ex.min_strong_cut(d, _terminals(args.terminals))

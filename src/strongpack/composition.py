@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from typing import NamedTuple, Sequence
 
-from .digraph import (Digraph, bits, is_quasi_transitive, is_semicomplete,
-                      is_strong, mask_of, reachable, read_digraph, write_digraph)
+from .digraph import (Digraph, _digraph, _header, bits, is_quasi_transitive,
+                      is_semicomplete, is_strong, mask_of, reachable, write_digraph)
 from .errors import GraphFormatError, PreconditionError, StrongpackError
 
 
@@ -160,7 +160,7 @@ def relabel(d: Digraph, mapping: Sequence[int]) -> Digraph:
 # -- text format ---------------------------------------------------------------
 #
 # Line 1: t.  Then the outer digraph in the digraph text format, then each
-# inner digraph, every block preceded by a line of three dashes.
+# inner digraph, every block preceded by a line that holds only "---".
 
 def write_composition(spec: CompositionSpec) -> str:
     blocks = [f"{spec.t}\n" + write_digraph(spec.outer)]
@@ -170,35 +170,30 @@ def write_composition(spec: CompositionSpec) -> str:
 
 
 def read_composition(text: str) -> CompositionSpec:
-    """Parse the text format; a parse error names its line in ``text``."""
-    chunks = text.split("---\n")
-    starts = [1]  # the line of ``text`` each chunk starts on
-    for chunk in chunks[:-1]:
-        starts.append(starts[-1] + chunk.count("\n") + 1)
-    head = chunks[0].splitlines()
-    first = next((i for i, ln in enumerate(head) if ln.strip()), None)
-    if first is None:
-        raise GraphFormatError("empty composition file")
+    """Parse the text format.  The blocks are parsed in file order as the
+    rows stream past; the inner blocks are counted after the first t."""
+    rows, lineno, fields = _header(text, "composition")
     try:
-        t = int(head[first].strip())
+        [t] = map(int, fields)
     except ValueError:
-        raise GraphFormatError("first line must be the outer order t", first + 1)
-    outer = _read_block("\n".join(head[first + 1:]), first + 2)
+        raise GraphFormatError("first line must be the outer order t", lineno)
+    separators = 0  # consumed so far, each by the block it ends
+
+    def block():
+        nonlocal separators
+        for row in rows:
+            if row[1] == ["---"]:
+                separators += 1
+                return
+            yield row
+
+    outer = _digraph(block())
     if outer.n != t:
         raise GraphFormatError(f"outer digraph has {outer.n} vertices, expected {t}")
-    if len(chunks) - 1 != t:
-        raise GraphFormatError(f"expected {t} inner digraphs, found {len(chunks) - 1}")
-    inners = [_read_block(chunk, start) for chunk, start in zip(chunks[1:], starts[1:])]
+    inners = []
+    while len(inners) < min(separators, t):
+        inners.append(_digraph(block()))
+    found = separators + sum(row[1] == ["---"] for row in rows)
+    if found != t:
+        raise GraphFormatError(f"expected {t} inner digraphs, found {found}")
     return CompositionSpec(outer, inners)
-
-
-def _read_block(text: str, start: int) -> Digraph:
-    """``read_digraph`` on a block that starts on line ``start`` of its
-    file, with a parse error's line number made the file's."""
-    try:
-        return read_digraph(text)
-    except GraphFormatError as exc:
-        if exc.line is None:
-            raise
-        raise GraphFormatError(str(exc).removeprefix(f"line {exc.line}: "),
-                               exc.line + start - 1) from None

@@ -14,11 +14,12 @@ check its input.  All functions here are pure.
 from __future__ import annotations
 
 from itertools import compress
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import GraphFormatError, PreconditionError
 
 Arc = tuple[int, int]
+Row = tuple[int, list[str]]  # (physical line number, fields) of a data line
 
 _BIT_OF_CHAR = bytes.maketrans(b"01", b"\x00\x01")
 
@@ -272,11 +273,28 @@ def complete_bipartite_digraph(a: int, b: int) -> Digraph:
     return Digraph.from_masks(a + b, [side_b] * a + [side_a] * b)
 
 
-# -- text format ---------------------------------------------------------------
+# -- text formats --------------------------------------------------------------
 #
-# First line "n m", then m lines "u v" (0-based).  Lines starting with '#'
-# are comments.  The writer is canonical (arcs sorted), so reading what was
-# written and writing it again reproduces the bytes exactly.
+# Every format is read through ``_rows``.  Digraph: first line "n m", then m
+# lines "u v" (0-based).  The writer is canonical (arcs sorted), so reading
+# what was written and writing it again reproduces the bytes exactly.
+
+def _rows(text: str) -> Iterator[Row]:
+    """(1-based physical line number, fields) of every line that is not
+    blank and whose first field does not start with '#'."""
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        fields = line.split()
+        if fields and fields[0][0] != "#":
+            yield lineno, fields
+
+
+def _header(text: str, kind: str) -> tuple[Iterator[Row], int, list[str]]:
+    """(the rows after the first, its line number, its fields) of ``text``."""
+    rows = _rows(text)
+    for lineno, fields in rows:
+        return rows, lineno, fields
+    raise GraphFormatError(f"empty {kind} file")
+
 
 def write_digraph(d: Digraph) -> str:
     names = [str(v) for v in range(d.n)]
@@ -288,17 +306,19 @@ def write_digraph(d: Digraph) -> str:
 
 
 def read_digraph(text: str) -> Digraph:
-    """Parse the text format.  Every line is checked for syntax first (with
+    """Parse the text format; ``_digraph`` gives the order of its errors."""
+    return _digraph(_rows(text))
+
+
+def _digraph(rows: Iterable[Row]) -> Digraph:
+    """The digraph on ``rows``.  Every row is checked for syntax first (with
     its line number); then the arc count, the vertex count and the first
     loop or out-of-range arc are reported, in that order."""
-    n, m = 0, None  # m stays None until the header line is read
+    n, m = 0, None  # m stays None until the header row is read
     out: list[int] = []
     count = 0
     bad_arc = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        fields = raw.split()
-        if not fields or fields[0][0] == "#":
-            continue
+    for lineno, fields in rows:
         if m is None:
             if len(fields) != 2:
                 raise GraphFormatError("expected header 'n m'", lineno)
@@ -331,11 +351,3 @@ def read_digraph(text: str) -> Digraph:
             raise GraphFormatError(f"loop arc ({u}, {u}) not allowed")
         raise GraphFormatError(f"arc ({u}, {v}) out of range for n={n}")
     return Digraph.from_masks(n, out)
-
-
-def _data_rows(text: str) -> list[tuple[int, str]]:
-    """(1-based physical line number, line) of every non-blank line that
-    is not a comment; the row scanner of the packing, hypergraph and
-    bipartite text formats."""
-    return [(lineno, ln) for lineno, ln in enumerate(text.splitlines(), start=1)
-            if ln.strip() and not ln.startswith("#")]

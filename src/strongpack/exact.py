@@ -140,7 +140,7 @@ def has_strong_arc_decomposition(d: Digraph, limits: SolverLimits = DEFAULT_LIMI
     """Whether the arc set splits into two disjoint spanning strong sets.
 
     Returns (flag, witness).  The witness is a pair of arc sets that
-    partition the arcs, each spanning and strong.
+    partition the arcs, each spanning and strong; it is verified.
     """
     limits.check(d)
     if d.n <= 1:
@@ -150,10 +150,11 @@ def has_strong_arc_decomposition(d: Digraph, limits: SolverLimits = DEFAULT_LIMI
     found = _kernel.search_arc_disjoint(d.n, arcs, full, 2)
     if found is None:
         return False, None
-    first = set(arcs[i] for i in found[0])
     second = frozenset(arcs[i] for i in found[1])
-    first |= d.arcs - first - second  # fold unused arcs into one side
-    return True, (frozenset(first), second)
+    witness = (d.arcs - second, second)  # unused arcs join the first part
+    if not verify_packing(Packing(d, frozenset(range(d.n)), MODE_ARC, witness)):
+        raise StrongpackError("solver produced an invalid decomposition")
+    return True, witness
 
 
 def is_strong_cut(d: Digraph, ts: frozenset[int], cut) -> bool:

@@ -20,7 +20,7 @@ from itertools import permutations
 from typing import Iterable, NamedTuple, Optional
 
 from .composition import CompositionSpec, canonical_decomposition_strong_qt, compose
-from .digraph import (Arc, Digraph, _data_rows, _lowest, as_terminals, bits,
+from .digraph import (Arc, Digraph, _header, _lowest, as_terminals, bits,
                       directed_cycle, directed_path, empty_digraph, is_semicomplete,
                       is_strong, is_symmetric, mask_of, reachable)
 from .errors import (GraphFormatError, InfeasibleError, PreconditionError,
@@ -350,18 +350,18 @@ def _droppable_layer(outer: Digraph) -> Optional[int]:
 
 def _c3_core_parts(spec: CompositionSpec) -> tuple[list[set[Arc]], list[int]]:
     """Two arc-disjoint strong spanning subgraphs of the composition of the
-    first min(|H_i|, 3) vertices of each layer, or 4 when those form an
-    exceptional host, found by exact search; returned in host ids with the
-    core size of every layer."""
+    first min(|H_i|, 3) vertices of each layer, or 4 of the 3-layer when
+    those are the exceptional 2-2-3 (sizes 2, 2, 3, no inner arc), found by
+    exact search; returned in host ids with the core size of every layer."""
     from . import _kernel
 
     offs = spec.offsets()
-    for cap in (3, 4):
-        core = [min(h.n, cap) for h in spec.inners]
-        sub = compose(CompositionSpec(
-            spec.outer, [_induced(h, list(range(k))) for h, k in zip(spec.inners, core)]))
-        if not is_in_exceptional(sub).member:
-            break
+    core = [min(h.n, 3) for h in spec.inners]
+    if sorted(core) == [2, 2, 3] and not any(
+            x & (1 << k) - 1 for h, k in zip(spec.inners, core) for x in h.out[:k]):
+        core = [4 if k == 3 else k for k in core]
+    sub = compose(CompositionSpec(
+        spec.outer, [_induced(h, list(range(k))) for h, k in zip(spec.inners, core)]))
     keep = [offs[i] + k for i, size in enumerate(core) for k in range(size)]
     arcs = sorted(sub.arcs)
     found = _kernel.search_arc_disjoint(sub.n, arcs, (1 << sub.n) - 1, 2)
@@ -401,11 +401,8 @@ def write_packing(p: Packing) -> str:
 
 
 def read_packing(text: str, host: Digraph, terminals) -> Packing:
-    rows = _data_rows(text)
-    if not rows:
-        raise GraphFormatError("empty packing file")
-    head_line, head_row = rows[0]
-    head = dict(item.split("=", 1) for item in head_row.split() if "=" in item)
+    rows, head_line, head_fields = _header(text, "packing")
+    head = dict(item.split("=", 1) for item in head_fields if "=" in item)
     try:
         count = int(head["parts"])
         mode = head["mode"]
@@ -414,16 +411,16 @@ def read_packing(text: str, host: Digraph, terminals) -> Packing:
                                head_line)
     if mode not in (MODE_ARC, MODE_INTERNAL):
         raise GraphFormatError(f"unknown mode {mode!r}", head_line)
-    if len(rows) - 1 != count:
-        raise GraphFormatError(f"header promises {count} parts, found {len(rows) - 1}")
     parts = []
-    for lineno, row in rows[1:]:
+    for lineno, fields in rows:
         arcs = []
-        for token in row.split():
+        for token in fields:
             try:
                 u, v = token.split(">")
                 arcs.append((int(u), int(v)))
             except ValueError:
                 raise GraphFormatError(f"bad arc token {token!r}", lineno)
         parts.append(frozenset(arcs))
+    if len(parts) != count:
+        raise GraphFormatError(f"header promises {count} parts, found {len(parts)}")
     return Packing(host, as_terminals(host, terminals), mode, tuple(parts))

@@ -13,7 +13,7 @@ from __future__ import annotations
 from itertools import product
 from typing import NamedTuple
 
-from .digraph import Arc, Digraph, _data_rows, biorientation, is_eulerian
+from .digraph import Arc, Digraph, _header, biorientation, is_eulerian
 from .errors import GraphFormatError, PreconditionError, SizeLimitError
 
 
@@ -297,21 +297,19 @@ def write_hypergraph(h: Hypergraph) -> str:
 
 
 def read_hypergraph(text: str) -> Hypergraph:
-    rows = _data_rows(text)
-    if not rows:
-        raise GraphFormatError("empty hypergraph file")
+    rows, head_line, head_fields = _header(text, "hypergraph")
     try:
-        n, e = (int(x) for x in rows[0][1].split())
+        n, e = map(int, head_fields)
     except ValueError:
-        raise GraphFormatError("expected header 'n e'", rows[0][0])
-    if len(rows) - 1 != e:
-        raise GraphFormatError(f"header promises {e} edges, found {len(rows) - 1}")
+        raise GraphFormatError("expected header 'n e'", head_line)
     edges = []
-    for lineno, row in rows[1:]:
+    for lineno, fields in rows:
         try:
-            edges.append(frozenset(int(x) for x in row.split()))
+            edges.append(frozenset(map(int, fields)))
         except ValueError:
             raise GraphFormatError("edge lines must hold integers", lineno)
+    if len(edges) != e:
+        raise GraphFormatError(f"header promises {e} edges, found {len(edges)}")
     return Hypergraph(n, edges)
 
 
@@ -322,22 +320,19 @@ def write_bipartite(g: BipartiteGraph) -> str:
 
 
 def read_bipartite(text: str) -> BipartiteGraph:
-    rows = _data_rows(text)
-    if not rows:
-        raise GraphFormatError("empty bipartite file")
+    rows, head_line, head_fields = _header(text, "bipartite")
     try:
-        c, b, e = (int(x) for x in rows[0][1].split())
+        c, b, e = map(int, head_fields)
     except ValueError:
-        raise GraphFormatError("expected header 'c b e'", rows[0][0])
-    if len(rows) - 1 != e:
-        raise GraphFormatError(f"header promises {e} edges, found {len(rows) - 1}")
+        raise GraphFormatError("expected header 'c b e'", head_line)
     edges = []
-    for lineno, row in rows[1:]:
-        fields = row.split()
+    for lineno, fields in rows:
         if len(fields) != 2:
             raise GraphFormatError("expected edge line 'c_idx b_idx'", lineno)
         try:
             edges.append((int(fields[0]), int(fields[1])))
         except ValueError:
             raise GraphFormatError("edge fields must be integers", lineno)
+    if len(edges) != e:
+        raise GraphFormatError(f"header promises {e} edges, found {len(edges)}")
     return BipartiteGraph(c, b, edges)

@@ -114,6 +114,17 @@ class TestPackVerify:
         assert _bipartite_sides(sp.empty_digraph(3)) is None
         assert _bipartite_sides(sp.biorientation(3, [(0, 1), (0, 2), (1, 2)])) is None
 
+    @pytest.mark.parametrize("strategy", ["auto", "bipartite"])
+    def test_bipartite_sides_found_once(self, workdir, monkeypatch, strategy):
+        from strongpack import cli
+        calls = []
+        sides = cli._bipartite_sides
+        monkeypatch.setattr(cli, "_bipartite_sides", lambda d: calls.append(d) or sides(d))
+        g = write(workdir / "k.dg", sp.write_digraph(sp.complete_bipartite_digraph(2, 3)))
+        assert main(["pack", "--graph", g, "--terminals", "0,1", "--strategy", strategy,
+                     "--out", str(workdir / "k.pack")]) == 0
+        assert len(calls) == 1
+
     def test_near_bipartite_graph_is_not_detected(self, workdir, capsys):
         d = sp.complete_bipartite_digraph(2, 3)
         g = write(workdir / "k.dg", sp.write_digraph(sp.Digraph(5, d.arcs - {(4, 0)})))

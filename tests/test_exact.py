@@ -4,7 +4,8 @@ import random
 import pytest
 
 import strongpack as sp
-from strongpack.errors import PreconditionError, SizeLimitError
+from strongpack import _kernel
+from strongpack.errors import PreconditionError, SizeLimitError, StrongpackError
 from strongpack.exact import SolverLimits
 
 from conftest import exceptional_member
@@ -114,6 +115,13 @@ class TestStrongArcDecomposition:
         for part in (a, b):
             p = sp.Packing(host, frozenset(range(4)), "arc", (part,))
             assert sp.verify_packing(p).ok
+
+    def test_witness_is_verified(self, monkeypatch):
+        # arcs 0 and 1 of the bioriented triangle, (0, 1) and (0, 2), are
+        # not strong parts
+        monkeypatch.setattr(_kernel, "search_arc_disjoint", lambda *args: [[0], [1]])
+        with pytest.raises(StrongpackError, match="invalid decomposition"):
+            sp.has_strong_arc_decomposition(sp.biorientation(3, [(0, 1), (1, 2), (2, 0)]))
 
 
 class TestCuts:

@@ -3,8 +3,8 @@
 or class is referenced somewhere in the package beyond its own definition,
 and every public one somewhere in the package or through ``strongpack`` in
 its tests or its benchmark (the ``__init__`` export table does not count);
-and no ``assert`` statement, since ``python -O`` strips it, so a check must
-raise instead."""
+no ``assert`` statement, since ``python -O`` strips it, so a check must
+raise instead; and one function that splits text into lines."""
 
 import ast
 import functools
@@ -145,3 +145,14 @@ def test_every_public_definition_is_referenced(module):
 def test_no_assert_statement(module):
     lines = [node.lineno for node in ast.walk(TREES[module]) if isinstance(node, ast.Assert)]
     assert lines == []
+
+
+def test_one_row_scanner():
+    """Only ``digraph._rows`` splits text into lines, so every text format
+    shares its rule for which lines are data and which line an error names."""
+    callers = [f"{module[:-3]}.{fn.name}" for module, tree in TREES.items()
+               for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+               for node in ast.walk(fn) if isinstance(node, ast.Call)
+               and isinstance(node.func, ast.Attribute)
+               and node.func.attr == "splitlines"]
+    assert callers == ["digraph._rows"]

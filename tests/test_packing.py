@@ -369,12 +369,19 @@ class TestSelfCheck:
         assert calls == [result]
 
     def test_quasi_transitive_checks_exceptional_once(self, monkeypatch):
+        # the two C3 hosts take the core path, one whose cap-3 core is the
+        # exceptional 2-2-3 and one whose core is not
         calls = []
         check = packing.is_in_exceptional
         monkeypatch.setattr(packing, "is_in_exceptional",
                             lambda d: calls.append(d) or check(d))
         result = dict(PACKERS)["quasi-transitive"]()
         assert calls == [result.host]
+        for sizes in [(2, 2, 4), (2, 3, 5)]:
+            host = sp.compose(_layers(sp.directed_cycle(3), *sizes))
+            calls.clear()
+            sp.pack_quasi_transitive(host, range(host.n))
+            assert calls == [host]
 
 
 class TestPackingFormat:
