@@ -185,8 +185,7 @@ def cmd_reduce(args) -> int:
         ends = _terminals(args.endpoints)
         if len(ends) != 4:
             raise PreconditionError("--endpoints needs exactly 4 ids s1,t1,s2,t2")
-        s1, t1, s2, t2 = ends
-        out = red.linkage_gadget(d, s1, t1, s2, t2, args.k, args.ell)
+        out = red.linkage_gadget(d, *ends, args.k, args.ell)
     elif args.source == "setcover-issp":
         out = red.cover_packing_gadget_internal(red.read_bipartite(_read(args.input)))
     elif args.source == "setcover-assp":
@@ -216,23 +215,20 @@ def cmd_gen(args) -> int:
 
     rng = random.Random(args.seed)
     if args.kind == "sym-comp":
-        spec = gen.random_symmetric_composition(args.t, args.max_inner, rng)
-        _write_out(write_composition(spec), args.out)
+        text = write_composition(gen.random_symmetric_composition(args.t, args.max_inner, rng))
     elif args.kind == "semi-comp":
-        spec = gen.random_semicomplete_composition(args.t, args.max_inner, rng)
-        _write_out(write_composition(spec), args.out)
+        text = write_composition(gen.random_semicomplete_composition(args.t, args.max_inner, rng))
     elif args.kind == "bipartite":
-        _write_out(write_digraph(gen.random_bipartite_host(args.a, args.b)), args.out)
+        text = write_digraph(gen.random_bipartite_host(args.a, args.b))
     elif args.kind == "hypergraph":
         from .reductions import write_hypergraph
 
-        h = gen.random_hypergraph(args.n, args.e, rng)
-        _write_out(write_hypergraph(h), args.out)
+        text = write_hypergraph(gen.random_hypergraph(args.n, args.e, rng))
     elif args.kind == "eulerian-linkage":
-        d = gen.random_eulerian(args.n, args.cycles, rng)
-        _write_out(write_digraph(d), args.out)
+        text = write_digraph(gen.random_eulerian(args.n, args.cycles, rng))
     else:
         raise PreconditionError(f"unknown kind {args.kind!r}")
+    _write_out(text, args.out)
     return EXIT_OK
 
 

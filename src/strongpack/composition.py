@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Sequence
 
-from .digraph import (Digraph, _digraph, _header, bits, is_quasi_transitive,
+from .digraph import (Digraph, _digraph, _header, bits, induced, is_quasi_transitive,
                       is_semicomplete, is_strong, mask_of, reachable, write_digraph)
 from .errors import GraphFormatError, PreconditionError, StrongpackError
 
@@ -120,11 +120,9 @@ def canonical_decomposition_strong_qt(d: Digraph) -> CompositionSpec:
     if t < 2:
         raise StrongpackError("decomposition produced a single part on a "
                               "strong digraph; input violates the structure")
-    inners, outer_out = [], []
-    for i, (bucket, pm) in enumerate(zip(parts, part_masks)):
-        local = {v: j for j, v in enumerate(bucket)}
-        inners.append(Digraph.from_masks(len(bucket), (
-            mask_of(local[w] for w in bits(d.out[v] & pm)) for v in bucket)))
+    inners = [induced(d, bucket) for bucket in parts]
+    outer_out = []
+    for i, bucket in enumerate(parts):
         heads = 0
         for v in bucket:
             heads |= d.out[v]

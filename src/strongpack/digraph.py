@@ -3,7 +3,8 @@
 Vertices are dense integer ids 0..n-1.  A digraph is stored as ``n`` plus a
 tuple of out-neighbourhood bitmasks: bit v of ``out[u]`` is set iff u -> v
 is an arc.  Equality and hashing work on ``(n, out)``; the arc set, the
-in-neighbourhoods and the adjacency lists are derived from the masks.
+in-neighbourhoods and the adjacency lists are derived from the masks on
+each use, never cached.
 
 ``Digraph(n, arcs)`` validates its input (no loops, ids in range) and is
 the constructor for external data.  ``Digraph.from_masks(n, out)`` is the
@@ -63,10 +64,18 @@ def reachable(masks: Sequence[int], root: int, within: int = -1) -> int:
     return seen
 
 
+def strong_component(out: Sequence[int], inn: Sequence[int], v: int,
+                     within: int = -1) -> int:
+    """Mask of the strong component holding ``v`` of the subgraph induced
+    by ``within``: the vertices ``v`` reaches both along ``out`` and along
+    the in-masks ``inn``."""
+    return reachable(out, v, within) & reachable(inn, v, within)
+
+
 class Digraph:
     """A simple directed graph on vertices 0..n-1 with no loops."""
 
-    __slots__ = ("n", "out", "_arcs")
+    __slots__ = ("n", "out")
 
     def __init__(self, n: int, arcs: Iterable[Arc] = ()):
         if n < 0:
@@ -92,7 +101,6 @@ class Digraph:
     def _set(self, n: int, out: tuple[int, ...]) -> None:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "out", out)
-        object.__setattr__(self, "_arcs", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Digraph is immutable")
@@ -110,11 +118,8 @@ class Digraph:
 
     @property
     def arcs(self) -> frozenset[Arc]:
-        """The arc set, built on first use and cached."""
-        if self._arcs is None:
-            object.__setattr__(self, "_arcs", frozenset(
-                [(u, v) for u, x in enumerate(self.out) for v in bits(x)]))
-        return self._arcs
+        """The arc set, built from the masks on each use."""
+        return frozenset([(u, v) for u, x in enumerate(self.out) for v in bits(x)])
 
     @property
     def m(self) -> int:
@@ -160,6 +165,15 @@ def as_terminals(d: Digraph, terminals) -> frozenset[int]:
     return ts
 
 
+def induced(d: Digraph, keep: list[int]) -> Digraph:
+    """The subdigraph induced by the ascending ids ``keep``, with keep[i]
+    renamed i."""
+    pos = {v: i for i, v in enumerate(keep)}
+    within = mask_of(keep)
+    return Digraph.from_masks(
+        len(keep), [mask_of(pos[v] for v in bits(d.out[u] & within)) for u in keep])
+
+
 def strong_components(d: Digraph) -> list[frozenset[int]]:
     """Strongly connected components, sorted by their smallest vertex.
 
@@ -189,8 +203,7 @@ def is_strong(d: Digraph) -> bool:
     vertex 0 reaches everything forwards and backwards."""
     if d.n < 1:
         raise PreconditionError("is_strong needs at least one vertex")
-    full = (1 << d.n) - 1
-    return reachable(d.out, 0) == full and reachable(d.in_masks(), 0) == full
+    return strong_component(d.out, d.in_masks(), 0) == (1 << d.n) - 1
 
 
 def is_symmetric(d: Digraph) -> bool:

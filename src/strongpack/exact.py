@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 from . import _kernel
 from .digraph import Arc, Digraph, as_terminals, bits, is_strong, \
-    is_symmetric, mask_of, reachable, underlying_connected
+    is_symmetric, mask_of, strong_component, underlying_connected
 from .errors import PreconditionError, SizeLimitError, StrongpackError
 from .flows import max_vertex_disjoint_paths, min_arc_cut, \
     vertex_capacitated_connectivity
@@ -52,47 +52,43 @@ class CutCertificate(NamedTuple):
         return len(self.arcs)
 
 
-def _component(d: Digraph, v: int) -> int:
-    """Mask of the strong component of ``d`` holding ``v``."""
-    return reachable(d.out, v) & reachable(d.in_masks(), v)
-
-
 def _single_part(d: Digraph, ts: frozenset[int]):
     """The unique maximal part for packing size 1: all arcs inside the
     strong component holding the terminals, or None."""
-    comp = _component(d, min(ts))
+    comp = strong_component(d.out, d.in_masks(), min(ts))
     if mask_of(ts) & ~comp:
         return None
     return frozenset((u, v) for u in bits(comp) for v in bits(d.out[u] & comp))
 
 
-def _min_terminal_cut(d: Digraph, ts: frozenset[int]):
-    """(size, cut, (u, v)): the minimum u->v arc cut over ordered terminal
-    pairs, the first strict minimum in ascending pair order.  A cut of
-    size 0 ends the scan."""
-    best = None
-    for u, v in permutations(sorted(ts), 2):
-        size, cut = min_arc_cut(d, u, v)
-        if best is None or size < best[0]:
-            best = (size, cut, (u, v))
-            if size == 0:
-                break
-    return best
+def _arc_flow(d: Digraph, u: int, w: int, ts: frozenset[int]) -> int:
+    return min_arc_cut(d, u, w)[0]
 
 
-def _internal_flow_bound(d: Digraph, ts: frozenset[int]) -> int:
-    """The terminal pairs' connectivity through non-terminal vertices of
-    capacity one.  It never exceeds the pair's arc flow, so it is at least
-    as tight as the arc flow bound."""
-    return min(vertex_capacitated_connectivity(d, u, v, ts)
-               for u, v in permutations(sorted(ts), 2))
+def _lowest_terminal_bound(d: Digraph, ts: frozenset[int], flow,
+                           symmetric: bool = False) -> int:
+    """The minimum of ``flow(d, u, w, ts)`` over ordered terminal pairs,
+    taken over the pairs through the lowest terminal s only: the minimum
+    over v != s of min(flow(s, v), flow(v, s)), 2(k-1) flows for k
+    terminals instead of k(k-1).  With ``symmetric`` it is the minimum of
+    flow(s, v) alone, k-1 flows.
+
+    The value is the same.  ``flow`` is a max flow whose minimum cuts
+    never remove a terminal, so a minimum u->w cut leaves s on u's side
+    or on w's side.  The same cut then also cuts every s->w path or every
+    u->s path, so flow(u, w) >= min(flow(s, w), flow(u, s)).  On a
+    symmetric host flow(u, s) = flow(s, u)."""
+    s = min(ts)
+    return min(flow(d, s, v, ts) if symmetric else
+               min(flow(d, s, v, ts), flow(d, v, s, ts)) for v in sorted(ts - {s}))
 
 
 def _pack_upward(d: Digraph, terminals, limits: SolverLimits, mode: str,
-                 search, bound_of):
+                 search, flow):
     """Optimal packing by upward search: size 1 is the terminals' strong
-    component, then ``search`` runs at sizes 2, 3, ... up to
-    ``bound_of(d, ts)``; the first size it refutes proves the optimum."""
+    component, then ``search`` runs at sizes 2, 3, ... up to the terminal
+    pairs' ``flow`` bound (every part holds a u->w path for each pair);
+    the first size it refutes proves the optimum."""
     limits.check(d)
     ts = as_terminals(d, terminals)
     part1 = _single_part(d, ts)
@@ -101,7 +97,7 @@ def _pack_upward(d: Digraph, terminals, limits: SolverLimits, mode: str,
     best_parts: tuple[frozenset[Arc], ...] = (part1,)
     arcs = sorted(d.arcs)
     s_mask = mask_of(ts)
-    bound = bound_of(d, ts)
+    bound = _lowest_terminal_bound(d, ts, flow)
     ell = 2
     while ell <= bound:
         found = search(d.n, arcs, s_mask, ell)
@@ -124,16 +120,17 @@ def exact_lambda(d: Digraph, terminals, limits: SolverLimits = DEFAULT_LIMITS):
     above the terminal-pair max-flow bound cannot occur and are skipped.
     """
     return _pack_upward(d, terminals, limits, MODE_ARC,
-                        _kernel.search_arc_disjoint,
-                        lambda d, ts: _min_terminal_cut(d, ts)[0])
+                        _kernel.search_arc_disjoint, _arc_flow)
 
 
 def exact_kappa(d: Digraph, terminals, limits: SolverLimits = DEFAULT_LIMITS):
     """Maximum number of arc-disjoint strong subgraphs containing all
     terminals whose pairwise vertex intersections are exactly the
-    terminal set, with an optimal packing."""
+    terminal set, with an optimal packing.  The size bound gives every
+    non-terminal vertex capacity one, so it is at most the arc flow bound."""
     return _pack_upward(d, terminals, limits, MODE_INTERNAL,
-                        _kernel.search_internally_disjoint, _internal_flow_bound)
+                        _kernel.search_internally_disjoint,
+                        vertex_capacitated_connectivity)
 
 
 def has_strong_arc_decomposition(d: Digraph, limits: SolverLimits = DEFAULT_LIMITS):
@@ -151,7 +148,7 @@ def has_strong_arc_decomposition(d: Digraph, limits: SolverLimits = DEFAULT_LIMI
     if found is None:
         return False, None
     second = frozenset(arcs[i] for i in found[1])
-    witness = (d.arcs - second, second)  # unused arcs join the first part
+    witness = (frozenset(arcs) - second, second)  # unused arcs join the first part
     if not verify_packing(Packing(d, frozenset(range(d.n)), MODE_ARC, witness)):
         raise StrongpackError("solver produced an invalid decomposition")
     return True, witness
@@ -161,11 +158,12 @@ def is_strong_cut(d: Digraph, ts: frozenset[int], cut) -> bool:
     """Definitional check: after removing ``cut`` at least two strong
     components contain terminals.  Pairs in ``cut`` that are not arcs of
     ``d`` are ignored."""
-    out = list(d.out)
+    out, inn = list(d.out), d.in_masks()
     for u, v in cut:
         if d.has_arc(u, v):
             out[u] &= ~(1 << v)
-    return bool(mask_of(ts) & ~_component(Digraph.from_masks(d.n, out), min(ts)))
+            inn[v] &= ~(1 << u)
+    return bool(mask_of(ts) & ~strong_component(out, inn, min(ts)))
 
 
 def min_strong_cut(d: Digraph, terminals) -> CutCertificate:
@@ -181,8 +179,11 @@ def min_strong_cut(d: Digraph, terminals) -> CutCertificate:
     if not is_strong(d):
         raise PreconditionError("cut is defined for strong digraphs only")
     ts = as_terminals(d, terminals)
-    _, cut, witness = _min_terminal_cut(d, ts)
-    cert = CutCertificate(cut, witness)
+    cert = None
+    for u, v in permutations(sorted(ts), 2):
+        size, cut = min_arc_cut(d, u, v)
+        if cert is None or size < cert.size:
+            cert = CutCertificate(cut, (u, v))
     if not is_strong_cut(d, ts, cert.arcs):
         raise StrongpackError("flow cut fails the definitional check")
     return cert
@@ -210,14 +211,15 @@ def steiner_cut_undirected(d: Digraph, terminals) -> int:
 
     Each removed edge corresponds to an antiparallel arc pair; the value is
     the minimum over terminal pairs of the undirected min cut, which on a
-    symmetric digraph equals the directed arc flow.
+    symmetric digraph equals the directed arc flow.  The pairs through the
+    lowest terminal give that minimum (``_lowest_terminal_bound``).
     """
     if not is_symmetric(d):
         raise PreconditionError("host must be symmetric")
     if not underlying_connected(d):
         raise PreconditionError("underlying graph must be connected")
     ts = as_terminals(d, terminals)
-    return min(min_arc_cut(d, u, v)[0] for u, v in combinations(sorted(ts), 2))
+    return _lowest_terminal_bound(d, ts, _arc_flow, symmetric=True)
 
 
 class CutRelationReport(NamedTuple):

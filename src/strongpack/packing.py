@@ -20,9 +20,9 @@ from itertools import permutations
 from typing import Iterable, NamedTuple, Optional
 
 from .composition import CompositionSpec, canonical_decomposition_strong_qt, compose
-from .digraph import (Arc, Digraph, _header, _lowest, as_terminals, bits,
-                      directed_cycle, directed_path, empty_digraph, is_semicomplete,
-                      is_strong, is_symmetric, mask_of, reachable)
+from .digraph import (Arc, Digraph, _header, _lowest, as_terminals, directed_cycle,
+                      directed_path, empty_digraph, induced, is_semicomplete,
+                      is_strong, is_symmetric, mask_of, strong_component)
 from .errors import (GraphFormatError, InfeasibleError, PreconditionError,
                      StrongpackError)
 from .hamilton import BlowupDecomposition, decompose_cycle_blowup, hamilton_semicomplete
@@ -76,8 +76,7 @@ def _strong_with(out: list[int], inn: list[int], required: int) -> bool:
         verts |= x | y
     if not verts or required & ~verts:
         return False
-    root = (verts & -verts).bit_length() - 1
-    return reachable(out, root) == verts and reachable(inn, root) == verts
+    return strong_component(out, inn, _lowest(verts)) == verts
 
 
 def verify_packing(p: Packing) -> Verdict:
@@ -160,12 +159,7 @@ class ExceptionalVerdict(NamedTuple):
 
 
 def _degree_profile(d: Digraph):
-    outd = [0] * d.n
-    ind = [0] * d.n
-    for u, v in d.arcs:
-        outd[u] += 1
-        ind[v] += 1
-    return sorted(zip(outd, ind))
+    return sorted(zip(map(int.bit_count, d.out), map(int.bit_count, d.in_masks())))
 
 
 def _isomorphism(d: Digraph, target: Digraph) -> Optional[tuple[int, ...]]:
@@ -175,9 +169,9 @@ def _isomorphism(d: Digraph, target: Digraph) -> Optional[tuple[int, ...]]:
         return None
     if _degree_profile(d) != _degree_profile(target):
         return None
-    tgt = target.arcs
+    arcs, tgt = d.arcs, target.arcs
     for perm in permutations(range(d.n)):
-        if all((perm[u], perm[v]) in tgt for (u, v) in d.arcs):
+        if all((perm[u], perm[v]) in tgt for (u, v) in arcs):
             return perm
     return None
 
@@ -312,7 +306,7 @@ def _semicomplete_parts(spec: CompositionSpec) -> list[set[Arc]]:
     offs = spec.offsets()
     dropped = _droppable_layer(outer) if t % 2 and n0 % 4 == 2 else None
     spine = [i for i in range(t) if i != dropped]
-    order = [spine[i] for i in hamilton_semicomplete(_induced(outer, spine))]
+    order = [spine[i] for i in hamilton_semicomplete(induced(outer, spine))]
     joins = [(layer, n0, order[pos - 1], order[(pos + 1) % len(order)])
              for pos, layer in enumerate(order)]
     if dropped is not None:
@@ -326,15 +320,6 @@ def _semicomplete_parts(spec: CompositionSpec) -> list[set[Arc]]:
     return _spine_parts(order, decompose_cycle_blowup(len(order), n0), offs, joins)
 
 
-def _induced(d: Digraph, keep: list[int]) -> Digraph:
-    """The subdigraph induced by the ascending ids ``keep``, with keep[i]
-    renamed i."""
-    pos = {v: i for i, v in enumerate(keep)}
-    within = mask_of(keep)
-    return Digraph.from_masks(
-        len(keep), [mask_of(pos[v] for v in bits(d.out[u] & within)) for u in keep])
-
-
 def _droppable_layer(outer: Digraph) -> Optional[int]:
     """The smallest outer vertex whose removal leaves a strong digraph, or
     None when there is none."""
@@ -342,8 +327,7 @@ def _droppable_layer(outer: Digraph) -> Optional[int]:
     full = (1 << outer.n) - 1
     for x in range(outer.n):
         rest = full & ~(1 << x)
-        root = _lowest(rest)
-        if reachable(outer.out, root, rest) == rest == reachable(inn, root, rest):
+        if strong_component(outer.out, inn, _lowest(rest), rest) == rest:
             return x
     return None
 
@@ -361,7 +345,7 @@ def _c3_core_parts(spec: CompositionSpec) -> tuple[list[set[Arc]], list[int]]:
             x & (1 << k) - 1 for h, k in zip(spec.inners, core) for x in h.out[:k]):
         core = [4 if k == 3 else k for k in core]
     sub = compose(CompositionSpec(
-        spec.outer, [_induced(h, list(range(k))) for h, k in zip(spec.inners, core)]))
+        spec.outer, [induced(h, list(range(k))) for h, k in zip(spec.inners, core)]))
     keep = [offs[i] + k for i, size in enumerate(core) for k in range(size)]
     arcs = sorted(sub.arcs)
     found = _kernel.search_arc_disjoint(sub.n, arcs, (1 << sub.n) - 1, 2)
@@ -391,12 +375,12 @@ def pack_quasi_transitive(d: Digraph, terminals) -> Packing:
 # -- text format ---------------------------------------------------------------
 #
 # Line 1: "parts=<count> mode=<arc|internal>"; then one line per part with
-# its arcs as "u>v" tokens separated by spaces.
+# its arcs as "u>v" tokens separated by spaces, or "-" for an empty part.
 
 def write_packing(p: Packing) -> str:
     lines = [f"parts={len(p.parts)} mode={p.mode}"]
     for part in p.parts:
-        lines.append(" ".join(f"{u}>{v}" for u, v in sorted(part)))
+        lines.append(" ".join(f"{u}>{v}" for u, v in sorted(part)) or "-")
     return "\n".join(lines) + "\n"
 
 
@@ -414,7 +398,7 @@ def read_packing(text: str, host: Digraph, terminals) -> Packing:
     parts = []
     for lineno, fields in rows:
         arcs = []
-        for token in fields:
+        for token in [] if fields == ["-"] else fields:
             try:
                 u, v = token.split(">")
                 arcs.append((int(u), int(v)))

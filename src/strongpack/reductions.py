@@ -117,6 +117,15 @@ def is_two_colorable(h: Hypergraph, limit: int = 20) -> bool:
 
 # -- disjoint-paths gadget -------------------------------------------------------
 
+def _check_endpoints(d: Digraph, ends: tuple[int, ...]) -> None:
+    """Refuse path endpoints that are not vertices of ``d`` or repeat."""
+    for v in ends:
+        if not 0 <= v < d.n:
+            raise PreconditionError(f"path endpoint {v} is not a vertex of the input")
+    if len(set(ends)) != len(ends):
+        raise PreconditionError("the four path endpoints must be distinct")
+
+
 def linkage_gadget(d: Digraph, s1: int, t1: int, s2: int, t2: int,
                    k: int, ell: int) -> ReductionOutput:
     """Eulerian digraph whose internally disjoint packing number reaches
@@ -131,8 +140,7 @@ def linkage_gadget(d: Digraph, s1: int, t1: int, s2: int, t2: int,
     """
     if k < 2 or ell < 2:
         raise PreconditionError("need k >= 2 and ell >= 2")
-    if len({s1, t1, s2, t2}) != 4:
-        raise PreconditionError("the four path endpoints must be distinct")
+    _check_endpoints(d, (s1, t1, s2, t2))
     if not is_eulerian(d):
         raise PreconditionError("input digraph is not Eulerian")
 
@@ -177,8 +185,7 @@ def has_disjoint_paths(d: Digraph, s1: int, t1: int, s2: int, t2: int,
     """Vertex-disjoint s1->t1 and s2->t2 paths, by path enumeration."""
     if d.n > limit:
         raise SizeLimitError(f"{d.n} vertices exceeds limit {limit}")
-    if len({s1, t1, s2, t2}) != 4:
-        raise PreconditionError("endpoints must be distinct")
+    _check_endpoints(d, (s1, t1, s2, t2))
     adj = d.adjacency()
 
     def paths(src, dst, banned):

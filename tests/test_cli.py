@@ -142,6 +142,14 @@ class TestPackVerify:
         assert main(["verify", "--graph", host, "--terminals", "0,2", bad]) == 2
         assert "arc-disjoint" in capsys.readouterr().out
 
+    def test_verify_reports_an_empty_part(self, workdir, capsys):
+        host = write(workdir / "c3.dg", sp.write_digraph(sp.directed_cycle(3)))
+        pack = write(workdir / "c3.pack", "parts=2 mode=arc\n-\n0>1 1>2 2>0\n")
+        assert main(["verify", "--graph", host, "--terminals", "0,1,2", pack]) == 2
+        assert capsys.readouterr().out == (
+            "violation: part is not a terminal-covering strong subgraph "
+            "parts=(0,) witness=None\n")
+
 
 class TestExact:
     def test_lambda_mode(self, workdir, capsys):
@@ -161,6 +169,12 @@ class TestExact:
         g = write(workdir / "c3.dg", sp.write_digraph(sp.directed_cycle(3)))
         assert main(["exact", "--mode", "sad", "--graph", g]) == 0
         assert "strong_arc_decomposition=False" in capsys.readouterr().out
+
+    def test_sad_mode_on_one_vertex_writes_empty_parts(self, workdir, capsys):
+        g = write(workdir / "k1.dg", "1 0\n")
+        out = workdir / "k1.pack"
+        assert main(["exact", "--mode", "sad", "--graph", g, "--out", str(out)]) == 0
+        assert out.read_text() == "parts=2 mode=arc\n-\n-\n"
 
     def test_cut_mode(self, workdir, capsys):
         g = write(workdir / "c3.dg", sp.write_digraph(sp.directed_cycle(3)))
@@ -384,6 +398,15 @@ class TestRefusals:
                              "--endpoints", "1,2"], capsys)
         assert code == 2
         assert err.startswith("precondition violated: ") and err.count("\n") == 1
+
+    def test_linkage_endpoint_outside_the_input_exits_2(self, workdir, capsys):
+        g = write(workdir / "e.dg", sp.write_digraph(sp.directed_cycle(6)))
+        out = workdir / "gadget.dg"
+        code, err = refusal(["reduce", "--from", "linkage", "--input", g,
+                             "--endpoints", "0,1,2,6", "--out", str(out)], capsys)
+        assert code == 2
+        assert err == "precondition violated: path endpoint 6 is not a vertex of the input\n"
+        assert not out.exists()
 
     def test_pack_needs_an_input(self, capsys):
         code, err = refusal(["pack", "--terminals", "0,1"], capsys)

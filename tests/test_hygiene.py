@@ -4,7 +4,8 @@ or class is referenced somewhere in the package beyond its own definition,
 and every public one somewhere in the package or through ``strongpack`` in
 its tests or its benchmark (the ``__init__`` export table does not count);
 no ``assert`` statement, since ``python -O`` strips it, so a check must
-raise instead; and one function that splits text into lines."""
+raise instead; one function that splits text into lines; and one place
+outside ``digraph`` pairs a forward and a backward closure."""
 
 import ast
 import functools
@@ -156,3 +157,18 @@ def test_one_row_scanner():
                and isinstance(node.func, ast.Attribute)
                and node.func.attr == "splitlines"]
     assert callers == ["digraph._rows"]
+
+
+def test_one_forward_backward_pair():
+    """No function outside ``digraph`` calls ``reachable`` more than once, so
+    a strong component is built from a forward and a backward closure only
+    in ``digraph.strong_component``."""
+    def calls(fn):
+        return sum(isinstance(node, ast.Call) and "reachable" in (
+            getattr(node.func, "id", None), getattr(node.func, "attr", None))
+            for node in ast.walk(fn))
+
+    pairs = [f"{module[:-3]}.{fn.name}" for module, tree in TREES.items()
+             if module != "digraph.py" for fn in ast.walk(tree)
+             if isinstance(fn, ast.FunctionDef) and calls(fn) > 1]
+    assert pairs == []

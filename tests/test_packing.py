@@ -392,6 +392,14 @@ class TestPackingFormat:
         assert loaded.parts == p.parts and loaded.mode == p.mode
         assert sp.write_packing(loaded) == text
 
+    def test_empty_part_round_trip(self, c3):
+        p = make_packing(c3, [0, 1], [(), c3.arcs, ()])
+        text = sp.write_packing(p)
+        assert text == "parts=3 mode=arc\n-\n0>1 1>2 2>0\n-\n"
+        loaded = sp.read_packing(text, c3, [0, 1])
+        assert loaded.parts == p.parts
+        assert sp.write_packing(loaded) == text
+
     def test_bad_header(self, c3):
         with pytest.raises(GraphFormatError):
             sp.read_packing("nonsense\n", c3, [0, 1])

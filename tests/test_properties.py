@@ -1,10 +1,16 @@
 """Property-based checks over random small digraphs."""
 
+from itertools import combinations, permutations
+
+import networkx as nx
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 from hypothesis.strategies import composite
 
 import strongpack as sp
+from strongpack import exact
+from strongpack.digraph import induced, mask_of, strong_component
+from strongpack.flows import min_arc_cut, vertex_capacitated_connectivity
 
 pytestmark = pytest.mark.filterwarnings("ignore::hypothesis.errors.NonInteractiveExampleWarning")
 
@@ -220,3 +226,63 @@ def test_packing_numbers_monotone_under_adding_an_arc(pair, data):
     bigger = sp.Digraph(d.n, [*d.arcs, arc])
     for fn in EXACT_SOLVERS:
         assert fn(bigger, terminals)[0] >= fn(d, terminals)[0]
+
+
+# Each graph primitive has one implementation; these pin it to a direct
+# computation: the flow bounds through the lowest terminal against every
+# terminal pair, and the strong component and the induced subdigraph
+# against networkx.
+
+@composite
+def hosts_with_terminals(draw, hosts):
+    """A host from ``hosts`` and 2-5 of its vertices as terminals."""
+    d = draw(hosts)
+    k = draw(st.integers(min_value=2, max_value=min(5, d.n)))
+    return d, frozenset(draw(st.permutations(range(d.n)))[:k])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(hosts_with_terminals(digraphs()), hosts_with_terminals(
+    strong_hosts_with_terminals().map(lambda pair: pair[0]))))
+def test_lowest_terminal_bound_is_the_all_pairs_minimum(pair):
+    d, ts = pair
+    pairs = list(permutations(sorted(ts), 2))
+    assert exact._lowest_terminal_bound(d, ts, exact._arc_flow) == min(
+        min_arc_cut(d, u, w)[0] for u, w in pairs)
+    assert exact._lowest_terminal_bound(d, ts, vertex_capacitated_connectivity) == min(
+        vertex_capacitated_connectivity(d, u, w, ts) for u, w in pairs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(hosts_with_terminals(symmetric_digraphs(min_n=3, max_n=7)))
+def test_steiner_cut_is_the_unordered_pairs_minimum(pair):
+    d, ts = pair
+    assert sp.steiner_cut_undirected(d, ts) == min(
+        min_arc_cut(d, u, w)[0] for u, w in combinations(sorted(ts), 2))
+
+
+def _networkx(d):
+    g = nx.DiGraph()
+    g.add_nodes_from(range(d.n))
+    g.add_edges_from(d.arcs)
+    return g
+
+
+@settings(max_examples=300)
+@given(digraphs(max_n=7, max_m=20), st.data())
+def test_strong_component_matches_networkx(d, data):
+    v = data.draw(st.integers(min_value=0, max_value=d.n - 1))
+    others = data.draw(st.lists(st.integers(min_value=0, max_value=d.n - 1)))
+    keep = sorted({v, *others})
+    out, inn = d.out, d.in_masks()
+    for within, g in ((-1, _networkx(d)), (mask_of(keep), _networkx(d).subgraph(keep))):
+        want = next(c for c in nx.strongly_connected_components(g) if v in c)
+        assert strong_component(out, inn, v, within) == mask_of(want)
+
+
+@given(digraphs(max_n=7), st.data())
+def test_induced_matches_networkx(d, data):
+    keep = sorted(data.draw(st.sets(st.integers(min_value=0, max_value=d.n - 1))))
+    sub = nx.relabel_nodes(_networkx(d).subgraph(keep), {v: i for i, v in enumerate(keep)})
+    h = induced(d, keep)
+    assert h.n == len(keep) and h.arcs == set(sub.edges)

@@ -90,6 +90,14 @@ class TestLinkageGadget:
         with pytest.raises(PreconditionError):
             sp.linkage_gadget(self.euler_square(), 0, 0, 2, 3, 2, 2)
 
+    @pytest.mark.parametrize("t2", [6, -1, 7])
+    def test_rejects_endpoint_outside_the_input(self, t2):
+        d = sp.directed_cycle(6)
+        with pytest.raises(PreconditionError, match=f"path endpoint {t2} is not a vertex"):
+            sp.linkage_gadget(d, 0, 1, 2, t2, 2, 2)
+        with pytest.raises(PreconditionError, match=f"path endpoint {t2} is not a vertex"):
+            sp.has_disjoint_paths(d, 0, 1, 2, t2)
+
     def test_oracle_two_disjoint_arcs(self):
         d = sp.Digraph(4, [(0, 1), (2, 3)])
         assert sp.has_disjoint_paths(d, 0, 1, 2, 3)
