@@ -12,8 +12,8 @@ from itertools import combinations, permutations
 from typing import NamedTuple
 
 from . import _kernel
-from .digraph import Arc, Digraph, as_terminals, bits, is_strong, \
-    is_symmetric, mask_of, strong_component, underlying_connected
+from .digraph import Arc, Digraph, _lowest, _step, as_terminals, bits, \
+    is_strong, is_symmetric, mask_of, strong_component, underlying_connected
 from .errors import PreconditionError, SizeLimitError, StrongpackError
 from .flows import max_vertex_disjoint_paths, min_arc_cut, \
     vertex_capacitated_connectivity
@@ -83,12 +83,59 @@ def _lowest_terminal_bound(d: Digraph, ts: frozenset[int], flow,
                min(flow(d, s, v, ts), flow(d, v, s, ts)) for v in sorted(ts - {s}))
 
 
+def _shortest_path(out: list[int], inn: list[int], a: int, b: int):
+    """The arcs of a shortest a->b path, by layered BFS from a, walked back
+    from b through the lowest-id in-neighbour in the previous layer; None
+    if b is unreachable."""
+    layers = [1 << a]
+    seen = layers[0]
+    while not layers[-1] >> b & 1:
+        nxt = _step(out, layers[-1]) & ~seen
+        if not nxt:
+            return None
+        seen |= nxt
+        layers.append(nxt)
+    path = []
+    for layer in reversed(layers[:-1]):
+        u = _lowest(inn[b] & layer)
+        path.append((u, b))
+        b = u
+    return path
+
+
+def _greedy_parts(d: Digraph, ts: frozenset[int]) -> tuple[frozenset[Arc], ...]:
+    """Arc-disjoint strong parts holding every terminal, found greedily.
+
+    A part is the union of shortest paths between cyclically consecutive
+    terminals in ascending order, each on the arcs earlier parts left: a
+    closed walk through every terminal, hence strong.  Its paths may share
+    arcs, so the part's arcs leave the host only once all of them are
+    found.  Stops at the first missing path."""
+    out, inn = list(d.out), d.in_masks()
+    order = sorted(ts)
+    parts = []
+    while True:
+        part = set()
+        for a, b in zip(order, order[1:] + order[:1]):
+            path = _shortest_path(out, inn, a, b)
+            if path is None:
+                return tuple(parts)
+            part.update(path)
+        for u, v in part:
+            out[u] &= ~(1 << v)
+            inn[v] &= ~(1 << u)
+        parts.append(frozenset(part))
+
+
 def _pack_upward(d: Digraph, terminals, limits: SolverLimits, mode: str,
-                 search, flow):
+                 search, flow, greedy=None):
     """Optimal packing by upward search: size 1 is the terminals' strong
-    component, then ``search`` runs at sizes 2, 3, ... up to the terminal
-    pairs' ``flow`` bound (every part holds a u->w path for each pair);
-    the first size it refutes proves the optimum."""
+    component, and the terminal pairs' ``flow`` bound caps every size
+    (every part holds a u->w path for each pair).  With ``greedy`` and a
+    bound of at least 2, its parts, when there are two or more, are the
+    packing to beat; ``search`` then runs at sizes greedy + 1, ... (else
+    2, 3, ...) up to the bound, and the first size it refutes proves the
+    optimum.  A greedy that reaches the bound leaves nothing to search."""
     limits.check(d)
     ts = as_terminals(d, terminals)
     part1 = _single_part(d, ts)
@@ -98,7 +145,12 @@ def _pack_upward(d: Digraph, terminals, limits: SolverLimits, mode: str,
     arcs = sorted(d.arcs)
     s_mask = mask_of(ts)
     bound = _lowest_terminal_bound(d, ts, flow)
-    ell = 2
+    if greedy is not None and bound >= 2:
+        _kernel._check_size(d.n)  # the search's refusal, whether it runs or not
+        parts = greedy(d, ts)
+        if len(parts) >= 2:
+            best_parts = parts
+    ell = len(best_parts) + 1
     while ell <= bound:
         found = search(d.n, arcs, s_mask, ell)
         if found is None:
@@ -115,12 +167,15 @@ def exact_lambda(d: Digraph, terminals, limits: SolverLimits = DEFAULT_LIMITS):
     """Maximum number of pairwise arc-disjoint strong subgraphs containing
     all terminals, with an optimal packing.
 
-    Candidate sizes run upward from 1; each size is certified by a found
-    packing, and the search at a failing size proves the optimum.  Sizes
-    above the terminal-pair max-flow bound cannot occur and are skipped.
+    The minimum terminal arc cut bounds the value from above, and a greedy
+    packing (``_greedy_parts``) from below; a greedy that meets the cut is
+    returned with no search.  Otherwise candidate sizes run upward from
+    greedy + 1 (from 2 when the greedy finds one part); each size is
+    certified by a found packing, and the search at a failing size proves
+    the optimum.
     """
     return _pack_upward(d, terminals, limits, MODE_ARC,
-                        _kernel.search_arc_disjoint, _arc_flow)
+                        _kernel.search_arc_disjoint, _arc_flow, _greedy_parts)
 
 
 def exact_kappa(d: Digraph, terminals, limits: SolverLimits = DEFAULT_LIMITS):

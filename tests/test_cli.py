@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -197,6 +198,15 @@ class TestExact:
         assert err.startswith("size limit: ") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    def test_value_one_above_64_vertices_answers(self, workdir, capsys):
+        # the bioriented path has terminal cut 1, so no search would run and
+        # the 64-vertex refusal does not apply
+        path = [(i, i + 1) for i in range(65)]
+        g = write(workdir / "path66.dg", sp.write_digraph(sp.biorientation(66, path)))
+        assert main(["exact", "--mode", "lambda", "--graph", g, "--terminals", "0,5",
+                     "--limit-n", "100", "--limit-m", "200"]) == 0
+        assert "value=1" in capsys.readouterr().out
+
     @pytest.mark.parametrize("flag", ["--limit-n", "--limit-m"])
     def test_zero_limit_refuses(self, workdir, capsys, flag):
         g = write(workdir / "c3.dg", sp.write_digraph(sp.directed_cycle(3)))
@@ -347,6 +357,18 @@ class TestGenAndSurvey:
         text = (workdir / "default.csv").read_text()
         assert "skipped" in text and ",ok" in text
         assert text == (workdir / "given.csv").read_text()
+
+    # SHA-256 of the survey CSVs, recorded before exact_lambda tried a
+    # greedy packing first: a witness may change, a value may not
+    @pytest.mark.parametrize("family, seed, digest", [
+        ("semi-comp", 11, "398152dfafe4d36660856a9c179f9f904518ad2b2a7105a57d5782176d3b27ca"),
+        ("symmetric", 1, "96f844fd675b34dd9d913013e0d20963f74d43080c038277c31e51cf44e4e0aa"),
+    ])
+    def test_survey_bytes_are_pinned(self, workdir, family, seed, digest):
+        out = workdir / "pinned.csv"
+        assert main(["survey", "--family", family, "--trials", "60",
+                     "--seed", str(seed), "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_survey_zero_limit_skips_every_row(self, workdir):
         out = str(workdir / "z.csv")

@@ -5,10 +5,12 @@ import pytest
 
 import strongpack as sp
 from strongpack import _kernel
+from strongpack.digraph import bits
 from strongpack.errors import PreconditionError, SizeLimitError, StrongpackError
 from strongpack.exact import SolverLimits
 
 from conftest import exceptional_member
+from test_kernel import PINNED_NODES, _pinned_host
 
 WIDE = SolverLimits(max_vertices=10, max_arcs=40)
 
@@ -46,6 +48,19 @@ class TestExactLambda:
         a = sp.exact_lambda(k23, [0, 2])
         b = sp.exact_lambda(k23, [0, 2])
         assert a[0] == b[0] and a[1].parts == b[1].parts
+
+    def test_greedy_meeting_the_cut_needs_no_search(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the search ran")
+
+        monkeypatch.setattr(_kernel, "search_arc_disjoint", refuse)
+        wide = SolverLimits(64, 5000)
+        hosts = [(d, bits(s_mask)) for d, _, s_mask in
+                 (_pinned_host(*key) for key in sorted(PINNED_NODES))]
+        hosts.append((sp.Digraph(40, itertools.permutations(range(40), 2)), [0, 1]))
+        results = [sp.exact_lambda(d, terminals, wide) for d, terminals in hosts]
+        assert [value for value, _ in results] == [2, 3, 4, 5, 39]
+        assert all(sp.verify_packing(packing).ok for _, packing in results)
 
     def test_refuses_oversize(self):
         with pytest.raises(SizeLimitError):
