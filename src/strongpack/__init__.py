@@ -63,16 +63,11 @@ _EXPORTS = {
     "hamilton_semicomplete": "hamilton",
     "EXCEPTIONAL_COMPOSITIONS": "packing",
     "ExceptionalVerdict": "packing",
-    "Packing": "packing",
-    "Verdict": "packing",
     "is_in_exceptional": "packing",
     "pack_bipartite": "packing",
     "pack_quasi_transitive": "packing",
     "pack_semicomplete_composition": "packing",
     "pack_symmetric_composition": "packing",
-    "read_packing": "packing",
-    "verify_packing": "packing",
-    "write_packing": "packing",
     "BipartiteGraph": "reductions",
     "Hypergraph": "reductions",
     "ReductionOutput": "reductions",
@@ -87,10 +82,15 @@ _EXPORTS = {
     "read_hypergraph": "reductions",
     "write_bipartite": "reductions",
     "write_hypergraph": "reductions",
+    "Packing": "verify",
+    "Verdict": "verify",
+    "read_packing": "verify",
+    "verify_packing": "verify",
+    "write_packing": "verify",
 }
 
 _SUBMODULES = frozenset({"_kernel", "cli", "composition", "digraph", "errors", "exact",
-                         "flows", "generators", "hamilton", "packing", "reductions"})
+                         "flows", "generators", "hamilton", "packing", "reductions", "verify"})
 
 __all__ = sorted(_EXPORTS)
 

@@ -130,12 +130,12 @@ def _bipartite_sides(d):
 
 
 def cmd_verify(args) -> int:
-    from . import packing as pk
+    from . import verify as vf
     from .digraph import read_digraph
 
     d = read_digraph(_read(args.graph))
-    packing = pk.read_packing(_read(args.packing), d, _terminals(args.terminals))
-    verdict = pk.verify_packing(packing)
+    packing = vf.read_packing(_read(args.packing), d, _terminals(args.terminals))
+    verdict = vf.verify_packing(packing)
     if verdict.ok:
         print(f"ok parts={len(packing.parts)} mode={packing.mode}")
         return EXIT_OK
@@ -145,7 +145,7 @@ def cmd_verify(args) -> int:
 
 def cmd_exact(args) -> int:
     from . import exact as ex
-    from . import packing as pk
+    from . import verify as vf
     from .digraph import read_digraph
 
     d = read_digraph(_read(args.graph))
@@ -155,13 +155,13 @@ def cmd_exact(args) -> int:
         fn = ex.exact_lambda if args.mode == "lambda" else ex.exact_kappa
         value, packing = fn(d, terminals, limits)
         print(f"value={value}")
-        _write_out(pk.write_packing(packing), args.out)
+        _write_out(vf.write_packing(packing), args.out)
     elif args.mode == "sad":
         flag, witness = ex.has_strong_arc_decomposition(d, limits)
         print(f"strong_arc_decomposition={flag}")
         if flag:
-            packing = pk.Packing(d, frozenset(range(d.n)), pk.MODE_ARC, witness)
-            _write_out(pk.write_packing(packing), args.out)
+            packing = vf.Packing(d, frozenset(range(d.n)), vf.MODE_ARC, witness)
+            _write_out(vf.write_packing(packing), args.out)
     elif args.mode == "cut":
         cert = ex.min_strong_cut(d, _terminals(args.terminals))
         print(f"size={cert.size} witness={cert.witness[0]},{cert.witness[1]}")
@@ -285,7 +285,9 @@ def cmd_decompose(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """Every subcommand with its help line, but the arguments only on
+    ``command``'s subparser (on all of them when ``command`` names none)."""
     from . import __version__
 
     ap = argparse.ArgumentParser(
@@ -296,80 +298,88 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version",
                     version=f"strongpack {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
+    every = command not in ("analyze", "pack", "verify", "exact", "reduce", "gen",
+                            "survey", "decompose")
 
-    p = sub.add_parser("analyze", help="digraph class report")
-    p.add_argument("--graph", required=True)
-    p.set_defaults(fn=cmd_analyze)
+    def add(name, text):
+        p = sub.add_parser(name, help=text)
+        return p if every or name == command else None
 
-    p = sub.add_parser("pack", help="construct a packing")
-    source = p.add_mutually_exclusive_group(required=True)
-    source.add_argument("--graph")
-    source.add_argument("--composition")
-    p.add_argument("--terminals", required=True, help="comma-separated ids")
-    p.add_argument("--strategy", default="auto",
-                   choices=["auto", "bipartite", "symmetric", "semicomplete", "qt"])
-    p.add_argument("--out")
-    p.set_defaults(fn=cmd_pack)
+    if p := add("analyze", "digraph class report"):
+        p.add_argument("--graph", required=True)
+        p.set_defaults(fn=cmd_analyze)
 
-    p = sub.add_parser("verify", help="check a packing file")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--terminals", required=True)
-    p.add_argument("packing")
-    p.set_defaults(fn=cmd_verify)
+    if p := add("pack", "construct a packing"):
+        source = p.add_mutually_exclusive_group(required=True)
+        source.add_argument("--graph")
+        source.add_argument("--composition")
+        p.add_argument("--terminals", required=True, help="comma-separated ids")
+        p.add_argument("--strategy", default="auto",
+                       choices=["auto", "bipartite", "symmetric", "semicomplete", "qt"])
+        p.add_argument("--out")
+        p.set_defaults(fn=cmd_pack)
 
-    p = sub.add_parser("exact", help="exhaustive solvers")
-    p.add_argument("--mode", required=True, choices=["lambda", "kappa", "sad", "cut"])
-    p.add_argument("--graph", required=True)
-    p.add_argument("--terminals", default="")
-    p.add_argument("--limit-n", type=int, dest="limit_n")
-    p.add_argument("--limit-m", type=int, dest="limit_m")
-    p.add_argument("--out")
-    p.set_defaults(fn=cmd_exact)
+    if p := add("verify", "check a packing file"):
+        p.add_argument("--graph", required=True)
+        p.add_argument("--terminals", required=True)
+        p.add_argument("packing")
+        p.set_defaults(fn=cmd_verify)
 
-    p = sub.add_parser("reduce", help="generate a hardness gadget")
-    p.add_argument("--from", dest="source", required=True,
-                   choices=["hypergraph", "linkage", "setcover-issp", "setcover-assp"])
-    p.add_argument("--input", required=True)
-    p.add_argument("--ell", type=int, default=2)
-    p.add_argument("--k", type=int, default=2)
-    p.add_argument("--endpoints", default="", help="s1,t1,s2,t2 for linkage")
-    p.add_argument("--out")
-    p.set_defaults(fn=cmd_reduce)
+    if p := add("exact", "exhaustive solvers"):
+        p.add_argument("--mode", required=True, choices=["lambda", "kappa", "sad", "cut"])
+        p.add_argument("--graph", required=True)
+        p.add_argument("--terminals", default="")
+        p.add_argument("--limit-n", type=int, dest="limit_n")
+        p.add_argument("--limit-m", type=int, dest="limit_m")
+        p.add_argument("--out")
+        p.set_defaults(fn=cmd_exact)
 
-    p = sub.add_parser("gen", help="seeded random instances")
-    p.add_argument("kind", choices=["sym-comp", "semi-comp", "bipartite",
-                                    "hypergraph", "eulerian-linkage"])
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--t", type=int, default=3)
-    p.add_argument("--max-inner", type=int, dest="max_inner", default=3)
-    p.add_argument("--a", type=int, default=2)
-    p.add_argument("--b", type=int, default=3)
-    p.add_argument("--n", type=int, default=6)
-    p.add_argument("--e", type=int, default=3)
-    p.add_argument("--cycles", type=int, default=2)
-    p.add_argument("--out")
-    p.set_defaults(fn=cmd_gen)
+    if p := add("reduce", "generate a hardness gadget"):
+        p.add_argument("--from", dest="source", required=True,
+                       choices=["hypergraph", "linkage", "setcover-issp", "setcover-assp"])
+        p.add_argument("--input", required=True)
+        p.add_argument("--ell", type=int, default=2)
+        p.add_argument("--k", type=int, default=2)
+        p.add_argument("--endpoints", default="", help="s1,t1,s2,t2 for linkage")
+        p.add_argument("--out")
+        p.set_defaults(fn=cmd_reduce)
 
-    p = sub.add_parser("survey", help="CSV of packing and cut sizes")
-    p.add_argument("--family", default="symmetric", choices=["symmetric", "semi-comp"])
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=10)
-    p.add_argument("--limit-n", type=int, dest="limit_n")
-    p.add_argument("--limit-m", type=int, dest="limit_m")
-    p.add_argument("--out")
-    p.set_defaults(fn=cmd_survey)
+    if p := add("gen", "seeded random instances"):
+        p.add_argument("kind", choices=["sym-comp", "semi-comp", "bipartite",
+                                        "hypergraph", "eulerian-linkage"])
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--t", type=int, default=3)
+        p.add_argument("--max-inner", type=int, dest="max_inner", default=3)
+        p.add_argument("--a", type=int, default=2)
+        p.add_argument("--b", type=int, default=3)
+        p.add_argument("--n", type=int, default=6)
+        p.add_argument("--e", type=int, default=3)
+        p.add_argument("--cycles", type=int, default=2)
+        p.add_argument("--out")
+        p.set_defaults(fn=cmd_gen)
 
-    p = sub.add_parser("decompose", help="Hamiltonian decomposition of a cycle blow-up")
-    p.add_argument("t", type=int)
-    p.add_argument("r", type=int)
-    p.add_argument("--out")
-    p.set_defaults(fn=cmd_decompose)
+    if p := add("survey", "CSV of packing and cut sizes"):
+        p.add_argument("--family", default="symmetric", choices=["symmetric", "semi-comp"])
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--trials", type=int, default=10)
+        p.add_argument("--limit-n", type=int, dest="limit_n")
+        p.add_argument("--limit-m", type=int, dest="limit_m")
+        p.add_argument("--out")
+        p.set_defaults(fn=cmd_survey)
+
+    if p := add("decompose", "Hamiltonian decomposition of a cycle blow-up"):
+        p.add_argument("t", type=int)
+        p.add_argument("r", type=int)
+        p.add_argument("--out")
+        p.set_defaults(fn=cmd_decompose)
 
     return ap
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    command = next((arg for arg in argv if not arg.startswith("-")), None)
+    args = build_parser(command).parse_args(argv)
     try:
         return args.fn(args)
     except GraphFormatError as exc:

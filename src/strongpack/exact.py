@@ -17,7 +17,7 @@ from .digraph import Arc, Digraph, _lowest, _step, as_terminals, bits, \
 from .errors import PreconditionError, SizeLimitError, StrongpackError
 from .flows import max_vertex_disjoint_paths, min_arc_cut, \
     vertex_capacitated_connectivity
-from .packing import MODE_ARC, MODE_INTERNAL, Packing, verify_packing
+from .verify import MODE_ARC, MODE_INTERNAL, Packing, verify_packing
 
 
 class SolverLimits(NamedTuple):
@@ -135,7 +135,8 @@ def _pack_upward(d: Digraph, terminals, limits: SolverLimits, mode: str,
     bound of at least 2, its parts, when there are two or more, are the
     packing to beat; ``search`` then runs at sizes greedy + 1, ... (else
     2, 3, ...) up to the bound, and the first size it refutes proves the
-    optimum.  A greedy that reaches the bound leaves nothing to search."""
+    optimum.  A greedy that reaches the bound leaves nothing to search, so
+    the kernel's vertex limit refuses only a host that needs a search."""
     limits.check(d)
     ts = as_terminals(d, terminals)
     part1 = _single_part(d, ts)
@@ -146,7 +147,6 @@ def _pack_upward(d: Digraph, terminals, limits: SolverLimits, mode: str,
     s_mask = mask_of(ts)
     bound = _lowest_terminal_bound(d, ts, flow)
     if greedy is not None and bound >= 2:
-        _kernel._check_size(d.n)  # the search's refusal, whether it runs or not
         parts = greedy(d, ts)
         if len(parts) >= 2:
             best_parts = parts

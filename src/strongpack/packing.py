@@ -1,10 +1,5 @@
-"""Constructive packings of arc-disjoint strongly connected subgraphs,
-their verifier, and the detector for the three exceptional compositions.
-
-A packing is a collection of arc sets over one host digraph.  Each part
-must induce a strong subgraph containing every terminal; parts never share
-an arc, and in "internal" mode the vertex sets of two parts meet exactly
-in the terminal set.
+"""Constructive packings of arc-disjoint strongly connected subgraphs and
+the exceptional-composition detector; the record and verifier live in ``verify``.
 
 Every constructive packer is one spine construction (``_spine_parts``):
 the Hamiltonian cycles of a blown-up cycle of layers, with the other
@@ -20,95 +15,15 @@ from itertools import permutations
 from typing import Iterable, NamedTuple, Optional
 
 from .composition import CompositionSpec, canonical_decomposition_strong_qt, compose
-from .digraph import (Arc, Digraph, _header, _lowest, as_terminals, directed_cycle,
-                      directed_path, empty_digraph, induced, is_semicomplete,
-                      is_strong, is_symmetric, mask_of, strong_component)
-from .errors import (GraphFormatError, InfeasibleError, PreconditionError,
-                     StrongpackError)
+from .digraph import (Arc, Digraph, _lowest, as_terminals, directed_cycle, directed_path,
+                      empty_digraph, induced, is_semicomplete, is_strong, is_symmetric,
+                      strong_component)
+from .errors import InfeasibleError, PreconditionError, StrongpackError
 from .hamilton import BlowupDecomposition, decompose_cycle_blowup, hamilton_semicomplete
-
-MODE_ARC = "arc"
-MODE_INTERNAL = "internal"
-
-
-class Packing(NamedTuple):
-    host: Digraph
-    terminals: frozenset[int]
-    mode: str
-    parts: tuple[frozenset[Arc], ...]
-
-    def part_vertices(self, i: int) -> frozenset[int]:
-        return frozenset(v for arc in self.parts[i] for v in arc)
-
-
-class Verdict(NamedTuple):
-    """Outcome of verify_packing: ok, or the first violated clause."""
-
-    ok: bool
-    reason: Optional[str] = None
-    parts: tuple[int, ...] = ()
-    witness: object = None
-
-    def __bool__(self):
-        return self.ok
-
-
-def _part_masks(host: Digraph,
-                arcs: frozenset[Arc]) -> tuple[list[int], list[int], list[Arc]]:
-    """(out-masks, in-masks, stray arcs) of the subgraph spanned by the
-    host arcs among ``arcs``; stray arcs are those not in the host."""
-    n, host_out = host.n, host.out
-    out, inn, stray = [0] * n, [0] * n, []
-    for u, v in arcs:
-        if 0 <= u < n and 0 <= v < n and host_out[u] >> v & 1:
-            out[u] |= 1 << v
-            inn[v] |= 1 << u
-        else:
-            stray.append((u, v))
-    return out, inn, stray
-
-
-def _strong_with(out: list[int], inn: list[int], required: int) -> bool:
-    """The subgraph with these masks (its vertices are the arc ends) is
-    strong and covers the vertex mask ``required``."""
-    verts = 0
-    for x, y in zip(out, inn):
-        verts |= x | y
-    if not verts or required & ~verts:
-        return False
-    return strong_component(out, inn, _lowest(verts)) == verts
-
-
-def verify_packing(p: Packing) -> Verdict:
-    if p.mode not in (MODE_ARC, MODE_INTERNAL):
-        return Verdict(False, "unknown mode", witness=p.mode)
-    required = mask_of(p.terminals)
-    used = [0] * p.host.n
-    overlap = False  # arcs shared between parts; located pair by pair below
-    for i, part in enumerate(p.parts):
-        out, inn, stray = _part_masks(p.host, part)
-        if stray:
-            return Verdict(False, "arc not in host", (i,), min(stray))
-        if not _strong_with(out, inn, required):
-            return Verdict(False, "part is not a terminal-covering strong subgraph", (i,))
-        for u, x in enumerate(out):
-            if used[u] & x:
-                overlap = True
-            used[u] |= x
-    if overlap:
-        for i in range(len(p.parts)):
-            for j in range(i + 1, len(p.parts)):
-                shared = p.parts[i] & p.parts[j]
-                if shared:
-                    return Verdict(False, "arc-disjoint", (i, j), sorted(shared)[0])
-    if p.mode == MODE_INTERNAL:
-        for i in range(len(p.parts)):
-            vi = p.part_vertices(i)
-            for j in range(i + 1, len(p.parts)):
-                extra = (vi & p.part_vertices(j)) - p.terminals
-                if extra:
-                    return Verdict(False, "internal disjointness", (i, j), min(extra))
-    return Verdict(True)
+# perfbench reads the record, verifier and text format on this module, and its
+# tracer wraps them here; "x as x" marks a name imported only for that.
+from .verify import (MODE_ARC, MODE_INTERNAL as MODE_INTERNAL, Packing, verify_packing,
+                     read_packing as read_packing, write_packing as write_packing)
 
 
 def _checked(p: Packing) -> Packing:
@@ -370,41 +285,3 @@ def pack_quasi_transitive(d: Digraph, terminals) -> Packing:
     parts = [d.arcs] if spec.n0 == 1 else [
         {(back[u], back[v]) for u, v in part} for part in _semicomplete_parts(spec)]
     return _checked(Packing(d, ts, MODE_ARC, tuple(frozenset(p) for p in parts)))
-
-
-# -- text format ---------------------------------------------------------------
-#
-# Line 1: "parts=<count> mode=<arc|internal>"; then one line per part with
-# its arcs as "u>v" tokens separated by spaces, or "-" for an empty part.
-
-def write_packing(p: Packing) -> str:
-    lines = [f"parts={len(p.parts)} mode={p.mode}"]
-    for part in p.parts:
-        lines.append(" ".join(f"{u}>{v}" for u, v in sorted(part)) or "-")
-    return "\n".join(lines) + "\n"
-
-
-def read_packing(text: str, host: Digraph, terminals) -> Packing:
-    rows, head_line, head_fields = _header(text, "packing")
-    head = dict(item.split("=", 1) for item in head_fields if "=" in item)
-    try:
-        count = int(head["parts"])
-        mode = head["mode"]
-    except (KeyError, ValueError):
-        raise GraphFormatError("expected header 'parts=<count> mode=<arc|internal>'",
-                               head_line)
-    if mode not in (MODE_ARC, MODE_INTERNAL):
-        raise GraphFormatError(f"unknown mode {mode!r}", head_line)
-    parts = []
-    for lineno, fields in rows:
-        arcs = []
-        for token in [] if fields == ["-"] else fields:
-            try:
-                u, v = token.split(">")
-                arcs.append((int(u), int(v)))
-            except ValueError:
-                raise GraphFormatError(f"bad arc token {token!r}", lineno)
-        parts.append(frozenset(arcs))
-    if len(parts) != count:
-        raise GraphFormatError(f"header promises {count} parts, found {len(parts)}")
-    return Packing(host, as_terminals(host, terminals), mode, tuple(parts))

@@ -188,7 +188,7 @@ class TestExact:
         assert main(["exact", "--mode", "lambda", "--graph", g,
                      "--terminals", "0,1"]) == 4
 
-    @pytest.mark.parametrize("mode", ["lambda", "kappa", "sad"])
+    @pytest.mark.parametrize("mode", ["kappa", "sad"])
     def test_search_above_64_vertices_exits_4(self, workdir, capsys, mode):
         cycle = [(i, (i + 1) % 66) for i in range(66)]
         g = write(workdir / "cyc66.dg", sp.write_digraph(sp.biorientation(66, cycle)))
@@ -197,6 +197,26 @@ class TestExact:
         err = capsys.readouterr().err
         assert err.startswith("size limit: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    def test_certified_lambda_above_64_vertices_answers(self, workdir, capsys):
+        # two greedy parts meet the terminal cut bound of 2, so no search runs
+        cycle = [(i, (i + 1) % 66) for i in range(66)]
+        g = write(workdir / "cyc66.dg", sp.write_digraph(sp.biorientation(66, cycle)))
+        assert main(["exact", "--mode", "lambda", "--graph", g, "--terminals", "0,5",
+                     "--limit-n", "100", "--limit-m", "200"]) == 0
+        assert "value=2" in capsys.readouterr().out
+
+    def test_uncertified_lambda_above_64_vertices_exits_4(self, workdir, capsys):
+        # K7 with terminals 1-6 and a bioriented tail from vertex 0: the
+        # greedy finds 3 parts against a bound of 6, so the search must run
+        arcs = [(u, v) for u in range(7) for v in range(7) if u != v]
+        path = [0, *range(7, 66)]
+        tail = [arc for a, b in zip(path, path[1:]) for arc in ((a, b), (b, a))]
+        g = write(workdir / "k7tail.dg", sp.write_digraph(sp.Digraph(66, arcs + tail)))
+        assert main(["exact", "--mode", "lambda", "--graph", g, "--terminals", "1,2,3,4,5,6",
+                     "--limit-n", "100", "--limit-m", "200"]) == 4
+        assert capsys.readouterr().err == \
+            "size limit: 66 vertices exceeds the exact search's limit of 64\n"
 
     def test_value_one_above_64_vertices_answers(self, workdir, capsys):
         # the bioriented path has terminal cut 1, so no search would run and
@@ -499,6 +519,49 @@ class TestDecompose:
         assert main(["decompose", "3", "2"]) == 2
 
 
+class TestHelpBytes:
+    """The help and usage bytes at 80 columns, pinned from before an op
+    built only its own subcommand's arguments."""
+
+    SHA256 = {
+        (): "f7d82afcfd68d6da7dcf05372044b0aa3f28490ad3d62d4b33b1a80328f181a8",
+        ("analyze",): "924a5ef5348bc2f09e6c2547eb97761724a029f3e1e6f2104816453641707438",
+        ("pack",): "fd21bc7cd090eae68e0a555733bd959fb0d7d83ea9ddead5172ac08d7b5b4fb7",
+        ("verify",): "18e60c5257a5f8f560e34cdbc1dce6bf8968a091a57bdc32a308be9615eaaad5",
+        ("exact",): "76b94849ae11b3b246ba9e800c8a4e33a33cadbea5752d3c316a0e3df6040e5e",
+        ("reduce",): "09cb6c07dcd043217d5ad087725653320840275e1f7eba9f4a56c98134514260",
+        ("gen",): "14c26ed1a4af81e589ce73743dd57539ae2e3137d4ec09b3a811307d85cf7e85",
+        ("survey",): "23a7bac319d49d7da4fad5eb5f963b7848e229f015e265ddf07c3c80ad565f72",
+        ("decompose",): "2dbeb2243f9cff8da83fd85703904b1c496ccf66a2f995efb9bbf22cd019daec",
+    }
+    USAGE = ("usage: strongpack [-h] [--version]\n"
+             "                  {analyze,pack,verify,exact,reduce,gen,survey,decompose} ...\n")
+
+    @staticmethod
+    def run(argv, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out, err = capsys.readouterr()
+        return exc.value.code, out, err
+
+    @pytest.mark.parametrize("command", sorted(SHA256), ids=lambda c: c[0] if c else "top")
+    def test_help(self, command, monkeypatch, capsys):
+        code, out, err = self.run([*command, "--help"], monkeypatch, capsys)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == self.SHA256[command]
+
+    def test_unknown_subcommand(self, monkeypatch, capsys):
+        assert self.run(["bogus"], monkeypatch, capsys) == (2, "", self.USAGE + (
+            "strongpack: error: argument command: invalid choice: 'bogus' (choose from "
+            "'analyze', 'pack', 'verify', 'exact', 'reduce', 'gen', 'survey', "
+            "'decompose')\n"))
+
+    def test_missing_subcommand(self, monkeypatch, capsys):
+        assert self.run([], monkeypatch, capsys) == (2, "", self.USAGE + (
+            "strongpack: error: the following arguments are required: command\n"))
+
+
 class TestImportFootprint:
     """Each subcommand loads only the package modules it runs, and none
     loads ``dataclasses`` (with ``inspect``, ``ast`` and ``dis`` behind it)."""
@@ -541,3 +604,25 @@ class TestImportFootprint:
         loaded = self.loaded(["exact", "--mode", "lambda", "--graph", "k.dg",
                               "--terminals", "0,2"], workdir)
         assert "exact" in loaded and "dataclasses" not in loaded
+
+    @pytest.mark.parametrize("mode", ["lambda", "kappa", "sad", "cut"])
+    def test_exact_loads_no_construction(self, workdir, mode):
+        write(workdir / "k.dg", sp.write_digraph(sp.complete_bipartite_digraph(2, 3)))
+        loaded = self.loaded(["exact", "--mode", mode, "--graph", "k.dg",
+                              "--terminals", "0,2"], workdir)
+        assert "verify" in loaded
+        assert not loaded & {"packing", "hamilton", "composition"}
+
+    def test_verify_loads_no_construction(self, workdir):
+        d = sp.complete_bipartite_digraph(2, 3)
+        write(workdir / "k.dg", sp.write_digraph(d))
+        write(workdir / "k.pack", sp.write_packing(sp.pack_bipartite(2, 3, [0, 2])))
+        loaded = self.loaded(["verify", "--graph", "k.dg", "--terminals", "0,2", "k.pack"],
+                             workdir)
+        assert "verify" in loaded
+        assert not loaded & {"packing", "hamilton", "composition"}
+
+    def test_survey_loads_no_construction(self, workdir):
+        loaded = self.loaded(["survey", "--trials", "2", "--out", "s.csv"], workdir)
+        assert "verify" in loaded
+        assert not loaded & {"packing", "hamilton"}

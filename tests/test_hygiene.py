@@ -1,8 +1,10 @@
 """Static hygiene of the package source, read with the standard library's
-``ast``: every imported name is used, every private module-level function
-or class is referenced somewhere in the package beyond its own definition,
-and every public one somewhere in the package or through ``strongpack`` in
-its tests or its benchmark (the ``__init__`` export table does not count);
+``ast``: every imported name is used (or re-exported as ``x as x``);
+``verify`` imports only ``digraph`` and ``errors``, and ``exact`` no
+constructive module; every private module-level function or class is
+referenced somewhere in the package beyond its own definition, and every
+public one somewhere in the package or through ``strongpack`` in its
+tests or its benchmark (the ``__init__`` export table does not count);
 no ``assert`` statement, since ``python -O`` strips it, so a check must
 raise instead; one function that splits text into lines; and one place
 outside ``digraph`` pairs a forward and a backward closure."""
@@ -60,14 +62,32 @@ def _referenced(node: ast.AST) -> set[str]:
 
 @pytest.mark.parametrize("module", CHECKED)
 def test_every_import_is_used(module):
+    """``from m import x as x`` is an explicit re-export and exempt."""
     tree = TREES[module]
     bound = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             bound |= {a.asname or a.name.split(".")[0] for a in node.names}
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
-            bound |= {a.asname or a.name for a in node.names}
+            bound |= {a.asname or a.name for a in node.names if a.asname != a.name}
     assert sorted(bound - _loaded_names(tree)) == []
+
+
+def _module_imports(module: str) -> set[str]:
+    """The package modules that ``module`` imports at module level."""
+    found = set()
+    for stmt in TREES[module].body:
+        if isinstance(stmt, ast.ImportFrom) and stmt.level == 1:
+            found |= {stmt.module} if stmt.module else {a.name for a in stmt.names}
+    return found
+
+
+def test_verify_and_exact_import_no_construction():
+    """``verify`` needs only ``digraph`` and ``errors``, and ``exact`` loads
+    no constructive module, so the solvers and the ``verify`` subcommand
+    never compile the constructions."""
+    assert _module_imports("verify.py") == {"digraph", "errors"}
+    assert not _module_imports("exact.py") & {"packing", "composition", "hamilton"}
 
 
 def _caller_refs(tree: ast.Module) -> set[tuple[str, str]]:

@@ -8,7 +8,7 @@ from strongpack import _kernel, packing
 from strongpack import generators as gen
 from strongpack.errors import (GraphFormatError, InfeasibleError, PreconditionError,
                                StrongpackError, UnsupportedCaseError)
-from strongpack.packing import MODE_ARC, MODE_INTERNAL
+from strongpack.verify import MODE_ARC, MODE_INTERNAL
 
 from conftest import exceptional_member
 

@@ -11,7 +11,7 @@ import strongpack as sp
 from strongpack import _kernel, exact
 from strongpack.digraph import induced, mask_of, strong_component
 from strongpack.flows import min_arc_cut, vertex_capacitated_connectivity
-from strongpack.packing import MODE_ARC
+from strongpack.verify import MODE_ARC
 
 pytestmark = pytest.mark.filterwarnings("ignore::hypothesis.errors.NonInteractiveExampleWarning")
 
