@@ -1,9 +1,9 @@
 """Exhaustive ground-truth solvers for small instances.
 
-These compute the arc-disjoint and internally disjoint packing numbers, the
-existence of a strong arc decomposition, and the two cut quantities.  Every
-returned packing is re-verified before it leaves this module.  Instances
-above the configured limits are refused rather than attempted.
+One driver, ``_pack_upward`` (flow bound, greedy, kernel search, one verify),
+gives the arc-disjoint and internally disjoint packing numbers and decides a
+strong arc decomposition: lambda >= 2 with every vertex a terminal.  Flows
+give the two cut quantities.  Instances above the limits are refused.
 """
 
 from __future__ import annotations
@@ -128,7 +128,7 @@ def _greedy_parts(d: Digraph, ts: frozenset[int]) -> tuple[frozenset[Arc], ...]:
 
 
 def _pack_upward(d: Digraph, terminals, limits: SolverLimits, mode: str,
-                 search, flow, greedy=None):
+                 search, flow, greedy=None, stop=None):
     """Optimal packing by upward search: size 1 is the terminals' strong
     component, and the terminal pairs' ``flow`` bound caps every size
     (every part holds a u->w path for each pair).  With ``greedy`` and a
@@ -136,27 +136,32 @@ def _pack_upward(d: Digraph, terminals, limits: SolverLimits, mode: str,
     packing to beat; ``search`` then runs at sizes greedy + 1, ... (else
     2, 3, ...) up to the bound, and the first size it refutes proves the
     optimum.  A greedy that reaches the bound leaves nothing to search, so
-    the kernel's vertex limit refuses only a host that needs a search."""
+    the kernel's vertex limit refuses only a host that needs a search.
+    ``stop`` (every vertex a terminal) caps the size: a greedy run first
+    that reaches it skips the bound, and part 1 of a packing of that size
+    takes every arc the others leave.  One verify covers every path."""
     limits.check(d)
     ts = as_terminals(d, terminals)
     part1 = _single_part(d, ts)
     if part1 is None:
         return 0, Packing(d, ts, mode, ())
-    best_parts: tuple[frozenset[Arc], ...] = (part1,)
-    arcs = sorted(d.arcs)
-    s_mask = mask_of(ts)
-    bound = _lowest_terminal_bound(d, ts, flow)
-    if greedy is not None and bound >= 2:
+    parts = greedy(d, ts)[:stop] if stop else ()
+    bound = stop if stop and len(parts) == stop else _lowest_terminal_bound(d, ts, flow)
+    if stop:
+        bound = min(bound, stop)
+    elif greedy is not None and bound >= 2:
         parts = greedy(d, ts)
-        if len(parts) >= 2:
-            best_parts = parts
+    best_parts = parts if len(parts) >= 2 else (part1,)
+    arcs = sorted(d.arcs)
     ell = len(best_parts) + 1
     while ell <= bound:
-        found = search(d.n, arcs, s_mask, ell)
+        found = search(d.n, arcs, mask_of(ts), ell)
         if found is None:
             break
         best_parts = tuple(frozenset(arcs[i] for i in part) for part in found)
         ell += 1
+    if stop and len(best_parts) == stop:
+        best_parts = (part1.difference(*best_parts[1:]), *best_parts[1:])
     packing = Packing(d, ts, mode, best_parts)
     if not verify_packing(packing):
         raise StrongpackError("solver produced an invalid packing")
@@ -189,24 +194,17 @@ def exact_kappa(d: Digraph, terminals, limits: SolverLimits = DEFAULT_LIMITS):
 
 
 def has_strong_arc_decomposition(d: Digraph, limits: SolverLimits = DEFAULT_LIMITS):
-    """Whether the arc set splits into two disjoint spanning strong sets.
-
-    Returns (flag, witness).  The witness is a pair of arc sets that
-    partition the arcs, each spanning and strong; it is verified.
-    """
-    limits.check(d)
+    """Whether the arc set splits into two disjoint spanning strong sets:
+    lambda >= 2 with every vertex a terminal, as unused arcs can join either
+    part, so ``exact_lambda``'s bound, greedy and search answer it, stopped
+    at 2.  Returns (flag, witness), the witness a verified pair of spanning
+    strong arc sets that partition the arcs (two empty ones when n <= 1)."""
     if d.n <= 1:
+        limits.check(d)
         return True, (frozenset(), frozenset())
-    arcs = sorted(d.arcs)
-    full = (1 << d.n) - 1
-    found = _kernel.search_arc_disjoint(d.n, arcs, full, 2)
-    if found is None:
-        return False, None
-    second = frozenset(arcs[i] for i in found[1])
-    witness = (frozenset(arcs) - second, second)  # unused arcs join the first part
-    if not verify_packing(Packing(d, frozenset(range(d.n)), MODE_ARC, witness)):
-        raise StrongpackError("solver produced an invalid decomposition")
-    return True, witness
+    value, packing = _pack_upward(d, range(d.n), limits, MODE_ARC, _kernel.search_arc_disjoint,
+                                  _arc_flow, _greedy_parts, stop=2)
+    return (True, packing.parts) if value == 2 else (False, None)
 
 
 def is_strong_cut(d: Digraph, ts: frozenset[int], cut) -> bool:

@@ -57,9 +57,9 @@ def _part_masks(host: Digraph,
 
 
 def _strong_with(out: list[int], inn: list[int], required: int) -> bool:
-    """The subgraph with these masks (its vertices are the arc ends) is
-    strong and covers the vertex mask ``required``."""
-    verts = 0
+    """The subgraph with these masks (its vertices are the arc ends, or the
+    lone vertex of a 1-vertex host) is strong and covers ``required``."""
+    verts = int(len(out) == 1)
     for x, y in zip(out, inn):
         verts |= x | y
     if not verts or required & ~verts:
@@ -129,4 +129,6 @@ def read_packing(text: str, host: Digraph, terminals) -> Packing:
         parts.append(frozenset(arcs))
     if len(parts) != count:
         raise GraphFormatError(f"header promises {count} parts, found {len(parts)}")
-    return Packing(host, as_terminals(host, terminals), mode, tuple(parts))
+    lone = host.n == 1 and {int(v) for v in terminals} == {0}  # a sad witness on K1
+    ts = frozenset({0}) if lone else as_terminals(host, terminals)
+    return Packing(host, ts, mode, tuple(parts))

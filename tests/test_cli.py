@@ -176,6 +176,11 @@ class TestExact:
         out = workdir / "k1.pack"
         assert main(["exact", "--mode", "sad", "--graph", g, "--out", str(out)]) == 0
         assert out.read_text() == "parts=2 mode=arc\n-\n-\n"
+        capsys.readouterr()
+        # on a 1-vertex host the terminal set {0} is accepted and an empty
+        # part holds the lone vertex, so the witness round-trips
+        assert main(["verify", "--graph", g, "--terminals", "0", str(out)]) == 0
+        assert capsys.readouterr().out == "ok parts=2 mode=arc\n"
 
     def test_cut_mode(self, workdir, capsys):
         g = write(workdir / "c3.dg", sp.write_digraph(sp.directed_cycle(3)))
@@ -190,13 +195,30 @@ class TestExact:
 
     @pytest.mark.parametrize("mode", ["kappa", "sad"])
     def test_search_above_64_vertices_exits_4(self, workdir, capsys, mode):
-        cycle = [(i, (i + 1) % 66) for i in range(66)]
+        # the bioriented cycle through 0, 2, ..., 64, 65, 63, ..., 1: the
+        # ascending greedy finds 1 part against a bound of 2, so the search
+        # must run
+        order = [*range(0, 66, 2), *range(65, 0, -2)]
+        cycle = list(zip(order, order[1:] + order[:1]))
         g = write(workdir / "cyc66.dg", sp.write_digraph(sp.biorientation(66, cycle)))
         assert main(["exact", "--mode", mode, "--graph", g, "--terminals", "0,5",
                      "--limit-n", "100", "--limit-m", "200"]) == 4
         err = capsys.readouterr().err
         assert err.startswith("size limit: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    def test_certified_sad_above_64_vertices_answers(self, workdir, capsys):
+        # the greedy splits the plain bioriented 66-cycle into its two
+        # directions, so no search runs
+        cycle = [(i, (i + 1) % 66) for i in range(66)]
+        g = write(workdir / "cyc66.dg", sp.write_digraph(sp.biorientation(66, cycle)))
+        out = str(workdir / "sad.pack")
+        assert main(["exact", "--mode", "sad", "--graph", g, "--limit-n", "100",
+                     "--limit-m", "200", "--out", out]) == 0
+        assert capsys.readouterr().out == "strong_arc_decomposition=True\n"
+        assert main(["verify", "--graph", g, "--terminals", ",".join(map(str, range(66))),
+                     out]) == 0
+        assert capsys.readouterr().out == "ok parts=2 mode=arc\n"
 
     def test_certified_lambda_above_64_vertices_answers(self, workdir, capsys):
         # two greedy parts meet the terminal cut bound of 2, so no search runs

@@ -4,7 +4,7 @@ import random
 import pytest
 
 import strongpack as sp
-from strongpack import _kernel
+from strongpack import _kernel, exact
 from strongpack.digraph import bits
 from strongpack.errors import PreconditionError, SizeLimitError, StrongpackError
 from strongpack.exact import SolverLimits
@@ -132,10 +132,10 @@ class TestStrongArcDecomposition:
             assert sp.verify_packing(p).ok
 
     def test_witness_is_verified(self, monkeypatch):
-        # arcs 0 and 1 of the bioriented triangle, (0, 1) and (0, 2), are
-        # not strong parts
-        monkeypatch.setattr(_kernel, "search_arc_disjoint", lambda *args: [[0], [1]])
-        with pytest.raises(StrongpackError, match="invalid decomposition"):
+        # a greedy "pair" that is no decomposition: the part {(0, 2)} is not
+        # strong, so the driver's one verify refuses it
+        monkeypatch.setattr(exact, "_greedy_parts", lambda d, ts: ({(0, 1)}, {(0, 2)}))
+        with pytest.raises(StrongpackError, match="invalid packing"):
             sp.has_strong_arc_decomposition(sp.biorientation(3, [(0, 1), (1, 2), (2, 0)]))
 
 

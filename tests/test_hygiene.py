@@ -6,8 +6,9 @@ referenced somewhere in the package beyond its own definition, and every
 public one somewhere in the package or through ``strongpack`` in its
 tests or its benchmark (the ``__init__`` export table does not count);
 no ``assert`` statement, since ``python -O`` strips it, so a check must
-raise instead; one function that splits text into lines; and one place
-outside ``digraph`` pairs a forward and a backward closure."""
+raise instead; one function that splits text into lines; one function
+that calls the kernel directly; and one place outside ``digraph`` pairs a
+forward and a backward closure."""
 
 import ast
 import functools
@@ -177,6 +178,27 @@ def test_one_row_scanner():
                and isinstance(node.func, ast.Attribute)
                and node.func.attr == "splitlines"]
     assert callers == ["digraph._rows"]
+
+
+def _is_kernel_ref(node: ast.AST) -> bool:
+    """``node`` reads ``_kernel.<name>``."""
+    return isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "_kernel"
+
+
+def test_one_kernel_caller():
+    """Only ``packing._c3_core_parts`` calls ``_kernel`` directly.  ``exact``
+    hands each kernel search to ``_pack_upward`` as its ``search`` argument,
+    so every search it makes runs after the driver's bound and greedy and
+    before its one verify."""
+    callers = [f"{module[:-3]}.{fn.name}" for module, tree in TREES.items()
+               for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+               for node in ast.walk(fn) if isinstance(node, ast.Call)
+               and _is_kernel_ref(node.func)]
+    assert callers == ["packing._c3_core_parts"]
+    handed = [arg for call in ast.walk(TREES["exact.py"]) if isinstance(call, ast.Call)
+              and getattr(call.func, "id", None) == "_pack_upward" for arg in call.args]
+    refs = [node for node in ast.walk(TREES["exact.py"]) if _is_kernel_ref(node)]
+    assert refs and all(any(ref is arg for arg in handed) for ref in refs)
 
 
 def test_one_forward_backward_pair():

@@ -256,6 +256,32 @@ def test_greedy_and_kernel_bracket_exact_lambda(pair):
     assert value == _kernel_lambda(d, ts)
 
 
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.one_of(digraphs(), digraphs_with_terminals().map(lambda pair: pair[0])))
+def test_strong_arc_decomposition_matches_the_kernel(d):
+    """The driver's flag equals a kernel-only search at size 2 with every
+    vertex a terminal, on hosts that are not strong too, and a True
+    witness partitions the arcs and verifies."""
+    flag, witness = sp.has_strong_arc_decomposition(d)
+    assert flag == (_kernel.search_arc_disjoint(d.n, sorted(d.arcs), (1 << d.n) - 1, 2)
+                    is not None)
+    if flag:
+        first, second = witness
+        assert first | second == d.arcs and not first & second
+        assert sp.verify_packing(sp.Packing(d, frozenset(range(d.n)), MODE_ARC, witness)).ok
+
+
+def test_strong_arc_decomposition_of_k40_needs_no_search(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the search ran")
+
+    monkeypatch.setattr(_kernel, "search_arc_disjoint", refuse)
+    d = sp.Digraph(40, permutations(range(40), 2))
+    flag, witness = sp.has_strong_arc_decomposition(d, exact.SolverLimits(64, 5000))
+    assert flag
+    assert sp.verify_packing(sp.Packing(d, frozenset(range(40)), MODE_ARC, witness)).ok
+
+
 # Each graph primitive has one implementation; these pin it to a direct
 # computation: the flow bounds through the lowest terminal against every
 # terminal pair, and the strong component and the induced subdigraph
