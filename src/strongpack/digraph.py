@@ -326,11 +326,13 @@ def read_digraph(text: str) -> Digraph:
 def _digraph(rows: Iterable[Row]) -> Digraph:
     """The digraph on ``rows``.  Every row is checked for syntax first (with
     its line number); then the arc count, the vertex count and the first
-    loop or out-of-range arc are reported, in that order."""
+    loop or out-of-range arc are reported, in that order.  ``ids`` keeps
+    each field's int, so a field is parsed only the first time it is seen."""
     n, m = 0, None  # m stays None until the header row is read
     out: list[int] = []
     count = 0
     bad_arc = None
+    ids: dict[str, int] = {}
     for lineno, fields in rows:
         if m is None:
             if len(fields) != 2:
@@ -343,10 +345,14 @@ def _digraph(rows: Iterable[Row]) -> Digraph:
             continue
         if len(fields) != 2:
             raise GraphFormatError("expected arc line 'u v'", lineno)
+        a, b = fields
         try:
-            u, v = int(fields[0]), int(fields[1])
-        except ValueError:
-            raise GraphFormatError("arc endpoints must be integers", lineno)
+            u, v = ids[a], ids[b]
+        except KeyError:
+            try:
+                ids[a], ids[b] = u, v = int(a), int(b)
+            except ValueError:
+                raise GraphFormatError("arc endpoints must be integers", lineno)
         count += 1
         if u != v and 0 <= u < n and 0 <= v < n:
             out[u] |= 1 << v

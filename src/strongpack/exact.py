@@ -66,12 +66,12 @@ def _arc_flow(d: Digraph, u: int, w: int, ts: frozenset[int]) -> int:
 
 
 def _lowest_terminal_bound(d: Digraph, ts: frozenset[int], flow,
-                           symmetric: bool = False) -> int:
+                           symmetric: bool = False, below: int = 0) -> int:
     """The minimum of ``flow(d, u, w, ts)`` over ordered terminal pairs,
     taken over the pairs through the lowest terminal s only: the minimum
     over v != s of min(flow(s, v), flow(v, s)), 2(k-1) flows for k
     terminals instead of k(k-1).  With ``symmetric`` it is the minimum of
-    flow(s, v) alone, k-1 flows.
+    flow(s, v) alone, k-1 flows.  A flow under ``below`` ends it at once.
 
     The value is the same.  ``flow`` is a max flow whose minimum cuts
     never remove a terminal, so a minimum u->w cut leaves s on u's side
@@ -79,8 +79,15 @@ def _lowest_terminal_bound(d: Digraph, ts: frozenset[int], flow,
     u->s path, so flow(u, w) >= min(flow(s, w), flow(u, s)).  On a
     symmetric host flow(u, s) = flow(s, u)."""
     s = min(ts)
-    return min(flow(d, s, v, ts) if symmetric else
-               min(flow(d, s, v, ts), flow(d, v, s, ts)) for v in sorted(ts - {s}))
+    bound = None
+    for v in sorted(ts - {s}):
+        for u, w in ((s, v),) if symmetric else ((s, v), (v, s)):
+            value = flow(d, u, w, ts)
+            if bound is None or value < bound:
+                bound = value
+                if bound < below:  # no later flow can raise a minimum
+                    return bound
+    return bound
 
 
 def _shortest_path(out: list[int], inn: list[int], a: int, b: int):
@@ -138,15 +145,18 @@ def _pack_upward(d: Digraph, terminals, limits: SolverLimits, mode: str,
     optimum.  A greedy that reaches the bound leaves nothing to search, so
     the kernel's vertex limit refuses only a host that needs a search.
     ``stop`` (every vertex a terminal) caps the size: a greedy run first
-    that reaches it skips the bound, and part 1 of a packing of that size
-    takes every arc the others leave.  One verify covers every path."""
+    that reaches it skips the bound, a flow below it ends the bound, and
+    part 1 of a packing of that size takes every arc the others leave; a
+    size below it is returned with None, as nothing is built for it.  One
+    verify covers every returned packing."""
     limits.check(d)
     ts = as_terminals(d, terminals)
     part1 = _single_part(d, ts)
     if part1 is None:
-        return 0, Packing(d, ts, mode, ())
+        return 0, None if stop else Packing(d, ts, mode, ())
     parts = greedy(d, ts)[:stop] if stop else ()
-    bound = stop if stop and len(parts) == stop else _lowest_terminal_bound(d, ts, flow)
+    bound = stop if stop and len(parts) == stop else \
+        _lowest_terminal_bound(d, ts, flow, below=stop or 0)
     if stop:
         bound = min(bound, stop)
     elif greedy is not None and bound >= 2:
@@ -160,7 +170,9 @@ def _pack_upward(d: Digraph, terminals, limits: SolverLimits, mode: str,
             break
         best_parts = tuple(frozenset(arcs[i] for i in part) for part in found)
         ell += 1
-    if stop and len(best_parts) == stop:
+    if stop:
+        if len(best_parts) < stop:
+            return len(best_parts), None
         best_parts = (part1.difference(*best_parts[1:]), *best_parts[1:])
     packing = Packing(d, ts, mode, best_parts)
     if not verify_packing(packing):

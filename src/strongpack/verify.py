@@ -4,15 +4,20 @@
 A packing is a collection of arc sets over one host digraph.  Each part
 must induce a strong subgraph containing every terminal; parts never share
 an arc, and in "internal" mode the vertex sets of two parts meet exactly
-in the terminal set.  In text: "parts=<count> mode=<arc|internal>", then
-one line per part, its arcs as "u>v" tokens, or "-" for an empty part.
+in the terminal set.  A part is checked on successor and predecessor
+lists: an iterative DFS from one arc's tail must flag the same vertices
+both ways, as many as have out-arcs (every arc end, then), and each
+terminal.  Per-vertex arc masks then show whether two parts share an arc.
+In text: "parts=<count> mode=<arc|internal>", then one line per part, its
+arcs as "u>v" tokens, or "-" for an empty part.
 """
 
 from __future__ import annotations
 
+from operator import and_, or_
 from typing import NamedTuple, Optional
 
-from .digraph import Arc, Digraph, _header, _lowest, as_terminals, mask_of, strong_component
+from .digraph import Arc, Digraph, _header, as_terminals
 from .errors import GraphFormatError
 
 MODE_ARC = "arc"
@@ -41,48 +46,53 @@ class Verdict(NamedTuple):
         return self.ok
 
 
-def _part_masks(host: Digraph,
-                arcs: frozenset[Arc]) -> tuple[list[int], list[int], list[Arc]]:
-    """(out-masks, in-masks, stray arcs) of the subgraph spanned by the
-    host arcs among ``arcs``; stray arcs are those not in the host."""
+def _reached(adj: list[list[int]], root: int) -> bytearray:
+    """Flags of the vertices an iterative DFS from ``root`` reaches along
+    the lists ``adj``."""
+    seen = bytearray(len(adj))
+    seen[root] = 1
+    stack = [root]
+    while stack:
+        for w in adj[stack.pop()]:
+            if not seen[w]:
+                seen[w] = 1
+                stack.append(w)
+    return seen
+
+
+def _check_part(host: Digraph, arcs: frozenset[Arc], terminals):
+    """(out-masks, stray arcs, strong) of one part, checked as the module
+    says; with no arcs, only the lone vertex of a 1-vertex host is strong."""
     n, host_out = host.n, host.out
-    out, inn, stray = [0] * n, [0] * n, []
+    out, stray, succ, pred = [0] * n, [], [[] for _ in range(n)], [[] for _ in range(n)]
     for u, v in arcs:
         if 0 <= u < n and 0 <= v < n and host_out[u] >> v & 1:
             out[u] |= 1 << v
-            inn[v] |= 1 << u
+            succ[u].append(v)
+            pred[v].append(u)
         else:
             stray.append((u, v))
-    return out, inn, stray
-
-
-def _strong_with(out: list[int], inn: list[int], required: int) -> bool:
-    """The subgraph with these masks (its vertices are the arc ends, or the
-    lone vertex of a 1-vertex host) is strong and covers ``required``."""
-    verts = int(len(out) == 1)
-    for x, y in zip(out, inn):
-        verts |= x | y
-    if not verts or required & ~verts:
-        return False
-    return strong_component(out, inn, _lowest(verts)) == verts
+    if stray or not arcs:
+        return out, stray, n == 1 and all(t == 0 for t in terminals)
+    root = next(iter(arcs))[0]
+    fwd = _reached(succ, root)
+    return out, stray, (fwd == _reached(pred, root) and fwd.count(1) == n - succ.count([])
+                        and all(0 <= t < n and fwd[t] for t in terminals))
 
 
 def verify_packing(p: Packing) -> Verdict:
     if p.mode not in (MODE_ARC, MODE_INTERNAL):
         return Verdict(False, "unknown mode", witness=p.mode)
-    required = mask_of(p.terminals)
     used = [0] * p.host.n
     overlap = False  # arcs shared between parts; located pair by pair below
     for i, part in enumerate(p.parts):
-        out, inn, stray = _part_masks(p.host, part)
+        out, stray, strong = _check_part(p.host, part, p.terminals)
         if stray:
             return Verdict(False, "arc not in host", (i,), min(stray))
-        if not _strong_with(out, inn, required):
+        if not strong:
             return Verdict(False, "part is not a terminal-covering strong subgraph", (i,))
-        for u, x in enumerate(out):
-            if used[u] & x:
-                overlap = True
-            used[u] |= x
+        overlap = overlap or any(map(and_, used, out))
+        used = list(map(or_, used, out))
     if overlap:
         for i in range(len(p.parts)):
             for j in range(i + 1, len(p.parts)):
@@ -100,10 +110,16 @@ def verify_packing(p: Packing) -> Verdict:
 
 
 def write_packing(p: Packing) -> str:
+    names = {v: str(v) for v in range(p.host.n)}
+    tails = {v: name + ">" for v, name in names.items()}
     lines = [f"parts={len(p.parts)} mode={p.mode}"]
     for part in p.parts:
-        lines.append(" ".join(f"{u}>{v}" for u, v in sorted(part)) or "-")
-    return "\n".join(lines) + "\n"
+        try:
+            lines.append(" ".join([tails[u] + names[v] for u, v in sorted(part)]) or "-")
+        except KeyError:  # an arc off the host is written as it stands
+            lines.append(" ".join(f"{u}>{v}" for u, v in sorted(part)))
+    lines.append("")  # the text ends in a newline, with no second copy of it
+    return "\n".join(lines)
 
 
 def read_packing(text: str, host: Digraph, terminals) -> Packing:
@@ -117,13 +133,18 @@ def read_packing(text: str, host: Digraph, terminals) -> Packing:
                                head_line)
     if mode not in (MODE_ARC, MODE_INTERNAL):
         raise GraphFormatError(f"unknown mode {mode!r}", head_line)
+    ids: dict[str, int] = {}  # each distinct id parsed once, as by the digraph reader
     parts = []
     for lineno, fields in rows:
         arcs = []
         for token in [] if fields == ["-"] else fields:
             try:
-                u, v = token.split(">")
-                arcs.append((int(u), int(v)))
+                a, b = token.split(">")
+                try:
+                    arcs.append((ids[a], ids[b]))
+                except KeyError:
+                    ids[a], ids[b] = arc = int(a), int(b)
+                    arcs.append(arc)
             except ValueError:
                 raise GraphFormatError(f"bad arc token {token!r}", lineno)
         parts.append(frozenset(arcs))

@@ -131,6 +131,35 @@ class TestStrongArcDecomposition:
             p = sp.Packing(host, frozenset(range(4)), "arc", (part,))
             assert sp.verify_packing(p).ok
 
+    @staticmethod
+    def _count_calls(monkeypatch):
+        """Count the max flows and the verifies that ``exact`` runs."""
+        calls = {"flow": 0, "verify": 0}
+
+        def counted(key, fn):
+            def wrapper(*args):
+                calls[key] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(exact, "min_arc_cut", counted("flow", exact.min_arc_cut))
+        monkeypatch.setattr(exact, "verify_packing", counted("verify", exact.verify_packing))
+        return calls
+
+    def test_a_false_host_stops_at_its_first_flow_below_two(self, monkeypatch):
+        # the bioriented path 0-1-2-3: the greedy finds one part, and the
+        # first flow, 0 -> 1, is already 1; the other five flows and a
+        # verify of the one-part packing that is not returned are skipped
+        calls = self._count_calls(monkeypatch)
+        host = sp.biorientation(4, [(0, 1), (1, 2), (2, 3)])
+        assert sp.has_strong_arc_decomposition(host) == (False, None)
+        assert calls == {"flow": 1, "verify": 0}
+
+    def test_a_true_host_is_verified_once(self, monkeypatch):
+        calls = self._count_calls(monkeypatch)
+        assert sp.has_strong_arc_decomposition(sp.complete_bipartite_digraph(2, 3))[0]
+        assert calls["verify"] == 1
+
     def test_witness_is_verified(self, monkeypatch):
         # a greedy "pair" that is no decomposition: the part {(0, 2)} is not
         # strong, so the driver's one verify refuses it
