@@ -89,8 +89,9 @@ _EXPORTS = {
     "write_packing": "verify",
 }
 
-_SUBMODULES = frozenset({"_kernel", "cli", "composition", "digraph", "errors", "exact",
-                         "flows", "generators", "hamilton", "packing", "reductions", "verify"})
+_SUBMODULES = frozenset({"_kernel", "cli", "commands", "composition", "digraph", "errors",
+                         "exact", "flows", "generators", "hamilton", "packing", "reductions",
+                         "verify"})
 
 __all__ = sorted(_EXPORTS)
 

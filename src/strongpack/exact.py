@@ -2,16 +2,17 @@
 
 One driver, ``_pack_upward`` (flow bound, greedy, kernel search, one verify),
 gives the arc-disjoint and internally disjoint packing numbers and decides a
-strong arc decomposition: lambda >= 2 with every vertex a terminal.  Flows
-give the two cut quantities.  Instances above the limits are refused.
+strong arc decomposition: lambda >= 2 with every vertex a terminal.  The
+kernel is imported only when a search runs, so an answer that the bound or
+the greedy certifies never compiles it.  Flows give the two cut
+quantities.  Instances above the limits are refused.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, permutations
+from itertools import combinations
 from typing import NamedTuple
 
-from . import _kernel
 from .digraph import Arc, Digraph, _lowest, _step, as_terminals, bits, \
     is_strong, is_symmetric, mask_of, strong_component, underlying_connected
 from .errors import PreconditionError, SizeLimitError, StrongpackError
@@ -135,15 +136,16 @@ def _greedy_parts(d: Digraph, ts: frozenset[int]) -> tuple[frozenset[Arc], ...]:
 
 
 def _pack_upward(d: Digraph, terminals, limits: SolverLimits, mode: str,
-                 search, flow, greedy=None, stop=None):
+                 flow, greedy=None, stop=None):
     """Optimal packing by upward search: size 1 is the terminals' strong
     component, and the terminal pairs' ``flow`` bound caps every size
     (every part holds a u->w path for each pair).  With ``greedy`` and a
     bound of at least 2, its parts, when there are two or more, are the
-    packing to beat; ``search`` then runs at sizes greedy + 1, ... (else
-    2, 3, ...) up to the bound, and the first size it refutes proves the
-    optimum.  A greedy that reaches the bound leaves nothing to search, so
-    the kernel's vertex limit refuses only a host that needs a search.
+    packing to beat; the kernel search for ``mode`` then runs at sizes
+    greedy + 1, ... (else 2, 3, ...) up to the bound, and the first size
+    it refutes proves the optimum.  A greedy that reaches the bound leaves
+    nothing to search, so the kernel is imported, and its vertex limit
+    refuses, only when a search must run.
     ``stop`` (every vertex a terminal) caps the size: a greedy run first
     that reaches it skips the bound, a flow below it ends the bound, and
     part 1 of a packing of that size takes every arc the others leave; a
@@ -162,8 +164,13 @@ def _pack_upward(d: Digraph, terminals, limits: SolverLimits, mode: str,
     elif greedy is not None and bound >= 2:
         parts = greedy(d, ts)
     best_parts = parts if len(parts) >= 2 else (part1,)
-    arcs = sorted(d.arcs)
     ell = len(best_parts) + 1
+    if ell <= bound:
+        from . import _kernel
+
+        search = _kernel.search_arc_disjoint if mode == MODE_ARC \
+            else _kernel.search_internally_disjoint
+        arcs = sorted(d.arcs)
     while ell <= bound:
         found = search(d.n, arcs, mask_of(ts), ell)
         if found is None:
@@ -191,8 +198,7 @@ def exact_lambda(d: Digraph, terminals, limits: SolverLimits = DEFAULT_LIMITS):
     certified by a found packing, and the search at a failing size proves
     the optimum.
     """
-    return _pack_upward(d, terminals, limits, MODE_ARC,
-                        _kernel.search_arc_disjoint, _arc_flow, _greedy_parts)
+    return _pack_upward(d, terminals, limits, MODE_ARC, _arc_flow, _greedy_parts)
 
 
 def exact_kappa(d: Digraph, terminals, limits: SolverLimits = DEFAULT_LIMITS):
@@ -201,7 +207,6 @@ def exact_kappa(d: Digraph, terminals, limits: SolverLimits = DEFAULT_LIMITS):
     terminal set, with an optimal packing.  The size bound gives every
     non-terminal vertex capacity one, so it is at most the arc flow bound."""
     return _pack_upward(d, terminals, limits, MODE_INTERNAL,
-                        _kernel.search_internally_disjoint,
                         vertex_capacitated_connectivity)
 
 
@@ -214,8 +219,8 @@ def has_strong_arc_decomposition(d: Digraph, limits: SolverLimits = DEFAULT_LIMI
     if d.n <= 1:
         limits.check(d)
         return True, (frozenset(), frozenset())
-    value, packing = _pack_upward(d, range(d.n), limits, MODE_ARC, _kernel.search_arc_disjoint,
-                                  _arc_flow, _greedy_parts, stop=2)
+    value, packing = _pack_upward(d, range(d.n), limits, MODE_ARC, _arc_flow,
+                                  _greedy_parts, stop=2)
     return (True, packing.parts) if value == 2 else (False, None)
 
 
@@ -238,14 +243,20 @@ def min_strong_cut(d: Digraph, terminals) -> CutCertificate:
     Computed as the minimum over ordered terminal pairs (u, v) of the
     minimum u->v arc cut: breaking every u->v path forces u and v into
     different strong components, and any such cut must break some ordered
-    pair.  Pairs are scanned in ascending order, so output is
-    deterministic.
+    pair.  Only the 2(k-1) pairs through the lowest terminal s are scanned,
+    (s, v) for ascending v and then (v, s) for ascending v, and the first
+    minimum is kept.  That is the first minimum of all k(k-1) pairs in
+    ascending order: if (u, w) with s outside it attains the minimum m,
+    then flow(s, w) = m or flow(u, s) = m (``_lowest_terminal_bound``),
+    and both pairs sort before (u, w).
     """
     if not is_strong(d):
         raise PreconditionError("cut is defined for strong digraphs only")
     ts = as_terminals(d, terminals)
+    s = min(ts)
+    rest = sorted(ts - {s})
     cert = None
-    for u, v in permutations(sorted(ts), 2):
+    for u, v in [(s, v) for v in rest] + [(v, s) for v in rest]:
         size, cut = min_arc_cut(d, u, v)
         if cert is None or size < cert.size:
             cert = CutCertificate(cut, (u, v))

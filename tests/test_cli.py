@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import strongpack as sp
-from strongpack.cli import main
+from strongpack.cli import COMMANDS, main
 
 
 @pytest.fixture
@@ -109,7 +109,7 @@ class TestPackVerify:
             assert out.read_text().startswith(f"parts={a} mode=arc")
 
     def test_bipartite_sides(self):
-        from strongpack.cli import _bipartite_sides
+        from strongpack.commands.pack import _bipartite_sides
         assert _bipartite_sides(sp.complete_bipartite_digraph(4, 2)) == (4, 2)
         assert _bipartite_sides(sp.Digraph(1)) is None
         assert _bipartite_sides(sp.empty_digraph(3)) is None
@@ -117,10 +117,10 @@ class TestPackVerify:
 
     @pytest.mark.parametrize("strategy", ["auto", "bipartite"])
     def test_bipartite_sides_found_once(self, workdir, monkeypatch, strategy):
-        from strongpack import cli
+        from strongpack.commands import pack
         calls = []
-        sides = cli._bipartite_sides
-        monkeypatch.setattr(cli, "_bipartite_sides", lambda d: calls.append(d) or sides(d))
+        sides = pack._bipartite_sides
+        monkeypatch.setattr(pack, "_bipartite_sides", lambda d: calls.append(d) or sides(d))
         g = write(workdir / "k.dg", sp.write_digraph(sp.complete_bipartite_digraph(2, 3)))
         assert main(["pack", "--graph", g, "--terminals", "0,1", "--strategy", strategy,
                      "--out", str(workdir / "k.pack")]) == 0
@@ -528,6 +528,12 @@ class TestRefusals:
         assert code == 2
         assert err.startswith("precondition violated: ") and err.count("\n") == 1
 
+    def test_survey_negative_trials_exits_2(self, workdir, capsys):
+        out = workdir / "s.csv"
+        code, err = refusal(["survey", "--trials", "-3", "--out", str(out)], capsys)
+        assert (code, err) == (2, "precondition violated: --trials must be nonnegative\n")
+        assert not out.exists()
+
 
 class TestDecompose:
     def test_outputs_r_lines(self, workdir):
@@ -606,11 +612,15 @@ class TestImportFootprint:
         return {m.removeprefix("strongpack.") for m in modules}
 
     def test_version(self, workdir):
-        assert self.loaded(["--version"], workdir) == {"strongpack", "cli", "errors"}
+        # no subcommand named: every subcommand's arguments, no library module
+        assert self.loaded(["--version"], workdir) == {
+            "strongpack", "cli", "errors", "commands",
+            *(f"commands.{name}" for name in COMMANDS)}
 
     def test_decompose(self, workdir):
         assert self.loaded(["decompose", "3", "4"], workdir) == {
-            "strongpack", "cli", "errors", "digraph", "hamilton"}
+            "strongpack", "cli", "errors", "commands", "commands.decompose",
+            "digraph", "hamilton"}
 
     def test_pack_and_verify_load_no_solver(self, workdir, strong_tournament4):
         spec = sp.CompositionSpec(strong_tournament4, tuple(sp.empty_digraph(3) for _ in range(4)))
@@ -634,6 +644,9 @@ class TestImportFootprint:
                               "--terminals", "0,2"], workdir)
         assert "verify" in loaded
         assert not loaded & {"packing", "hamilton", "composition"}
+        # the kernel loads only for a search: the greedy meets lambda's cut
+        # bound 2 here, while kappa has no greedy and sad's finds one part
+        assert ("_kernel" in loaded) == (mode in ("kappa", "sad"))
 
     def test_verify_loads_no_construction(self, workdir):
         d = sp.complete_bipartite_digraph(2, 3)
@@ -648,3 +661,51 @@ class TestImportFootprint:
         loaded = self.loaded(["survey", "--trials", "2", "--out", "s.csv"], workdir)
         assert "verify" in loaded
         assert not loaded & {"packing", "hamilton"}
+
+
+class TestLinesLoaded:
+    """A ceiling on the package source lines each kind of op loads.  With
+    bytecode caching off, as under ``PYTHONDONTWRITEBYTECODE``, an op
+    compiles every line it imports, so a change that makes an op load more
+    code fails here rather than only in the benchmark.  Each ceiling is a
+    little above the count when it was set: 612 lines for ``--version``,
+    1,289 for a certified lambda, 1,598 for ``pack`` and 834 for ``verify``
+    (541, 1,868, 1,788 and 1,068 while ``cli`` held every handler and
+    ``exact`` imported the kernel up front)."""
+
+    @staticmethod
+    def lines(argv, workdir):
+        code = ("import sys\n"
+                "from strongpack.cli import main\n"
+                "try:\n    code = main(sys.argv[1:])\nexcept SystemExit as exc:\n"
+                "    code = exc.code\n"
+                "files = [m.__file__ for name, m in sys.modules.items()\n"
+                "         if name.split('.')[0] == 'strongpack']\n"
+                "print(code, sum(len(open(f).read().splitlines()) for f in files))\n")
+        src = str(Path(sp.__file__).resolve().parents[1])
+        run = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                             text=True, check=True, cwd=workdir,
+                             env={**os.environ, "PYTHONPATH": src})
+        code, lines = run.stdout.splitlines()[-1].split()
+        assert code == "0"
+        return int(lines)
+
+    def test_version(self, workdir):
+        assert self.lines(["--version"], workdir) <= 650
+
+    def test_certified_lambda(self, workdir):
+        write(workdir / "k.dg", sp.write_digraph(sp.complete_bipartite_digraph(2, 3)))
+        assert self.lines(["exact", "--mode", "lambda", "--graph", "k.dg",
+                           "--terminals", "0,2"], workdir) <= 1350
+
+    def test_pack_composition(self, workdir, strong_tournament4):
+        spec = sp.CompositionSpec(strong_tournament4, tuple(sp.empty_digraph(3) for _ in range(4)))
+        write(workdir / "t.comp", sp.write_composition(spec))
+        assert self.lines(["pack", "--composition", "t.comp", "--terminals", "0,4",
+                           "--out", "t.pack"], workdir) <= 1680
+
+    def test_verify(self, workdir):
+        write(workdir / "k.dg", sp.write_digraph(sp.complete_bipartite_digraph(2, 3)))
+        write(workdir / "k.pack", sp.write_packing(sp.pack_bipartite(2, 3, [0, 2])))
+        assert self.lines(["verify", "--graph", "k.dg", "--terminals", "0,2", "k.pack"],
+                          workdir) <= 880

@@ -7,8 +7,10 @@ public one somewhere in the package or through ``strongpack`` in its
 tests or its benchmark (the ``__init__`` export table does not count);
 no ``assert`` statement, since ``python -O`` strips it, so a check must
 raise instead; one function that splits text into lines; one function
-that calls the kernel directly; and one place outside ``digraph`` pairs a
-forward and a backward closure."""
+that calls the kernel directly, and ``exact`` imports it only where its
+driver searches; one place outside ``digraph`` pairs a forward and a
+backward closure; and no package module imports ``cli``.  Modules of the
+``commands`` subpackage are keyed by their path, ``commands/pack.py``."""
 
 import ast
 import functools
@@ -18,7 +20,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "strongpack"
-TREES = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in sorted(SRC.glob("*.py"))}
+TREES = {p.relative_to(SRC).as_posix(): ast.parse(p.read_text(), filename=str(p))
+         for p in sorted(SRC.rglob("*.py"))}
 CHECKED = sorted(name for name in TREES if name != "__init__.py")
 CALLERS = [ast.parse(p.read_text(), filename=str(p))
            for d in (ROOT / "tests", ROOT / "perfbench") for p in sorted(d.glob("*.py"))]
@@ -185,20 +188,49 @@ def _is_kernel_ref(node: ast.AST) -> bool:
     return isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "_kernel"
 
 
+def _imports_of(module: str, tree: ast.AST) -> set[str]:
+    """The dotted names of the modules and objects that the import
+    statements under ``tree`` bind, relative imports resolved against
+    ``module``'s path under the package."""
+    package = ["strongpack", *module.split("/")[:-1]]
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found |= {a.name for a in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            base = package[:len(package) - node.level + 1] if node.level else []
+            prefix = ".".join(base + ([node.module] if node.module else []))
+            found |= {prefix} | {f"{prefix}.{a.name}" for a in node.names}
+    return found
+
+
 def test_one_kernel_caller():
     """Only ``packing._c3_core_parts`` calls ``_kernel`` directly.  ``exact``
-    hands each kernel search to ``_pack_upward`` as its ``search`` argument,
-    so every search it makes runs after the driver's bound and greedy and
-    before its one verify."""
+    imports and reads ``_kernel`` only inside ``_pack_upward``, so every
+    search it makes runs after the driver's bound and greedy and before its
+    one verify, and an answer they certify never loads the kernel."""
     callers = [f"{module[:-3]}.{fn.name}" for module, tree in TREES.items()
                for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
                for node in ast.walk(fn) if isinstance(node, ast.Call)
                and _is_kernel_ref(node.func)]
     assert callers == ["packing._c3_core_parts"]
-    handed = [arg for call in ast.walk(TREES["exact.py"]) if isinstance(call, ast.Call)
-              and getattr(call.func, "id", None) == "_pack_upward" for arg in call.args]
+    driver = next(fn for fn in TREES["exact.py"].body
+                  if isinstance(fn, ast.FunctionDef) and fn.name == "_pack_upward")
+    inside = set(map(id, ast.walk(driver)))
     refs = [node for node in ast.walk(TREES["exact.py"]) if _is_kernel_ref(node)]
-    assert refs and all(any(ref is arg for arg in handed) for ref in refs)
+    assert refs and all(id(ref) in inside for ref in refs)
+    assert "strongpack._kernel" not in _imports_of("exact.py", ast.Module(
+        [fn for fn in TREES["exact.py"].body if fn is not driver], []))
+    assert "strongpack._kernel" in _imports_of("exact.py", driver)
+
+
+def test_no_module_imports_cli():
+    """Under ``python -m strongpack.cli`` the module runs as ``__main__``, so
+    a package module that imported ``strongpack.cli`` would compile it a
+    second time.  Only ``__main__`` (``python -m strongpack``) imports it."""
+    importers = [module for module, tree in TREES.items()
+                 if "strongpack.cli" in _imports_of(module, tree)]
+    assert importers == ["__main__.py"]
 
 
 def test_one_forward_backward_pair():

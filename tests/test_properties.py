@@ -1,14 +1,16 @@
 """Property-based checks over random small digraphs."""
 
+import random
 from itertools import combinations, permutations
 
 import networkx as nx
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 from hypothesis.strategies import composite
 
 import strongpack as sp
 from strongpack import _kernel, exact
+from strongpack import generators as gen
 from strongpack.digraph import induced, mask_of, strong_component
 from strongpack.flows import min_arc_cut, vertex_capacitated_connectivity
 from strongpack.verify import MODE_ARC
@@ -313,6 +315,42 @@ def test_steiner_cut_is_the_unordered_pairs_minimum(pair):
     d, ts = pair
     assert sp.steiner_cut_undirected(d, ts) == min(
         min_arc_cut(d, u, w)[0] for u, w in combinations(sorted(ts), 2))
+
+
+def _all_pairs_cut(d, ts):
+    """(arcs, pair) of the first minimum u->w arc cut over every ordered
+    terminal pair in ascending order."""
+    best = None
+    for u, w in permutations(sorted(ts), 2):
+        size, cut = min_arc_cut(d, u, w)
+        if best is None or size < best[0]:
+            best = (size, cut, (u, w))
+    return best[1], best[2]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(hosts_with_terminals(strong_hosts_with_terminals().map(lambda pair: pair[0])),
+                 hosts_with_terminals(symmetric_digraphs(min_n=3, max_n=7))))
+def test_min_strong_cut_is_the_all_pairs_scan(pair):
+    """The pairs through the lowest terminal give the same certificate,
+    arcs and witness pair, as the scan of every ordered pair."""
+    d, ts = pair
+    cert = sp.min_strong_cut(d, ts)
+    assert (cert.arcs, cert.witness) == _all_pairs_cut(d, ts)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.integers(min_value=3, max_value=6), st.integers(min_value=1, max_value=3),
+       st.integers(min_value=0, max_value=2**32), st.data())
+def test_two_terminal_lambda_of_an_eulerian_host_is_its_arc_flow(n, cycles, seed, data):
+    """On an Eulerian host the two-terminal packing number is the x->y arc
+    flow: the value the cut bound allows is always reached."""
+    try:
+        d = gen.random_eulerian(n, cycles, random.Random(seed))
+    except sp.StrongpackError:  # no arc-disjoint cycles of these sizes were drawn
+        assume(False)
+    x, y = data.draw(st.permutations(range(n)))[:2]
+    assert sp.exact_lambda(d, {x, y})[0] == min_arc_cut(d, x, y)[0]
 
 
 def _networkx(d):
