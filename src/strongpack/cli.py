@@ -35,8 +35,9 @@ COMMANDS = {
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """Every subcommand with its help line, but the arguments only on
-    ``command``'s subparser (on all of them when ``command`` names none),
-    so only those subcommands' modules are imported."""
+    ``command``'s subparser, so only that subcommand's module is imported.
+    When ``command`` names no subcommand (``--version``, ``--help``, none
+    or a misspelt one) none is imported: argparse stops at this parser."""
     from . import __version__
 
     ap = argparse.ArgumentParser(
@@ -47,10 +48,9 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version",
                     version=f"strongpack {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
-    every = command not in COMMANDS
     for name, text in COMMANDS.items():
         p = sub.add_parser(name, help=text)
-        if every or name == command:
+        if name == command:
             module = importlib.import_module(f".commands.{name}", __package__)
             module.add_arguments(p)
             p.set_defaults(fn=module.run)

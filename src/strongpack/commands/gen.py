@@ -1,6 +1,5 @@
 """``strongpack gen``: seed-deterministic random instances."""
 
-from ..errors import PreconditionError
 from . import EXIT_OK, _write_out
 
 
@@ -36,9 +35,7 @@ def run(args) -> int:
         from .. import reductions as red
 
         text = red.write_hypergraph(gen.random_hypergraph(args.n, args.e, rng))
-    elif args.kind == "eulerian-linkage":
+    else:  # eulerian-linkage
         text = dg.write_digraph(gen.random_eulerian(args.n, args.cycles, rng))
-    else:
-        raise PreconditionError(f"unknown kind {args.kind!r}")
     _write_out(text, args.out)
     return EXIT_OK

@@ -34,10 +34,8 @@ def run(args) -> int:
         out = red.linkage_gadget(d, *ends, args.k, args.ell)
     elif args.source == "setcover-issp":
         out = red.cover_packing_gadget_internal(red.read_bipartite(_read(args.input)))
-    elif args.source == "setcover-assp":
+    else:  # setcover-assp
         out = red.cover_packing_gadget_arc(red.read_bipartite(_read(args.input)))
-    else:
-        raise PreconditionError(f"unknown source {args.source!r}")
     _write_out(dg.write_digraph(out.digraph), args.out)
     sidecar = {
         "terminals": sorted(out.terminals),

@@ -21,7 +21,6 @@ def run(args) -> int:
     import io
     import random
 
-    from .. import composition as cp
     from .. import exact as ex
     from .. import generators as gen
 
@@ -29,21 +28,20 @@ def run(args) -> int:
         raise PreconditionError("--trials must be nonnegative")
     rng = random.Random(args.seed)
     limits = _limits(args)
+    symmetric = args.family == "symmetric"
     buf = io.StringIO()
     buf.write("# strongpack survey v1: lambda_S <= c2 and, on symmetric hosts, c2 <= 2*c1\n")
     writer = csv.writer(buf)
     writer.writerow(SURVEY_COLUMNS)
     for i in range(args.trials):
-        if args.family == "symmetric":
+        if symmetric:
             n = rng.randint(4, 8)
             d = gen.random_strong_symmetric(n, rng.randint(0, 2), rng)
-            symmetric = True
-        elif args.family == "semi-comp":
+        else:
+            from .. import composition as cp
+
             spec = gen.random_semicomplete_composition(rng.randint(2, 3), 3, rng)
             d = cp.compose(spec)
-            symmetric = False
-        else:
-            raise PreconditionError(f"unknown family {args.family!r}")
         k = rng.randint(2, max(2, min(4, d.n)))
         terminals = sorted(rng.sample(range(d.n), k))
         try:

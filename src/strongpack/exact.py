@@ -3,9 +3,10 @@
 One driver, ``_pack_upward`` (flow bound, greedy, kernel search, one verify),
 gives the arc-disjoint and internally disjoint packing numbers and decides a
 strong arc decomposition: lambda >= 2 with every vertex a terminal.  The
-kernel is imported only when a search runs, so an answer that the bound or
-the greedy certifies never compiles it.  Flows give the two cut
-quantities.  Instances above the limits are refused.
+verifier is imported only inside it and the kernel only when a search runs,
+so a certified answer never compiles the kernel and a cut compiles neither.
+One terminal scan gives its bound and both cut quantities.  Instances
+above the limits are refused.
 """
 
 from __future__ import annotations
@@ -16,9 +17,7 @@ from typing import NamedTuple
 from .digraph import Arc, Digraph, _lowest, _step, as_terminals, bits, \
     is_strong, is_symmetric, mask_of, strong_component, underlying_connected
 from .errors import PreconditionError, SizeLimitError, StrongpackError
-from .flows import max_vertex_disjoint_paths, min_arc_cut, \
-    vertex_capacitated_connectivity
-from .verify import MODE_ARC, MODE_INTERNAL, Packing, verify_packing
+from .flows import min_arc_cut, vertex_capacitated_connectivity
 
 
 class SolverLimits(NamedTuple):
@@ -62,33 +61,33 @@ def _single_part(d: Digraph, ts: frozenset[int]):
     return frozenset((u, v) for u in bits(comp) for v in bits(d.out[u] & comp))
 
 
-def _arc_flow(d: Digraph, u: int, w: int, ts: frozenset[int]) -> int:
-    return min_arc_cut(d, u, w)[0]
+def _terminal_scan(d: Digraph, ts: frozenset[int], internal: bool = False,
+                   symmetric: bool = False, below: int = 0):
+    """(value, pair, cut) of the first minimum flow over the pairs through
+    the lowest terminal s: (s, v) for ascending v, then (v, s) unless
+    ``symmetric``.  A flow is ``min_arc_cut``, or with ``internal``
+    ``vertex_capacitated_connectivity`` (terminals uncapped, cut None).  A
+    flow under ``below`` ends the scan at once.
 
-
-def _lowest_terminal_bound(d: Digraph, ts: frozenset[int], flow,
-                           symmetric: bool = False, below: int = 0) -> int:
-    """The minimum of ``flow(d, u, w, ts)`` over ordered terminal pairs,
-    taken over the pairs through the lowest terminal s only: the minimum
-    over v != s of min(flow(s, v), flow(v, s)), 2(k-1) flows for k
-    terminals instead of k(k-1).  With ``symmetric`` it is the minimum of
-    flow(s, v) alone, k-1 flows.  A flow under ``below`` ends it at once.
-
-    The value is the same.  ``flow`` is a max flow whose minimum cuts
-    never remove a terminal, so a minimum u->w cut leaves s on u's side
-    or on w's side.  The same cut then also cuts every s->w path or every
-    u->s path, so flow(u, w) >= min(flow(s, w), flow(u, s)).  On a
-    symmetric host flow(u, s) = flow(s, u)."""
+    No minimum cut removes a terminal, so a minimum u->w cut leaves s on
+    one side and also cuts every s->w or every u->s path: flow(u, w) >=
+    min(flow(s, w), flow(u, s)), and flow(u, s) = flow(s, u) on a
+    symmetric host.  Both pairs sort before (u, w), so the first minimum
+    here is the first over all ordered pairs in ascending order."""
     s = min(ts)
-    bound = None
-    for v in sorted(ts - {s}):
-        for u, w in ((s, v),) if symmetric else ((s, v), (v, s)):
-            value = flow(d, u, w, ts)
-            if bound is None or value < bound:
-                bound = value
-                if bound < below:  # no later flow can raise a minimum
-                    return bound
-    return bound
+    rest = sorted(ts - {s})
+    pairs = [(s, v) for v in rest] + ([] if symmetric else [(v, s) for v in rest])
+    best = None
+    for u, w in pairs:
+        if internal:
+            value, cut = vertex_capacitated_connectivity(d, u, w, ts), None
+        else:
+            value, cut = min_arc_cut(d, u, w)
+        if best is None or value < best[0]:
+            best = value, (u, w), cut
+            if value < below:  # no later flow can raise a minimum
+                break
+    return best
 
 
 def _shortest_path(out: list[int], inn: list[int], a: int, b: int):
@@ -135,41 +134,44 @@ def _greedy_parts(d: Digraph, ts: frozenset[int]) -> tuple[frozenset[Arc], ...]:
         parts.append(frozenset(part))
 
 
-def _pack_upward(d: Digraph, terminals, limits: SolverLimits, mode: str,
-                 flow, greedy=None, stop=None):
-    """Optimal packing by upward search: size 1 is the terminals' strong
-    component, and the terminal pairs' ``flow`` bound caps every size
-    (every part holds a u->w path for each pair).  With ``greedy`` and a
-    bound of at least 2, its parts, when there are two or more, are the
-    packing to beat; the kernel search for ``mode`` then runs at sizes
-    greedy + 1, ... (else 2, 3, ...) up to the bound, and the first size
-    it refutes proves the optimum.  A greedy that reaches the bound leaves
-    nothing to search, so the kernel is imported, and its vertex limit
-    refuses, only when a search must run.
-    ``stop`` (every vertex a terminal) caps the size: a greedy run first
-    that reaches it skips the bound, a flow below it ends the bound, and
-    part 1 of a packing of that size takes every arc the others leave; a
-    size below it is returned with None, as nothing is built for it.  One
-    verify covers every returned packing."""
+def _pack_upward(d: Digraph, terminals, limits: SolverLimits, internal=False,
+                 stop=None):
+    """Optimal arc-disjoint (``internal``: internally disjoint) packing by
+    upward search: size 1 is the terminals' strong component, and the
+    mode's terminal flow bound caps every size (every part holds a u->w
+    path for each pair).  In arc mode with a bound of at least 2 the
+    greedy's parts, when two or more, are the packing to beat; the mode's
+    kernel search then runs at sizes greedy + 1, ... (else 2, 3, ...) up
+    to the bound, and the first size it refutes proves the optimum.  A
+    greedy that reaches the bound leaves nothing to search, so the kernel
+    is imported, and its vertex limit refuses, only when a search must run.
+    ``stop`` (arc mode, every vertex a terminal) caps the size: a greedy
+    run first that reaches it skips the bound, a flow below it ends the
+    bound, and part 1 of a packing of that size takes every arc the others
+    leave; a size below it is returned with None, as nothing is built for
+    it.  One verify covers every returned packing."""
+    from .verify import MODE_ARC, MODE_INTERNAL, Packing, verify_packing
+
     limits.check(d)
     ts = as_terminals(d, terminals)
+    mode = MODE_INTERNAL if internal else MODE_ARC
     part1 = _single_part(d, ts)
     if part1 is None:
         return 0, None if stop else Packing(d, ts, mode, ())
-    parts = greedy(d, ts)[:stop] if stop else ()
+    parts = _greedy_parts(d, ts)[:stop] if stop else ()
     bound = stop if stop and len(parts) == stop else \
-        _lowest_terminal_bound(d, ts, flow, below=stop or 0)
+        _terminal_scan(d, ts, internal, below=stop or 0)[0]
     if stop:
         bound = min(bound, stop)
-    elif greedy is not None and bound >= 2:
-        parts = greedy(d, ts)
+    elif not internal and bound >= 2:
+        parts = _greedy_parts(d, ts)
     best_parts = parts if len(parts) >= 2 else (part1,)
     ell = len(best_parts) + 1
     if ell <= bound:
         from . import _kernel
 
-        search = _kernel.search_arc_disjoint if mode == MODE_ARC \
-            else _kernel.search_internally_disjoint
+        search = _kernel.search_internally_disjoint if internal \
+            else _kernel.search_arc_disjoint
         arcs = sorted(d.arcs)
     while ell <= bound:
         found = search(d.n, arcs, mask_of(ts), ell)
@@ -198,7 +200,7 @@ def exact_lambda(d: Digraph, terminals, limits: SolverLimits = DEFAULT_LIMITS):
     certified by a found packing, and the search at a failing size proves
     the optimum.
     """
-    return _pack_upward(d, terminals, limits, MODE_ARC, _arc_flow, _greedy_parts)
+    return _pack_upward(d, terminals, limits)
 
 
 def exact_kappa(d: Digraph, terminals, limits: SolverLimits = DEFAULT_LIMITS):
@@ -206,8 +208,7 @@ def exact_kappa(d: Digraph, terminals, limits: SolverLimits = DEFAULT_LIMITS):
     terminals whose pairwise vertex intersections are exactly the
     terminal set, with an optimal packing.  The size bound gives every
     non-terminal vertex capacity one, so it is at most the arc flow bound."""
-    return _pack_upward(d, terminals, limits, MODE_INTERNAL,
-                        vertex_capacitated_connectivity)
+    return _pack_upward(d, terminals, limits, internal=True)
 
 
 def has_strong_arc_decomposition(d: Digraph, limits: SolverLimits = DEFAULT_LIMITS):
@@ -219,8 +220,7 @@ def has_strong_arc_decomposition(d: Digraph, limits: SolverLimits = DEFAULT_LIMI
     if d.n <= 1:
         limits.check(d)
         return True, (frozenset(), frozenset())
-    value, packing = _pack_upward(d, range(d.n), limits, MODE_ARC, _arc_flow,
-                                  _greedy_parts, stop=2)
+    value, packing = _pack_upward(d, range(d.n), limits, stop=2)
     return (True, packing.parts) if value == 2 else (False, None)
 
 
@@ -243,26 +243,17 @@ def min_strong_cut(d: Digraph, terminals) -> CutCertificate:
     Computed as the minimum over ordered terminal pairs (u, v) of the
     minimum u->v arc cut: breaking every u->v path forces u and v into
     different strong components, and any such cut must break some ordered
-    pair.  Only the 2(k-1) pairs through the lowest terminal s are scanned,
-    (s, v) for ascending v and then (v, s) for ascending v, and the first
-    minimum is kept.  That is the first minimum of all k(k-1) pairs in
-    ascending order: if (u, w) with s outside it attains the minimum m,
-    then flow(s, w) = m or flow(u, s) = m (``_lowest_terminal_bound``),
-    and both pairs sort before (u, w).
+    pair.  The certificate is the cut of the first minimum pair in
+    ascending order, found among the pairs through the lowest terminal
+    (``_terminal_scan``).
     """
     if not is_strong(d):
         raise PreconditionError("cut is defined for strong digraphs only")
     ts = as_terminals(d, terminals)
-    s = min(ts)
-    rest = sorted(ts - {s})
-    cert = None
-    for u, v in [(s, v) for v in rest] + [(v, s) for v in rest]:
-        size, cut = min_arc_cut(d, u, v)
-        if cert is None or size < cert.size:
-            cert = CutCertificate(cut, (u, v))
-    if not is_strong_cut(d, ts, cert.arcs):
+    _, witness, arcs = _terminal_scan(d, ts)
+    if not is_strong_cut(d, ts, arcs):
         raise StrongpackError("flow cut fails the definitional check")
-    return cert
+    return CutCertificate(arcs, witness)
 
 
 def min_strong_cut_exhaustive(d: Digraph, terminals,
@@ -288,14 +279,14 @@ def steiner_cut_undirected(d: Digraph, terminals) -> int:
     Each removed edge corresponds to an antiparallel arc pair; the value is
     the minimum over terminal pairs of the undirected min cut, which on a
     symmetric digraph equals the directed arc flow.  The pairs through the
-    lowest terminal give that minimum (``_lowest_terminal_bound``).
+    lowest terminal give that minimum (``_terminal_scan``).
     """
     if not is_symmetric(d):
         raise PreconditionError("host must be symmetric")
     if not underlying_connected(d):
         raise PreconditionError("underlying graph must be connected")
     ts = as_terminals(d, terminals)
-    return _lowest_terminal_bound(d, ts, _arc_flow, symmetric=True)
+    return _terminal_scan(d, ts, symmetric=True)[0]
 
 
 class CutRelationReport(NamedTuple):
@@ -340,7 +331,9 @@ def kappa_k(d: Digraph, k: int, limits: SolverLimits = DEFAULT_LIMITS) -> int:
 
 def max_disjoint_paths_undirected(d: Digraph, u: int, v: int) -> int:
     """Independent oracle for two-terminal internal packing on symmetric
-    hosts: the number of internally vertex-disjoint paths between u and v."""
+    hosts: the number of internally vertex-disjoint paths between u and v.
+    Arcs keep capacity 1 too, so on a symmetric host this counts the
+    internally disjoint undirected paths."""
     if not is_symmetric(d):
         raise PreconditionError("host must be symmetric")
-    return max_vertex_disjoint_paths(d, u, v)
+    return vertex_capacitated_connectivity(d, u, v, frozenset({u, v}))

@@ -80,11 +80,3 @@ def vertex_capacitated_connectivity(d: Digraph, s: int, t: int,
         out[exit_of[v]] = x
     return _max_flow(out, exit_of[s], t)[0]
 
-
-def max_vertex_disjoint_paths(d: Digraph, s: int, t: int) -> int:
-    """Maximum number of s->t paths pairwise sharing no inner vertex.
-
-    Arc capacities stay at 1 as well, so on symmetric digraphs this equals
-    the count of internally disjoint undirected paths.
-    """
-    return vertex_capacitated_connectivity(d, s, t, frozenset({s, t}))

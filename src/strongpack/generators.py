@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import random
 
-from .composition import CompositionSpec
 from .digraph import Digraph, biorientation, complete_bipartite_digraph, is_strong
 from .errors import PreconditionError, StrongpackError
 
@@ -68,6 +67,8 @@ def random_inner(n: int, arc_prob: float, rng: random.Random) -> Digraph:
 def random_symmetric_composition(t: int, max_inner: int, rng: random.Random,
                                  extra_edges: int = 1,
                                  inner_arc_prob: float = 0.15) -> CompositionSpec:
+    from .composition import CompositionSpec
+
     if max_inner < 1:
         raise PreconditionError("max_inner must be at least 1")
     outer = random_strong_symmetric(t, extra_edges, rng)
@@ -79,6 +80,8 @@ def random_symmetric_composition(t: int, max_inner: int, rng: random.Random,
 def random_semicomplete_composition(t: int, max_inner: int, rng: random.Random,
                                     min_inner: int = 1,
                                     inner_arc_prob: float = 0.15) -> CompositionSpec:
+    from .composition import CompositionSpec
+
     if not 1 <= min_inner <= max_inner:
         raise PreconditionError("need 1 <= min_inner <= max_inner")
     outer = random_strong_semicomplete(t, rng)
@@ -107,6 +110,8 @@ def random_eulerian(n: int, cycles: int, rng: random.Random) -> Digraph:
 
     if n < 3:
         raise PreconditionError("Eulerian instances need at least 3 vertices")
+    if cycles < 1:
+        raise PreconditionError("Eulerian instances need at least 1 cycle")
     for _ in range(_RETRIES):
         arcs: set[tuple[int, int]] = set()
         ok = True

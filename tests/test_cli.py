@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import strongpack as sp
-from strongpack.cli import COMMANDS, main
+from strongpack.cli import main
 
 
 @pytest.fixture
@@ -522,6 +522,8 @@ class TestRefusals:
         ["gen", "eulerian-linkage", "--n", "2"],
         ["gen", "sym-comp", "--max-inner", "0"],
         ["gen", "semi-comp", "--max-inner", "0"],
+        ["gen", "eulerian-linkage", "--cycles", "0"],  # no arc set can pass
+        ["gen", "eulerian-linkage", "--cycles", "-1"],
     ])
     def test_gen_bad_size_exits_2(self, capsys, argv):
         code, err = refusal(argv, capsys)
@@ -612,10 +614,9 @@ class TestImportFootprint:
         return {m.removeprefix("strongpack.") for m in modules}
 
     def test_version(self, workdir):
-        # no subcommand named: every subcommand's arguments, no library module
+        # no subcommand named: no subcommand's module, no library module
         assert self.loaded(["--version"], workdir) == {
-            "strongpack", "cli", "errors", "commands",
-            *(f"commands.{name}" for name in COMMANDS)}
+            "strongpack", "cli", "errors", "commands"}
 
     def test_decompose(self, workdir):
         assert self.loaded(["decompose", "3", "4"], workdir) == {
@@ -642,7 +643,8 @@ class TestImportFootprint:
         write(workdir / "k.dg", sp.write_digraph(sp.complete_bipartite_digraph(2, 3)))
         loaded = self.loaded(["exact", "--mode", mode, "--graph", "k.dg",
                               "--terminals", "0,2"], workdir)
-        assert "verify" in loaded
+        # only the modes that build a packing load the verifier
+        assert ("verify" in loaded) == (mode != "cut")
         assert not loaded & {"packing", "hamilton", "composition"}
         # the kernel loads only for a search: the greedy meets lambda's cut
         # bound 2 here, while kappa has no greedy and sad's finds one part
@@ -660,7 +662,8 @@ class TestImportFootprint:
     def test_survey_loads_no_construction(self, workdir):
         loaded = self.loaded(["survey", "--trials", "2", "--out", "s.csv"], workdir)
         assert "verify" in loaded
-        assert not loaded & {"packing", "hamilton"}
+        # the symmetric family composes nothing
+        assert not loaded & {"packing", "hamilton", "composition"}
 
 
 class TestLinesLoaded:
@@ -668,10 +671,10 @@ class TestLinesLoaded:
     bytecode caching off, as under ``PYTHONDONTWRITEBYTECODE``, an op
     compiles every line it imports, so a change that makes an op load more
     code fails here rather than only in the benchmark.  Each ceiling is a
-    little above the count when it was set: 612 lines for ``--version``,
-    1,289 for a certified lambda, 1,598 for ``pack`` and 834 for ``verify``
-    (541, 1,868, 1,788 and 1,068 while ``cli`` held every handler and
-    ``exact`` imported the kernel up front)."""
+    little above the count measured: 284 lines for ``--version``,
+    1,274 for a certified lambda, 1,119 for a cut, 1,598 for ``pack`` and
+    834 for ``verify`` (541, 1,868, 1,868, 1,788 and 1,068 while ``cli``
+    held every handler and ``exact`` imported the kernel up front)."""
 
     @staticmethod
     def lines(argv, workdir):
@@ -691,12 +694,17 @@ class TestLinesLoaded:
         return int(lines)
 
     def test_version(self, workdir):
-        assert self.lines(["--version"], workdir) <= 650
+        assert self.lines(["--version"], workdir) <= 300
 
     def test_certified_lambda(self, workdir):
         write(workdir / "k.dg", sp.write_digraph(sp.complete_bipartite_digraph(2, 3)))
         assert self.lines(["exact", "--mode", "lambda", "--graph", "k.dg",
                            "--terminals", "0,2"], workdir) <= 1350
+
+    def test_cut(self, workdir):
+        write(workdir / "k.dg", sp.write_digraph(sp.complete_bipartite_digraph(2, 3)))
+        assert self.lines(["exact", "--mode", "cut", "--graph", "k.dg",
+                           "--terminals", "0,2"], workdir) <= 1135
 
     def test_pack_composition(self, workdir, strong_tournament4):
         spec = sp.CompositionSpec(strong_tournament4, tuple(sp.empty_digraph(3) for _ in range(4)))

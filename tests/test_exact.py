@@ -4,7 +4,7 @@ import random
 import pytest
 
 import strongpack as sp
-from strongpack import _kernel, exact
+from strongpack import _kernel, exact, verify
 from strongpack.digraph import bits
 from strongpack.errors import PreconditionError, SizeLimitError, StrongpackError
 from strongpack.exact import SolverLimits
@@ -143,7 +143,7 @@ class TestStrongArcDecomposition:
             return wrapper
 
         monkeypatch.setattr(exact, "min_arc_cut", counted("flow", exact.min_arc_cut))
-        monkeypatch.setattr(exact, "verify_packing", counted("verify", exact.verify_packing))
+        monkeypatch.setattr(verify, "verify_packing", counted("verify", verify.verify_packing))
         return calls
 
     def test_a_false_host_stops_at_its_first_flow_below_two(self, monkeypatch):

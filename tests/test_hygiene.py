@@ -224,6 +224,17 @@ def test_one_kernel_caller():
     assert "strongpack._kernel" in _imports_of("exact.py", driver)
 
 
+def test_verify_only_in_the_driver():
+    """``exact`` imports ``verify`` only inside ``_pack_upward``, where the
+    one verify of every returned packing runs, so a cut, which builds no
+    packing, never compiles the verifier."""
+    driver = next(fn for fn in TREES["exact.py"].body
+                  if isinstance(fn, ast.FunctionDef) and fn.name == "_pack_upward")
+    assert "strongpack.verify" not in _imports_of("exact.py", ast.Module(
+        [fn for fn in TREES["exact.py"].body if fn is not driver], []))
+    assert "strongpack.verify" in _imports_of("exact.py", driver)
+
+
 def test_no_module_imports_cli():
     """Under ``python -m strongpack.cli`` the module runs as ``__main__``, so
     a package module that imported ``strongpack.cli`` would compile it a

@@ -254,7 +254,7 @@ def test_greedy_and_kernel_bracket_exact_lambda(pair):
     greedy = exact._greedy_parts(d, ts)
     assert sp.verify_packing(sp.Packing(d, ts, MODE_ARC, greedy)).ok
     value = exact.exact_lambda(d, terminals)[0]
-    assert len(greedy) <= value <= exact._lowest_terminal_bound(d, ts, exact._arc_flow)
+    assert len(greedy) <= value <= exact._terminal_scan(d, ts)[0]
     assert value == _kernel_lambda(d, ts)
 
 
@@ -303,9 +303,9 @@ def hosts_with_terminals(draw, hosts):
 def test_lowest_terminal_bound_is_the_all_pairs_minimum(pair):
     d, ts = pair
     pairs = list(permutations(sorted(ts), 2))
-    assert exact._lowest_terminal_bound(d, ts, exact._arc_flow) == min(
+    assert exact._terminal_scan(d, ts)[0] == min(
         min_arc_cut(d, u, w)[0] for u, w in pairs)
-    assert exact._lowest_terminal_bound(d, ts, vertex_capacitated_connectivity) == min(
+    assert exact._terminal_scan(d, ts, internal=True)[0] == min(
         vertex_capacitated_connectivity(d, u, w, ts) for u, w in pairs)
 
 
