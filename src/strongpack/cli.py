@@ -13,7 +13,10 @@ or an unwritable output path, 3 parse error or an unreadable input file,
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import importlib
+import os
 import sys
 
 from .commands import EXIT_LIMIT, EXIT_PARSE, EXIT_PRECONDITION
@@ -77,5 +80,18 @@ def main(argv=None) -> int:
         return EXIT_PRECONDITION
 
 
+def entry() -> None:
+    """Run ``main`` as a process: no cyclic collector, no interpreter teardown."""
+    gc.disable()
+    code = main()
+    atexit._run_exitfuncs()
+    try:
+        for stream in filter(None, (sys.stdout, sys.stderr)):
+            stream.flush()
+    except OSError:  # a closed pipe: the interpreter reports it at exit
+        raise SystemExit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    entry()

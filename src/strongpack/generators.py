@@ -71,6 +71,8 @@ def random_symmetric_composition(t: int, max_inner: int, rng: random.Random,
 
     if max_inner < 1:
         raise PreconditionError("max_inner must be at least 1")
+    if t < 2:
+        raise PreconditionError("outer digraph needs at least 2 vertices")
     outer = random_strong_symmetric(t, extra_edges, rng)
     inners = [random_inner(rng.randint(1, max_inner), inner_arc_prob, rng)
               for _ in range(t)]
@@ -84,6 +86,8 @@ def random_semicomplete_composition(t: int, max_inner: int, rng: random.Random,
 
     if not 1 <= min_inner <= max_inner:
         raise PreconditionError("need 1 <= min_inner <= max_inner")
+    if t < 2:
+        raise PreconditionError("outer digraph needs at least 2 vertices")
     outer = random_strong_semicomplete(t, rng)
     inners = [random_inner(rng.randint(min_inner, max_inner), inner_arc_prob, rng)
               for _ in range(t)]

@@ -530,6 +530,13 @@ class TestRefusals:
         assert code == 2
         assert err.startswith("precondition violated: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("kind", ["sym-comp", "semi-comp"])
+    @pytest.mark.parametrize("t", [-1, 0, 1])
+    def test_gen_composition_needs_two_outer_vertices(self, capsys, kind, t):
+        # refused before the outer digraph is built, so no internal check is named
+        assert refusal(["gen", kind, "--t", str(t)], capsys) == (
+            2, "precondition violated: outer digraph needs at least 2 vertices\n")
+
     def test_survey_negative_trials_exits_2(self, workdir, capsys):
         out = workdir / "s.csv"
         code, err = refusal(["survey", "--trials", "-3", "--out", str(out)], capsys)
@@ -670,11 +677,12 @@ class TestLinesLoaded:
     """A ceiling on the package source lines each kind of op loads.  With
     bytecode caching off, as under ``PYTHONDONTWRITEBYTECODE``, an op
     compiles every line it imports, so a change that makes an op load more
-    code fails here rather than only in the benchmark.  Each ceiling is a
-    little above the count measured: 284 lines for ``--version``,
-    1,274 for a certified lambda, 1,119 for a cut, 1,598 for ``pack`` and
-    834 for ``verify`` (541, 1,868, 1,868, 1,788 and 1,068 while ``cli``
-    held every handler and ``exact`` imported the kernel up front)."""
+    code fails here rather than only in the benchmark.  Each ceiling is at
+    or a little above the count measured: 300 lines for ``--version``,
+    1,290 for a certified lambda, 1,135 for a cut, 1,614 for ``pack`` and
+    850 for ``verify``, 16 of them ``cli.entry`` and its imports (541,
+    1,868, 1,868, 1,788 and 1,068 while ``cli`` held every handler and
+    ``exact`` imported the kernel up front)."""
 
     @staticmethod
     def lines(argv, workdir):
@@ -717,3 +725,142 @@ class TestLinesLoaded:
         write(workdir / "k.pack", sp.write_packing(sp.pack_bipartite(2, 3, [0, 2])))
         assert self.lines(["verify", "--graph", "k.dg", "--terminals", "0,2", "k.pack"],
                           workdir) <= 880
+
+
+SRC = str(Path(sp.__file__).resolve().parents[1])
+# the streams buffered, as for a user, so a missed flush would lose output
+ENV = {**{k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"},
+       "PYTHONPATH": SRC, "COLUMNS": "80"}
+PROGRAMS = [("-m", "strongpack.cli"), ("-m", "strongpack")]
+
+
+class TestProcessEntry:
+    """``python -m strongpack.cli`` and ``python -m strongpack`` end through
+    ``cli.entry``, which skips interpreter teardown: each must still give
+    the exit code, stdout, stderr and files that in-process ``main`` gives."""
+
+    @staticmethod
+    def launch(program, argv, workdir, **kw):
+        run = subprocess.run([sys.executable, *program, *argv], capture_output=True,
+                             cwd=workdir, env=ENV, **kw)
+        return run.returncode, run.stdout.decode(), run.stderr.decode()
+
+    @staticmethod
+    def in_process(argv, workdir, monkeypatch, capsys):
+        monkeypatch.chdir(workdir)
+        monkeypatch.setenv("COLUMNS", "80")
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        return (code, *capsys.readouterr())
+
+    @pytest.fixture
+    def inputs(self, workdir, strong_tournament4):
+        big = sp.CompositionSpec(strong_tournament4,
+                                 tuple(sp.empty_digraph(50) for _ in range(4)))
+        write(workdir / "big.comp", sp.write_composition(big))
+        write(workdir / "q0.comp", sp.write_composition(sp.CompositionSpec(
+            sp.directed_cycle(3), tuple(sp.empty_digraph(2) for _ in range(3)))))
+        write(workdir / "bad.dg", "gibberish\n")
+        write(workdir / "e30.dg", sp.write_digraph(sp.empty_digraph(30)))
+        write(workdir / "c3.dg", sp.write_digraph(sp.directed_cycle(3)))
+
+    @pytest.mark.parametrize("program", PROGRAMS, ids=["cli", "package"])
+    @pytest.mark.parametrize("argv, code, last_err", [
+        (["analyze", "--graph", "c3.dg"], 0, None),
+        (["pack", "--composition", "q0.comp", "--terminals", "0,1"], 2,
+         "precondition violated: "),
+        (["analyze", "--graph", "bad.dg"], 3, "parse error: "),
+        (["exact", "--mode", "lambda", "--graph", "e30.dg", "--terminals", "0,1"], 4,
+         "size limit: "),
+        (["--version"], 0, None),
+        (["--help"], 0, None),
+        (["pack", "--help"], 0, None),
+        (["pack", "--terminals", "0,1"], 2, "strongpack pack: error: "),
+        (["bogus"], 2, "strongpack: error: "),
+    ], ids=["analyze", "exceptional", "parse", "limit", "version",
+            "help", "pack-help", "usage", "unknown"])
+    def test_same_as_main(self, program, argv, code, last_err, workdir, inputs,
+                          monkeypatch, capsys):
+        expected = self.in_process(argv, workdir, monkeypatch, capsys)
+        err = expected[2]
+        assert expected[0] == code
+        assert err == "" if last_err is None else err.splitlines()[-1].startswith(last_err)
+        assert self.launch(program, argv, workdir) == expected
+
+    @pytest.mark.parametrize("program", PROGRAMS, ids=["cli", "package"])
+    def test_large_stdout_equals_out_file(self, program, workdir, inputs,
+                                          monkeypatch, capsys):
+        argv = ["pack", "--composition", "big.comp", "--terminals", "0,4"]
+        code, out, err = self.launch(program, argv, workdir)
+        assert (code, err) == (0, "") and len(out.encode()) > 65536
+        assert self.in_process(argv, workdir, monkeypatch, capsys) == (code, out, err)
+        assert self.launch(program, [*argv, "--out", "big.pack"], workdir) == (0, "", "")
+        assert (workdir / "big.pack").read_bytes() == out.encode()
+
+    @pytest.mark.parametrize("program", PROGRAMS, ids=["cli", "package"])
+    @pytest.mark.parametrize("argv", [["gen", "bipartite", "--out", "k.dg"], ["--version"]],
+                             ids=["gen-out", "version"])
+    def test_stdout_closed_at_start(self, program, argv, workdir,
+                                    monkeypatch, capsys):
+        launched = self.launch(program, argv, workdir, preexec_fn=lambda: os.close(1))
+        written = (workdir / "k.dg").read_bytes() if argv[0] == "gen" else None
+        monkeypatch.setattr(sys, "stdout", None)
+        assert launched == self.in_process(argv, workdir, monkeypatch, capsys)
+        if written is not None:
+            assert written == (workdir / "k.dg").read_bytes()
+
+    @pytest.mark.parametrize("module", ["strongpack.cli", "strongpack"])
+    def test_exit_handlers_run(self, module, workdir):
+        # the handler also shows that the op ran through ``entry``, which
+        # leaves the cyclic collector off
+        code = ("import atexit, gc, runpy, sys\n"
+                "atexit.register(lambda: print('handler, gc on:', gc.isenabled()))\n"
+                f"runpy.run_module({module!r}, run_name='__main__')\n")
+        run = subprocess.run([sys.executable, "-c", code, "decompose", "4", "3"],
+                             capture_output=True, text=True, cwd=workdir, env=ENV)
+        assert (run.returncode, run.stderr) == (0, "")
+        rows = run.stdout.splitlines()
+        assert len(rows) == 4 and rows[-1] == "handler, gc on: False"
+        assert all(len(row.split()) == 12 for row in rows[:-1])
+
+    def test_script_runs_entry(self):
+        tomllib = pytest.importorskip("tomllib")
+        with open(Path(SRC).parent / "pyproject.toml", "rb") as fh:
+            scripts = tomllib.load(fh)["project"]["scripts"]
+        assert scripts == {"strongpack": "strongpack.cli:entry"}
+
+
+class TestCyclicGarbage:
+    """``cli.entry`` runs an op with the cyclic collector off.  That frees
+    nothing only if the cyclic garbage an op leaves does not grow with its
+    input: the same op at two sizes must leave the same count."""
+
+    @staticmethod
+    def garbage(argv, workdir):
+        code = ("import gc, sys\n"
+                "gc.disable()\n"
+                "from strongpack.cli import main\n"
+                "print(main(sys.argv[1:]), gc.collect())\n")
+        run = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                             text=True, check=True, cwd=workdir, env=ENV)
+        code, count = run.stdout.split()
+        assert code == "0"
+        return int(count)
+
+    @pytest.mark.parametrize("family", ["symmetric", "semi-comp"])
+    def test_survey(self, workdir, family):
+        small, large = (self.garbage(["survey", "--family", family, "--trials", str(trials),
+                                      "--out", "s.csv"], workdir) for trials in (1, 200))
+        assert small == large
+
+    def test_pack(self, workdir, strong_tournament4):
+        counts = []
+        for size in (3, 50):  # 12 and 200 vertices
+            spec = sp.CompositionSpec(strong_tournament4,
+                                      tuple(sp.empty_digraph(size) for _ in range(4)))
+            write(workdir / "t.comp", sp.write_composition(spec))
+            counts.append(self.garbage(["pack", "--composition", "t.comp",
+                                        "--terminals", "0,4", "--out", "t.pack"], workdir))
+        assert counts[0] == counts[1]

@@ -9,8 +9,11 @@ no ``assert`` statement, since ``python -O`` strips it, so a check must
 raise instead; one function that splits text into lines; one function
 that calls the kernel directly, and ``exact`` imports it only where its
 driver searches; one place outside ``digraph`` pairs a forward and a
-backward closure; and no package module imports ``cli``.  Modules of the
-``commands`` subpackage are keyed by their path, ``commands/pack.py``."""
+backward closure; no package module imports ``cli``; and what lets
+``cli.entry`` skip interpreter teardown holds: every ``open`` is a ``with``
+item, only ``entry`` calls ``os._exit`` or ``gc.disable``, and no module
+imports ``threading``.  Modules of the ``commands`` subpackage are keyed by
+their path, ``commands/pack.py``."""
 
 import ast
 import functools
@@ -242,6 +245,31 @@ def test_no_module_imports_cli():
     importers = [module for module, tree in TREES.items()
                  if "strongpack.cli" in _imports_of(module, tree)]
     assert importers == ["__main__.py"]
+
+
+def test_nothing_needs_teardown():
+    """``cli.entry`` ends a process with ``os._exit``, which runs no
+    finalizer and flushes no file, after turning the cyclic collector off.
+    That loses nothing while every file the package opens is closed by its
+    ``with``, no other code ends the process or touches the collector, and
+    no thread is left running."""
+    withs = {id(item.context_expr) for tree in TREES.values()
+             for node in ast.walk(tree) if isinstance(node, ast.With)
+             for item in node.items}
+    opens = [node for tree in TREES.values() for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and "open" in (
+                 getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+    assert opens and all(id(node) in withs for node in opens)
+    entry = next(fn for fn in TREES["cli.py"].body
+                 if isinstance(fn, ast.FunctionDef) and fn.name == "entry")
+    inside = set(map(id, ast.walk(entry)))
+    ends = [node for tree in TREES.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr in ("_exit", "disable")]
+    assert sorted(node.attr for node in ends) == ["_exit", "disable"]
+    assert all(id(node) in inside for node in ends)
+    for module, tree in TREES.items():
+        imported = _imports_of(module, tree)
+        assert not imported & {"os._exit", "gc.disable", "threading", "_thread"}, module
 
 
 def test_one_forward_backward_pair():
