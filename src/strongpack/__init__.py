@@ -45,17 +45,11 @@ _EXPORTS = {
     "StrongpackError": "errors",
     "UnsupportedCaseError": "errors",
     "CutCertificate": "exact",
-    "CutRelationReport": "exact",
     "SolverLimits": "exact",
-    "check_cut_relation": "exact",
     "exact_kappa": "exact",
     "exact_lambda": "exact",
     "has_strong_arc_decomposition": "exact",
-    "kappa_k": "exact",
-    "lambda_k": "exact",
-    "max_disjoint_paths_undirected": "exact",
     "min_strong_cut": "exact",
-    "min_strong_cut_exhaustive": "exact",
     "steiner_cut_undirected": "exact",
     "terminal_semi_degree": "exact",
     "BlowupDecomposition": "hamilton",

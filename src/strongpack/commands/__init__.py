@@ -41,6 +41,8 @@ def _write_file(path: str, text: str) -> None:
 def _write_out(text: str, out: str | None) -> None:
     if out:
         _write_file(out, text)
+    elif sys.stdout is None:  # closed when the process started
+        raise PreconditionError("cannot write stdout")
     else:
         sys.stdout.write(text)
 

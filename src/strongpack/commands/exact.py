@@ -14,10 +14,10 @@ def add_arguments(p) -> None:
 
 
 def run(args) -> int:
-    from .. import digraph as dg
+    from .. import _core
     from .. import exact as ex
 
-    d = dg.read_digraph(_read(args.graph))
+    d = _core.read_digraph(_read(args.graph))
     limits = _limits(args)
     if args.mode in ("lambda", "kappa"):
         from .. import verify as vf

@@ -10,10 +10,10 @@ def add_arguments(p) -> None:
 
 
 def run(args) -> int:
-    from .. import digraph as dg
+    from .. import _core
     from .. import verify as vf
 
-    d = dg.read_digraph(_read(args.graph))
+    d = _core.read_digraph(_read(args.graph))
     packing = vf.read_packing(_read(args.packing), d, _terminals(args.terminals))
     verdict = vf.verify_packing(packing)
     if verdict.ok:

@@ -11,10 +11,10 @@ above the limits are refused.
 
 from __future__ import annotations
 
-from itertools import combinations
+from functools import lru_cache
 from typing import NamedTuple
 
-from .digraph import Arc, Digraph, _lowest, _step, as_terminals, bits, \
+from ._core import Arc, Digraph, _lowest, _step, as_terminals, bits, \
     is_strong, is_symmetric, mask_of, strong_component, underlying_connected
 from .errors import PreconditionError, SizeLimitError, StrongpackError
 from .flows import min_arc_cut, vertex_capacitated_connectivity
@@ -61,22 +61,32 @@ def _single_part(d: Digraph, ts: frozenset[int]):
     return frozenset((u, v) for u in bits(comp) for v in bits(d.out[u] & comp))
 
 
-def _terminal_scan(d: Digraph, ts: frozenset[int], internal: bool = False,
-                   symmetric: bool = False, below: int = 0):
+@lru_cache(maxsize=1)
+def _terminal_scan(d: Digraph, ts: frozenset[int], internal: bool, below: int):
     """(value, pair, cut) of the first minimum flow over the pairs through
-    the lowest terminal s: (s, v) for ascending v, then (v, s) unless
-    ``symmetric``.  A flow is ``min_arc_cut``, or with ``internal``
+    the lowest terminal s: (s, v) for ascending v, then (v, s) unless the
+    host is symmetric.  A flow is ``min_arc_cut``, or with ``internal``
     ``vertex_capacitated_connectivity`` (terminals uncapped, cut None).  A
     flow under ``below`` ends the scan at once.
 
     No minimum cut removes a terminal, so a minimum u->w cut leaves s on
     one side and also cuts every s->w or every u->s path: flow(u, w) >=
-    min(flow(s, w), flow(u, s)), and flow(u, s) = flow(s, u) on a
-    symmetric host.  Both pairs sort before (u, w), so the first minimum
-    here is the first over all ordered pairs in ascending order."""
+    min(flow(s, w), flow(u, s)).  Both pairs sort before (u, w), so the
+    first minimum here is the first over all ordered pairs in ascending
+    order.  On a symmetric host each v->s path reversed is an s->v path,
+    with the same arcs and inner vertices reversed, so flow(v, s) =
+    flow(s, v) with arc and with vertex capacities: no (v, s) can beat its
+    twin (s, v), scanned first, and the pairs (s, v) alone give the same
+    minimum, pair and cut.
+
+    The last scan is kept, so the driver's bound and both cuts of one
+    (host, terminals) run one scan; every caller passes all four arguments
+    by position, the one form the cache keys on."""
     s = min(ts)
     rest = sorted(ts - {s})
-    pairs = [(s, v) for v in rest] + ([] if symmetric else [(v, s) for v in rest])
+    pairs = [(s, v) for v in rest]
+    if not is_symmetric(d):
+        pairs += [(v, s) for v in rest]
     best = None
     for u, w in pairs:
         if internal:
@@ -160,7 +170,7 @@ def _pack_upward(d: Digraph, terminals, limits: SolverLimits, internal=False,
         return 0, None if stop else Packing(d, ts, mode, ())
     parts = _greedy_parts(d, ts)[:stop] if stop else ()
     bound = stop if stop and len(parts) == stop else \
-        _terminal_scan(d, ts, internal, below=stop or 0)[0]
+        _terminal_scan(d, ts, internal, stop or 0)[0]
     if stop:
         bound = min(bound, stop)
     elif not internal and bound >= 2:
@@ -250,26 +260,10 @@ def min_strong_cut(d: Digraph, terminals) -> CutCertificate:
     if not is_strong(d):
         raise PreconditionError("cut is defined for strong digraphs only")
     ts = as_terminals(d, terminals)
-    _, witness, arcs = _terminal_scan(d, ts)
+    _, witness, arcs = _terminal_scan(d, ts, False, 0)
     if not is_strong_cut(d, ts, arcs):
         raise StrongpackError("flow cut fails the definitional check")
     return CutCertificate(arcs, witness)
-
-
-def min_strong_cut_exhaustive(d: Digraph, terminals,
-                              limits: SolverLimits = DEFAULT_LIMITS) -> int:
-    """Smallest cut size by direct enumeration of arc subsets in increasing
-    size; the independent cross-check for ``min_strong_cut``."""
-    limits.check(d)
-    if not is_strong(d):
-        raise PreconditionError("cut is defined for strong digraphs only")
-    ts = as_terminals(d, terminals)
-    arcs = sorted(d.arcs)
-    for k in range(1, d.m + 1):
-        for subset in combinations(arcs, k):
-            if is_strong_cut(d, ts, subset):
-                return k
-    raise StrongpackError("no cut found, which cannot happen on a strong host")
 
 
 def steiner_cut_undirected(d: Digraph, terminals) -> int:
@@ -286,22 +280,7 @@ def steiner_cut_undirected(d: Digraph, terminals) -> int:
     if not underlying_connected(d):
         raise PreconditionError("underlying graph must be connected")
     ts = as_terminals(d, terminals)
-    return _terminal_scan(d, ts, symmetric=True)[0]
-
-
-class CutRelationReport(NamedTuple):
-    c1: int
-    c2: int
-    holds: bool
-
-
-def check_cut_relation(d: Digraph, terminals) -> CutRelationReport:
-    """Both cut sizes on a strong symmetric host, and whether the directed
-    cut is at most twice the undirected one (doubling an undirected cut
-    always yields a directed cut)."""
-    c1 = steiner_cut_undirected(d, terminals)
-    c2 = min_strong_cut(d, terminals).size
-    return CutRelationReport(c1, c2, c2 <= 2 * c1)
+    return _terminal_scan(d, ts, False, 0)[0]
 
 
 def terminal_semi_degree(d: Digraph, terminals) -> int:
@@ -310,30 +289,3 @@ def terminal_semi_degree(d: Digraph, terminals) -> int:
     terminal, so this bounds the packing number."""
     ts = as_terminals(d, terminals)
     return min(min(d.out_degree(v), d.in_degree(v)) for v in sorted(ts))
-
-
-def lambda_k(d: Digraph, k: int, limits: SolverLimits = DEFAULT_LIMITS) -> int:
-    """min over all k-subsets of the arc-disjoint packing number.  Small
-    hosts only; this loops over every subset."""
-    if not (2 <= k <= d.n):
-        raise PreconditionError("need 2 <= k <= n")
-    return min(exact_lambda(d, s, limits)[0]
-               for s in combinations(range(d.n), k))
-
-
-def kappa_k(d: Digraph, k: int, limits: SolverLimits = DEFAULT_LIMITS) -> int:
-    """min over all k-subsets of the internally disjoint packing number."""
-    if not (2 <= k <= d.n):
-        raise PreconditionError("need 2 <= k <= n")
-    return min(exact_kappa(d, s, limits)[0]
-               for s in combinations(range(d.n), k))
-
-
-def max_disjoint_paths_undirected(d: Digraph, u: int, v: int) -> int:
-    """Independent oracle for two-terminal internal packing on symmetric
-    hosts: the number of internally vertex-disjoint paths between u and v.
-    Arcs keep capacity 1 too, so on a symmetric host this counts the
-    internally disjoint undirected paths."""
-    if not is_symmetric(d):
-        raise PreconditionError("host must be symmetric")
-    return vertex_capacitated_connectivity(d, u, v, frozenset({u, v}))

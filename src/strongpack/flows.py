@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .digraph import Digraph, bits
+from ._core import Digraph, bits
 from .errors import PreconditionError, StrongpackError
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from itertools import product
 from typing import NamedTuple
 
-from .digraph import Arc, Digraph, _header, biorientation, is_eulerian
+from .digraph import Arc, Digraph, _header, biorientation, bits, is_eulerian
 from .errors import GraphFormatError, PreconditionError, SizeLimitError
 
 
@@ -186,7 +186,7 @@ def has_disjoint_paths(d: Digraph, s1: int, t1: int, s2: int, t2: int,
     if d.n > limit:
         raise SizeLimitError(f"{d.n} vertices exceeds limit {limit}")
     _check_endpoints(d, (s1, t1, s2, t2))
-    adj = d.adjacency()
+    adj = [bits(x) for x in d.out]
 
     def paths(src, dst, banned):
         stack = [(src, {src})]

@@ -1,5 +1,5 @@
-"""The packing record, its verifier and its text format.  It needs only
-``digraph``, so the exact solvers and ``verify`` load no construction.
+"""The packing record, its verifier and its text format.  It needs only the
+digraph core ``_core``, so the exact solvers and ``verify`` load no construction.
 
 A packing is a collection of arc sets over one host digraph.  Each part
 must induce a strong subgraph containing every terminal; parts never share
@@ -17,7 +17,7 @@ from __future__ import annotations
 from operator import and_, or_
 from typing import NamedTuple, Optional
 
-from .digraph import Arc, Digraph, _header, as_terminals
+from ._core import Arc, Digraph, _header, as_terminals
 from .errors import GraphFormatError
 
 MODE_ARC = "arc"

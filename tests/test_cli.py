@@ -1,13 +1,16 @@
+import csv
 import hashlib
 import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import strongpack as sp
+from strongpack import _core, exact, flows
 from strongpack.cli import main
 
 
@@ -45,6 +48,27 @@ class TestAnalyze:
     def test_parse_error_exit_code(self, workdir, capsys):
         g = write(workdir / "bad.dg", "gibberish\n")
         assert main(["analyze", "--graph", g]) == 3
+
+    def test_large_sparse_host(self, workdir, capsys):
+        # 8,000 vertices and no arc: the in-masks are built once, arc by arc,
+        # not by transposing an 8000 x 8000 character matrix per predicate
+        g = write(workdir / "e.dg", "8000 0\n")
+        start = time.perf_counter()
+        assert main(["analyze", "--graph", g]) == 0
+        assert time.perf_counter() - start < 3
+        assert capsys.readouterr().out.splitlines()[:2] == ["n=8000 m=0 scc=8000",
+                                                            "strong=False"]
+
+    @pytest.mark.parametrize("d", [sp.directed_cycle(40), sp.complete_bipartite_digraph(2, 3)],
+                             ids=["sparse", "dense"])
+    def test_one_transpose_per_op(self, workdir, capsys, monkeypatch, d):
+        sizes = []
+        transpose = _core._transpose
+        monkeypatch.setattr(_core, "_transpose",
+                            lambda n, out: sizes.append(n) or transpose(n, out))
+        g = write(workdir / "d.dg", sp.write_digraph(d))
+        assert main(["analyze", "--graph", g]) == 0
+        assert sizes == [d.n]
 
 
 class TestPackVerify:
@@ -412,6 +436,19 @@ class TestGenAndSurvey:
                      "--seed", str(seed), "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_symmetric_row_runs_one_half_scan(self, workdir, monkeypatch, seed):
+        # lambda's bound, c2 and c1 share one scan of the k - 1 pairs (s, v)
+        flows_run = []
+        max_flow = flows._max_flow
+        monkeypatch.setattr(flows, "_max_flow",
+                            lambda out, s, t: flows_run.append((s, t)) or max_flow(out, s, t))
+        exact._terminal_scan.cache_clear()
+        out = workdir / "row.csv"
+        assert main(["survey", "--trials", "1", "--seed", str(seed), "--out", str(out)]) == 0
+        row = list(csv.DictReader(out.read_text().splitlines()[1:]))[0]
+        assert row["status"] == "ok" and len(flows_run) == int(row["k"]) - 1
+
     def test_survey_zero_limit_skips_every_row(self, workdir):
         out = str(workdir / "z.csv")
         assert main(["survey", "--trials", "3", "--limit-m", "0", "--out", out]) == 0
@@ -628,7 +665,7 @@ class TestImportFootprint:
     def test_decompose(self, workdir):
         assert self.loaded(["decompose", "3", "4"], workdir) == {
             "strongpack", "cli", "errors", "commands", "commands.decompose",
-            "digraph", "hamilton"}
+            "_core", "digraph", "hamilton"}
 
     def test_pack_and_verify_load_no_solver(self, workdir, strong_tournament4):
         spec = sp.CompositionSpec(strong_tournament4, tuple(sp.empty_digraph(3) for _ in range(4)))
@@ -652,6 +689,8 @@ class TestImportFootprint:
                               "--terminals", "0,2"], workdir)
         # only the modes that build a packing load the verifier
         assert ("verify" in loaded) == (mode != "cut")
+        # the solvers run on the digraph core, without the class predicates
+        assert "_core" in loaded and "digraph" not in loaded
         assert not loaded & {"packing", "hamilton", "composition"}
         # the kernel loads only for a search: the greedy meets lambda's cut
         # bound 2 here, while kappa has no greedy and sad's finds one part
@@ -663,8 +702,8 @@ class TestImportFootprint:
         write(workdir / "k.pack", sp.write_packing(sp.pack_bipartite(2, 3, [0, 2])))
         loaded = self.loaded(["verify", "--graph", "k.dg", "--terminals", "0,2", "k.pack"],
                              workdir)
-        assert "verify" in loaded
-        assert not loaded & {"packing", "hamilton", "composition"}
+        assert "verify" in loaded and "_core" in loaded
+        assert not loaded & {"packing", "hamilton", "composition", "digraph"}
 
     def test_survey_loads_no_construction(self, workdir):
         loaded = self.loaded(["survey", "--trials", "2", "--out", "s.csv"], workdir)
@@ -678,11 +717,12 @@ class TestLinesLoaded:
     bytecode caching off, as under ``PYTHONDONTWRITEBYTECODE``, an op
     compiles every line it imports, so a change that makes an op load more
     code fails here rather than only in the benchmark.  Each ceiling is at
-    or a little above the count measured: 300 lines for ``--version``,
-    1,290 for a certified lambda, 1,135 for a cut, 1,614 for ``pack`` and
-    850 for ``verify``, 16 of them ``cli.entry`` and its imports (541,
-    1,868, 1,868, 1,788 and 1,068 while ``cli`` held every handler and
-    ``exact`` imported the kernel up front)."""
+    or a little above the count measured: 296 lines for ``--version``,
+    1,124 for a certified lambda, 969 for a cut, 1,614 for ``pack`` and
+    732 for ``verify`` (541, 1,868, 1,868, 1,788 and 1,068 while ``cli``
+    held every handler and ``exact`` imported the kernel up front; 300,
+    1,290, 1,135, 1,614 and 850 while the solvers and the verifier loaded
+    all of ``digraph`` and ``exact`` held the test oracles)."""
 
     @staticmethod
     def lines(argv, workdir):
@@ -707,24 +747,24 @@ class TestLinesLoaded:
     def test_certified_lambda(self, workdir):
         write(workdir / "k.dg", sp.write_digraph(sp.complete_bipartite_digraph(2, 3)))
         assert self.lines(["exact", "--mode", "lambda", "--graph", "k.dg",
-                           "--terminals", "0,2"], workdir) <= 1350
+                           "--terminals", "0,2"], workdir) <= 1124
 
     def test_cut(self, workdir):
         write(workdir / "k.dg", sp.write_digraph(sp.complete_bipartite_digraph(2, 3)))
         assert self.lines(["exact", "--mode", "cut", "--graph", "k.dg",
-                           "--terminals", "0,2"], workdir) <= 1135
+                           "--terminals", "0,2"], workdir) <= 969
 
     def test_pack_composition(self, workdir, strong_tournament4):
         spec = sp.CompositionSpec(strong_tournament4, tuple(sp.empty_digraph(3) for _ in range(4)))
         write(workdir / "t.comp", sp.write_composition(spec))
         assert self.lines(["pack", "--composition", "t.comp", "--terminals", "0,4",
-                           "--out", "t.pack"], workdir) <= 1680
+                           "--out", "t.pack"], workdir) <= 1614
 
     def test_verify(self, workdir):
         write(workdir / "k.dg", sp.write_digraph(sp.complete_bipartite_digraph(2, 3)))
         write(workdir / "k.pack", sp.write_packing(sp.pack_bipartite(2, 3, [0, 2])))
         assert self.lines(["verify", "--graph", "k.dg", "--terminals", "0,2", "k.pack"],
-                          workdir) <= 880
+                          workdir) <= 732
 
 
 SRC = str(Path(sp.__file__).resolve().parents[1])
@@ -810,6 +850,16 @@ class TestProcessEntry:
         assert launched == self.in_process(argv, workdir, monkeypatch, capsys)
         if written is not None:
             assert written == (workdir / "k.dg").read_bytes()
+
+    @pytest.mark.parametrize("program", PROGRAMS, ids=["cli", "package"])
+    def test_result_for_a_closed_stdout_is_refused(self, program, workdir,
+                                                   monkeypatch, capsys):
+        # a result bound for a stdout closed at start is a one-line refusal
+        argv = ["gen", "bipartite", "--a", "2", "--b", "3"]
+        launched = self.launch(program, argv, workdir, preexec_fn=lambda: os.close(1))
+        assert launched == (2, "", "precondition violated: cannot write stdout\n")
+        monkeypatch.setattr(sys, "stdout", None)
+        assert self.in_process(argv, workdir, monkeypatch, capsys) == launched
 
     @pytest.mark.parametrize("module", ["strongpack.cli", "strongpack"])
     def test_exit_handlers_run(self, module, workdir):

@@ -3,6 +3,7 @@ networkx, on random digraphs with up to 12 vertices."""
 
 import copy
 import pickle
+import random
 import re
 
 import networkx as nx
@@ -13,6 +14,8 @@ from hypothesis.strategies import composite
 import strongpack as sp
 from strongpack.digraph import bits, mask_of, reachable
 from strongpack.errors import GraphFormatError, PreconditionError
+
+from oracles import adjacency, reverse
 
 MAX_N = 12
 
@@ -55,7 +58,7 @@ class TestRepresentation:
         arcs = naive_arcs(d)
         assert d.arcs == arcs
         assert d.m == len(arcs)
-        assert d.adjacency() == [sorted(v for (x, v) in arcs if x == u) for u in range(d.n)]
+        assert adjacency(d) == [sorted(v for (x, v) in arcs if x == u) for u in range(d.n)]
         assert d.in_masks() == [mask_of(u for (u, x) in arcs if x == v) for v in range(d.n)]
         for u in range(d.n):
             assert d.out_degree(u) == sum(1 for (x, _) in arcs if x == u)
@@ -63,6 +66,20 @@ class TestRepresentation:
             for v in range(d.n):
                 assert d.has_arc(u, v) == ((u, v) in arcs)
         assert not d.has_arc(-1, 0) and not d.has_arc(0, d.n)
+
+    @pytest.mark.parametrize("m", [0, 49, 50, 400])
+    def test_in_masks_either_side_of_the_density_cut(self, m):
+        """On 40 vertices a digraph below 50 arcs (32m < n^2) sets one bit
+        per arc and one from 50 up transposes; both give the in-masks, which
+        are kept, and each call returns a copy to change."""
+        pool = [(u, v) for u in range(40) for v in range(40) if u != v]
+        arcs = random.Random(m).sample(pool, m)
+        d = sp.Digraph(40, arcs)
+        want = [mask_of(u for (u, x) in arcs if x == v) for v in range(40)]
+        first = d.in_masks()
+        assert first == want
+        first[0] = -1
+        assert d.in_masks() == want and d.in_masks() is not d.in_masks()
 
     @given(masked_digraphs(min_n=0))
     def test_validating_constructor_agrees_with_trusted_one(self, d):
@@ -73,9 +90,9 @@ class TestRepresentation:
 
     @given(digraphs)
     def test_reverse_twice_is_identity(self, d):
-        r = d.reverse()
+        r = reverse(d)
         assert r.arcs == {(v, u) for (u, v) in d.arcs}
-        assert r.reverse() == d
+        assert reverse(r) == d
 
     @given(digraphs, st.randoms(use_true_random=False))
     def test_relabel_then_inverse_is_identity(self, d, rng):

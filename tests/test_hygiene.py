@@ -1,14 +1,15 @@
 """Static hygiene of the package source, read with the standard library's
 ``ast``: every imported name is used (or re-exported as ``x as x``);
-``verify`` imports only ``digraph`` and ``errors``, and ``exact`` no
-constructive module; every private module-level function or class is
+``verify`` imports only ``_core`` and ``errors``, ``exact`` no
+constructive module, and neither of them nor ``flows`` imports
+``digraph``; every private module-level function or class is
 referenced somewhere in the package beyond its own definition, and every
 public one somewhere in the package or through ``strongpack`` in its
 tests or its benchmark (the ``__init__`` export table does not count);
 no ``assert`` statement, since ``python -O`` strips it, so a check must
 raise instead; one function that splits text into lines; one function
 that calls the kernel directly, and ``exact`` imports it only where its
-driver searches; one place outside ``digraph`` pairs a forward and a
+driver searches; one place outside ``_core`` pairs a forward and a
 backward closure; no package module imports ``cli``; and what lets
 ``cli.entry`` skip interpreter teardown holds: every ``open`` is a ``with``
 item, only ``entry`` calls ``os._exit`` or ``gc.disable``, and no module
@@ -90,11 +91,21 @@ def _module_imports(module: str) -> set[str]:
 
 
 def test_verify_and_exact_import_no_construction():
-    """``verify`` needs only ``digraph`` and ``errors``, and ``exact`` loads
+    """``verify`` needs only ``_core`` and ``errors``, and ``exact`` loads
     no constructive module, so the solvers and the ``verify`` subcommand
     never compile the constructions."""
-    assert _module_imports("verify.py") == {"digraph", "errors"}
+    assert _module_imports("verify.py") == {"_core", "errors"}
     assert not _module_imports("exact.py") & {"packing", "composition", "hamilton"}
+
+
+@pytest.mark.parametrize("module", ["exact.py", "flows.py", "verify.py"])
+def test_solvers_and_verifier_import_no_digraph(module):
+    """The solvers, the flows and the verifier import the digraph core, not
+    ``digraph``, anywhere in the module, so none of them compiles the
+    class predicates, the standard digraphs or the writer."""
+    imported = _imports_of(module, TREES[module])
+    assert "strongpack._core" in imported
+    assert not [name for name in imported if name.split(".")[:2] == ["strongpack", "digraph"]]
 
 
 def _caller_refs(tree: ast.Module) -> set[tuple[str, str]]:
@@ -176,14 +187,14 @@ def test_no_assert_statement(module):
 
 
 def test_one_row_scanner():
-    """Only ``digraph._rows`` splits text into lines, so every text format
+    """Only ``_core._rows`` splits text into lines, so every text format
     shares its rule for which lines are data and which line an error names."""
     callers = [f"{module[:-3]}.{fn.name}" for module, tree in TREES.items()
                for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
                for node in ast.walk(fn) if isinstance(node, ast.Call)
                and isinstance(node.func, ast.Attribute)
                and node.func.attr == "splitlines"]
-    assert callers == ["digraph._rows"]
+    assert callers == ["_core._rows"]
 
 
 def _is_kernel_ref(node: ast.AST) -> bool:
@@ -273,15 +284,15 @@ def test_nothing_needs_teardown():
 
 
 def test_one_forward_backward_pair():
-    """No function outside ``digraph`` calls ``reachable`` more than once, so
+    """No function outside ``_core`` calls ``reachable`` more than once, so
     a strong component is built from a forward and a backward closure only
-    in ``digraph.strong_component``."""
+    in ``_core.strong_component``."""
     def calls(fn):
         return sum(isinstance(node, ast.Call) and "reachable" in (
             getattr(node.func, "id", None), getattr(node.func, "attr", None))
             for node in ast.walk(fn))
 
     pairs = [f"{module[:-3]}.{fn.name}" for module, tree in TREES.items()
-             if module != "digraph.py" for fn in ast.walk(tree)
+             if module != "_core.py" for fn in ast.walk(tree)
              if isinstance(fn, ast.FunctionDef) and calls(fn) > 1]
     assert pairs == []

@@ -15,6 +15,8 @@ from strongpack.digraph import induced, mask_of, strong_component
 from strongpack.flows import min_arc_cut, vertex_capacitated_connectivity
 from strongpack.verify import MODE_ARC
 
+from oracles import check_cut_relation, out_masks, reverse
+
 pytestmark = pytest.mark.filterwarnings("ignore::hypothesis.errors.NonInteractiveExampleWarning")
 
 
@@ -61,7 +63,7 @@ def test_scc_partitions_vertices(d):
 
 @given(digraphs())
 def test_scc_parts_are_mutual_reachability_classes(d):
-    out = d.out_masks()
+    out = out_masks(d)
     inn = d.in_masks()
 
     def closure(masks, v):
@@ -90,7 +92,7 @@ def test_scc_parts_are_mutual_reachability_classes(d):
 
 @given(digraphs())
 def test_strong_iff_pairwise_reachable(d):
-    masks = d.out_masks()
+    masks = out_masks(d)
 
     def reach(v):
         seen = 1 << v
@@ -113,7 +115,7 @@ def test_strong_iff_pairwise_reachable(d):
 
 @given(digraphs())
 def test_reversal_preserves_class_predicates(d):
-    r = d.reverse()
+    r = reverse(d)
     assert sp.is_strong(r) == sp.is_strong(d)
     assert sp.is_semicomplete(r) == sp.is_semicomplete(d)
     assert sp.is_eulerian(r) == sp.is_eulerian(d)
@@ -158,7 +160,7 @@ def test_lambda_shrinks_as_terminals_grow(pair):
 def test_cut_relation_on_symmetric_hosts(d, data):
     k = data.draw(st.integers(min_value=2, max_value=d.n))
     terminals = data.draw(st.permutations(range(d.n)))[:k]
-    report = sp.check_cut_relation(d, sorted(terminals))
+    report = check_cut_relation(d, sorted(terminals))
     assert report.holds
     lam = sp.exact_lambda(d, sorted(terminals))[0]
     assert lam <= report.c2
@@ -254,7 +256,7 @@ def test_greedy_and_kernel_bracket_exact_lambda(pair):
     greedy = exact._greedy_parts(d, ts)
     assert sp.verify_packing(sp.Packing(d, ts, MODE_ARC, greedy)).ok
     value = exact.exact_lambda(d, terminals)[0]
-    assert len(greedy) <= value <= exact._terminal_scan(d, ts)[0]
+    assert len(greedy) <= value <= exact._terminal_scan(d, ts, False, 0)[0]
     assert value == _kernel_lambda(d, ts)
 
 
@@ -303,9 +305,9 @@ def hosts_with_terminals(draw, hosts):
 def test_lowest_terminal_bound_is_the_all_pairs_minimum(pair):
     d, ts = pair
     pairs = list(permutations(sorted(ts), 2))
-    assert exact._terminal_scan(d, ts)[0] == min(
+    assert exact._terminal_scan(d, ts, False, 0)[0] == min(
         min_arc_cut(d, u, w)[0] for u, w in pairs)
-    assert exact._terminal_scan(d, ts, internal=True)[0] == min(
+    assert exact._terminal_scan(d, ts, True, 0)[0] == min(
         vertex_capacitated_connectivity(d, u, w, ts) for u, w in pairs)
 
 
@@ -317,15 +319,16 @@ def test_steiner_cut_is_the_unordered_pairs_minimum(pair):
         min_arc_cut(d, u, w)[0] for u, w in combinations(sorted(ts), 2))
 
 
-def _all_pairs_cut(d, ts):
-    """(arcs, pair) of the first minimum u->w arc cut over every ordered
+def _all_pairs_scan(d, ts, internal):
+    """(value, pair, cut) of the first minimum flow over every ordered
     terminal pair in ascending order."""
     best = None
     for u, w in permutations(sorted(ts), 2):
-        size, cut = min_arc_cut(d, u, w)
-        if best is None or size < best[0]:
-            best = (size, cut, (u, w))
-    return best[1], best[2]
+        value, cut = (vertex_capacitated_connectivity(d, u, w, ts), None) if internal \
+            else min_arc_cut(d, u, w)
+        if best is None or value < best[0]:
+            best = value, (u, w), cut
+    return best
 
 
 @settings(max_examples=150, deadline=None)
@@ -336,7 +339,17 @@ def test_min_strong_cut_is_the_all_pairs_scan(pair):
     arcs and witness pair, as the scan of every ordered pair."""
     d, ts = pair
     cert = sp.min_strong_cut(d, ts)
-    assert (cert.arcs, cert.witness) == _all_pairs_cut(d, ts)
+    assert (cert.size, cert.witness, cert.arcs) == _all_pairs_scan(d, ts, False)
+
+
+@settings(max_examples=150, deadline=None)
+@given(hosts_with_terminals(symmetric_digraphs(min_n=3, max_n=7)), st.booleans())
+def test_symmetric_half_scan_is_the_all_pairs_scan(pair, internal):
+    """On a symmetric host the scan runs only the pairs (s, v) through the
+    lowest terminal s, and still gives the value, pair and cut of the first
+    minimum over every ordered pair, in both modes."""
+    d, ts = pair
+    assert exact._terminal_scan(d, ts, internal, 0) == _all_pairs_scan(d, ts, internal)
 
 
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])

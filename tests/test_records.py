@@ -8,6 +8,8 @@ import pytest
 
 import strongpack as sp
 
+from oracles import CutRelationReport
+
 C3_ARCS = frozenset({(0, 1), (1, 2), (2, 0)})
 
 # (record, field order, a function building the field values afresh)
@@ -20,7 +22,7 @@ RECORDS = [
      lambda: (True, "triple-2", (0, 1, 2, 3, 4, 5))),
     (sp.SolverLimits, ("max_vertices", "max_arcs"), lambda: (12, 30)),
     (sp.CutCertificate, ("arcs", "witness"), lambda: (frozenset({(0, 1)}), (0, 1))),
-    (sp.CutRelationReport, ("c1", "c2", "holds"), lambda: (1, 2, True)),
+    (CutRelationReport, ("c1", "c2", "holds"), lambda: (1, 2, True)),
     (sp.BlowupDecomposition, ("t", "r", "rows"), lambda: (2, 1, ((0,), (0,)))),
     (sp.ReductionOutput, ("digraph", "terminals", "ell", "provenance"),
      lambda: (sp.directed_cycle(2), frozenset({0, 1}), 2, {0: "x", 1: "y"})),
