@@ -26,6 +26,7 @@ from strongpack.cli import main
 
 GOLDEN = Path(__file__).with_name("golden_packings.json")
 OUTER_ORDERS = (5, 12, 20)
+DROPPED = {"n0six": 6, "n0ten": 10}     # n0 of the dropped-layer spine cases
 
 
 def _sizes(rng, t):
@@ -87,6 +88,16 @@ def _case(kind, t):
         spec = sp.CompositionSpec(outer, [gen.random_inner(s, 0.15, rng) for s in sizes])
         ts = sorted(rng.sample(range(spec.n), 3))
         return sp.compose(spec), sp.pack_semicomplete_composition(spec, ts)
+    if kind in DROPPED:
+        # odd t with n0 = 2 (mod 4) >= 6: the spine drops a layer, whose
+        # vertices join through its lowest in- and out-neighbour layers
+        n0 = DROPPED[kind]
+        outer = gen.random_strong_semicomplete(t, rng)
+        sizes = [rng.randint(n0, n0 + 3) for _ in range(t)]
+        sizes[rng.randrange(t)] = n0
+        spec = sp.CompositionSpec(outer, [gen.random_inner(s, 0.15, rng) for s in sizes])
+        ts = sorted(rng.sample(range(spec.n), 3))
+        return sp.compose(spec), sp.pack_semicomplete_composition(spec, ts)
     if kind == "bipartite":
         a, b = t, t + rng.randint(0, 7)
         ts = sorted(rng.sample(range(a + b), 3))
@@ -95,7 +106,8 @@ def _case(kind, t):
 
 
 CASES = [(kind, t) for kind in ("semicomplete", "symmetric", "qt", "bipartite")
-         for t in OUTER_ORDERS] + [("n0two", t) for t in (3, 5, 12)]
+         for t in OUTER_ORDERS] + [("n0two", t) for t in (3, 5, 12)] + [
+             (kind, t) for kind in DROPPED for t in (5, 7)]
 
 
 def _digests(kind, t):
