@@ -1,7 +1,7 @@
 """strongpack: packing arc-disjoint strongly connected subgraphs.
 
 Digraph classes and compositions, constructive packings with a verifier,
-exhaustive oracles for small instances, and hardness-gadget generators.
+exact solvers for small instances, and hardness-gadget generators.
 All public functions are pure and safe to call concurrently.
 
 The names below load their module on first use (PEP 562), so importing
@@ -19,7 +19,6 @@ _EXPORTS = {
     "CompositionSpec": "composition",
     "canonical_decomposition_strong_qt": "composition",
     "compose": "composition",
-    "lexicographic_product": "composition",
     "read_composition": "composition",
     "relabel": "composition",
     "write_composition": "composition",
@@ -67,14 +66,10 @@ _EXPORTS = {
     "ReductionOutput": "reductions",
     "cover_packing_gadget_arc": "reductions",
     "cover_packing_gadget_internal": "reductions",
-    "cover_packing_number": "reductions",
-    "has_disjoint_paths": "reductions",
     "hypergraph_gadget": "reductions",
-    "is_two_colorable": "reductions",
     "linkage_gadget": "reductions",
     "read_bipartite": "reductions",
     "read_hypergraph": "reductions",
-    "write_bipartite": "reductions",
     "write_hypergraph": "reductions",
     "Packing": "verify",
     "Verdict": "verify",

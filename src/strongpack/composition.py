@@ -77,16 +77,6 @@ def compose(spec: CompositionSpec) -> Digraph:
     return Digraph.from_masks(offs[-1], out)
 
 
-def lexicographic_product(g: Digraph, h: Digraph) -> Digraph:
-    """Composition with every inner equal to ``h``.
-
-    Vertex (u, u') of the product gets id u*|V(h)| + u'.
-    """
-    if g.n < 2:
-        raise PreconditionError("left factor needs at least 2 vertices")
-    return compose(CompositionSpec(g, (h,) * g.n))
-
-
 def canonical_decomposition_strong_qt(d: Digraph) -> CompositionSpec:
     """Express a strong quasi-transitive digraph as a composition with a
     strong semicomplete outer digraph whose inners are single vertices or

@@ -38,8 +38,9 @@ def strong_components(d: Digraph) -> list[frozenset[int]]:
             f, b = _step(d.out, f) & left & ~fwd, _step(inn, b) & left & ~bwd
             fwd, bwd = fwd | f, bwd | b
         masks, within = (d.out, bwd) if f else (inn, fwd)
-        comp = reachable(masks, (left & -left).bit_length() - 1, within)
-        comps.append(frozenset(bits(comp)))
+        low = _lowest(left)
+        comp = reachable(masks, low, within)
+        comps.append(frozenset(low + v for v in bits(comp >> low)))
         left &= ~comp
     return comps
 

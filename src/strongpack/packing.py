@@ -2,11 +2,13 @@
 the exceptional-composition detector; the record and verifier live in ``verify``.
 
 Every constructive packer is one spine construction (``_spine_parts``):
-the Hamiltonian cycles of a blown-up cycle of layers, with the other
-vertices joined to every part.  The cycles come from the shift rows of
-``decompose_cycle_blowup`` and are written straight into host ids, so no
-blow-up digraph or vertex order is built.  A complete bipartite host is
-packed as the 2-cycle composition.  Each packer self-checks its result once.
+the Hamiltonian cycles of blown-up cycles of layers, with the other
+vertices joined to every part.  A packer only chooses the cycles; the
+construction decomposes them, from the shift rows of
+``decompose_cycle_blowup`` written straight into host ids (so no blow-up
+digraph or vertex order is built), and derives every join.  A complete
+bipartite host is packed as the 2-cycle composition.  Each packer
+self-checks its result once, in ``_checked``.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import Iterable, NamedTuple, Optional
 from .composition import CompositionSpec, canonical_decomposition_strong_qt, compose
 from .digraph import (Arc, Digraph, _lowest, as_terminals, directed_cycle, directed_path,
                       empty_digraph, induced, is_semicomplete, is_strong, is_symmetric,
-                      strong_component)
+                      mask_of, strong_component)
 from .errors import InfeasibleError, PreconditionError, StrongpackError
 from .hamilton import BlowupDecomposition, decompose_cycle_blowup, hamilton_semicomplete
 # perfbench reads the record, verifier and text format on this module, and its
@@ -26,7 +28,10 @@ from .verify import (MODE_ARC, MODE_INTERNAL as MODE_INTERNAL, Packing, verify_p
                      read_packing as read_packing, write_packing as write_packing)
 
 
-def _checked(p: Packing) -> Packing:
+def _checked(host: Digraph, ts: frozenset[int], parts: Iterable[Iterable[Arc]]) -> Packing:
+    """The packing of ``parts`` on ``host``, or StrongpackError unless it
+    verifies."""
+    p = Packing(host, ts, MODE_ARC, tuple(frozenset(part) for part in parts))
     verdict = verify_packing(p)
     if not verdict:
         raise StrongpackError(f"constructed packing failed self-check: "
@@ -37,12 +42,12 @@ def _checked(p: Packing) -> Packing:
 # -- complete bipartite hosts --------------------------------------------------
 
 def pack_bipartite(a: int, b: int, terminals: Iterable[int] | None = None) -> Packing:
-    """``a`` arc-disjoint strong spanning subgraphs of the complete
-    bipartite digraph with sides of size a <= b (terminals: every vertex by
-    default): ``pack_symmetric_composition`` on the 2-cycle with independent
-    layers of sizes a and b."""
-    if not (1 <= a <= b):
-        raise PreconditionError("need 1 <= a <= b")
+    """min(a, b) arc-disjoint strong spanning subgraphs of the complete
+    bipartite digraph with sides of sizes a, b >= 1 (terminals: every vertex
+    by default): ``pack_symmetric_composition`` on the 2-cycle with
+    independent layers of sizes a and b."""
+    if a < 1 or b < 1:
+        raise PreconditionError("both sides must be nonempty")
     spec = CompositionSpec(directed_cycle(2), (empty_digraph(a), empty_digraph(b)))
     return pack_symmetric_composition(spec, range(a + b) if terminals is None else terminals)
 
@@ -106,11 +111,10 @@ def pack_symmetric_composition(spec: CompositionSpec, terminals) -> Packing:
     outer digraph is strong and symmetric.
 
     Inner arcs are ignored.  Every symmetric outer pair spans a complete
-    bipartite digraph across its two layers: the spine is the 2-cycle
-    through its smaller layer (the lower index on a tie) and its larger
-    one, blown up by the smaller layer's order, and every other vertex of
-    the larger layer joins part s through vertex s of the smaller one.
-    Part s collects the s-th piece from every pair.
+    bipartite digraph across its two layers, so each pair is one spine
+    cycle: the 2-cycle through its smaller layer (the lower index on a tie)
+    and its larger one, blown up by the smaller layer's order.  Part s
+    collects colour s of every pair.
     """
     outer = spec.outer
     if not is_symmetric(outer):
@@ -119,38 +123,40 @@ def pack_symmetric_composition(spec: CompositionSpec, terminals) -> Packing:
         raise PreconditionError("outer digraph is not strong")
     host = compose(spec)
     ts = as_terminals(host, terminals)
-    n0 = spec.n0
-    offs = spec.offsets()
-
-    parts: list[set[Arc]] = [set() for _ in range(n0)]
-    decs: dict[int, BlowupDecomposition] = {}    # per smaller-layer order
-    for p, q in sorted({(min(i, p), max(i, p)) for (i, p) in outer.arcs}):
-        small, large = (q, p) if spec.inners[q].n < spec.inners[p].n else (p, q)
-        a = spec.inners[small].n
-        if a not in decs:
-            decs[a] = decompose_cycle_blowup(2, a)
-        for part, arcs in zip(parts, _spine_parts([small, large], decs[a], offs,
-                                                  [(large, a, small, small)])):
-            part |= arcs
-    return _checked(Packing(host, ts, MODE_ARC, tuple(frozenset(p) for p in parts)))
+    size = [h.n for h in spec.inners]
+    orders = [sorted(arc, key=size.__getitem__) for arc in outer.arcs if arc[0] < arc[1]]
+    return _checked(host, ts, _spine_parts(spec, [(o, size[o[0]]) for o in orders]))
 
 
-def _spine_parts(order: list[int], dec: BlowupDecomposition, offs: list[int],
-                 joins: list[tuple[int, int, int, int]]) -> list[set[Arc]]:
-    """The spine construction, in host ids.  ``dec`` decomposes the cycle
-    of layers ``order`` blown up by r = dec.r, on the first r vertices of
-    each spine layer: part j is its Hamiltonian cycle j, read straight off
-    the shift rows as the arcs from vertex x of each spine layer to vertex
-    x + rows[i][j] (mod r) of the next.  ``_join`` then attaches ``joins``."""
-    r = dec.r
-    starts = [offs[layer] for layer in order]
-    parts = []
-    for j in range(r):
-        arcs = set()
-        for i, row in enumerate(dec.rows):
-            a, b, s = starts[i], starts[(i + 1) % dec.t], row[j]
-            arcs.update((a + x, b + (x + s) % r) for x in range(r))
-        parts.append(arcs)
+def _spine_parts(spec: CompositionSpec,
+                 cycles: list[tuple[list[int], int]]) -> list[set[Arc]]:
+    """The n0 parts of the spine construction, in host ids.  Each cycle
+    (order, r) is the cycle of layers ``order`` blown up by r on the first
+    r vertices of each of its layers, decomposed once per (length, r):
+    part j gets its Hamiltonian cycle j, read straight off the shift rows
+    as the arcs from vertex x of each layer to vertex x + rows[i][j]
+    (mod r) of the next.  ``_join`` then attaches every other vertex: one of
+    a cycle layer through vertex j of the layers before and after it on
+    that cycle, and one of a layer on no cycle through vertex j of its
+    lowest in- and out-neighbour layers on a cycle."""
+    outer, offs = spec.outer, spec.offsets()
+    parts: list[set[Arc]] = [set() for _ in range(spec.n0)]
+    decs: dict[tuple[int, int], BlowupDecomposition] = {}
+    joins, on = [], 0
+    for order, r in cycles:
+        k = len(order)
+        if (k, r) not in decs:
+            decs[k, r] = decompose_cycle_blowup(k, r)
+        starts = [offs[layer] for layer in order]
+        for j, arcs in enumerate(parts):
+            # a whole-set merge sizes the part's table to fit; arc by arc it can grow 2x
+            arcs |= {(starts[i] + x, starts[(i + 1) % k] + (x + row[j]) % r)
+                     for i, row in enumerate(decs[k, r].rows) for x in range(r)}
+        joins += [(x, r, order[i - 1], order[(i + 1) % k]) for i, x in enumerate(order)]
+        on |= mask_of(order)
+    inn = outer.in_masks()
+    joins += [(x, 0, _lowest(inn[x] & on), _lowest(outer.out[x] & on))
+              for x in range(spec.t) if not on >> x & 1]
     _join(parts, offs, joins)
     return parts
 
@@ -209,8 +215,7 @@ def pack_semicomplete_composition(spec: CompositionSpec, terminals) -> Packing:
             f"mapping {verdict.witness}), which has no pair of arc-disjoint "
             f"strong spanning subgraphs")
     ts = as_terminals(host, terminals)
-    parts = [host.arcs] if spec.n0 == 1 else _semicomplete_parts(spec)
-    return _checked(Packing(host, ts, MODE_ARC, tuple(frozenset(p) for p in parts)))
+    return _checked(host, ts, [host.arcs] if spec.n0 == 1 else _semicomplete_parts(spec))
 
 
 def _semicomplete_parts(spec: CompositionSpec) -> list[set[Arc]]:
@@ -218,21 +223,16 @@ def _semicomplete_parts(spec: CompositionSpec) -> list[set[Arc]]:
     unchecked; the outer digraph must be strong semicomplete and the host
     not exceptional."""
     outer, t, n0 = spec.outer, spec.t, spec.n0
-    offs = spec.offsets()
     dropped = _droppable_layer(outer) if t % 2 and n0 % 4 == 2 else None
     spine = [i for i in range(t) if i != dropped]
     order = [spine[i] for i in hamilton_semicomplete(induced(outer, spine))]
-    joins = [(layer, n0, order[pos - 1], order[(pos + 1) % len(order)])
-             for pos, layer in enumerate(order)]
-    if dropped is not None:
-        joins.append((dropped, 0, _lowest(outer.in_masks()[dropped]),
-                      _lowest(outer.out[dropped])))
-    elif t % 2 and n0 == 2:
+    if dropped is None and t % 2 and n0 == 2:
         # no layer can go, so t = 3 and the outer digraph is C3
         parts, core = _c3_core_parts(spec)
-        _join(parts, offs, [(layer, core[layer], a, b) for layer, _, a, b in joins])
+        joins = [(x, core[x], order[i - 1], order[(i + 1) % 3]) for i, x in enumerate(order)]
+        _join(parts, spec.offsets(), joins)
         return parts
-    return _spine_parts(order, decompose_cycle_blowup(len(order), n0), offs, joins)
+    return _spine_parts(spec, [(order, n0)])
 
 
 def _droppable_layer(outer: Digraph) -> Optional[int]:
@@ -282,6 +282,5 @@ def pack_quasi_transitive(d: Digraph, terminals) -> Packing:
     spec = canonical_decomposition_strong_qt(d)
     ts = as_terminals(d, terminals)
     back = spec.original_ids
-    parts = [d.arcs] if spec.n0 == 1 else [
-        {(back[u], back[v]) for u, v in part} for part in _semicomplete_parts(spec)]
-    return _checked(Packing(d, ts, MODE_ARC, tuple(frozenset(p) for p in parts)))
+    return _checked(d, ts, [d.arcs] if spec.n0 == 1 else [
+        {(back[u], back[v]) for u, v in part} for part in _semicomplete_parts(spec)])

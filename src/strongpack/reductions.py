@@ -1,20 +1,19 @@
-"""Hardness-gadget generators with brute-force oracles for their source
-problems.
+"""Hardness-gadget generators and the text formats of their source
+instances.
 
 Each generator turns an instance of a classically hard problem into a
 digraph, a terminal set and a target packing size, such that the source
 instance is positive exactly when the packing number reaches the target.
-The oracles solve the source problems exhaustively at desk scale, which
-turns those equivalences into executable tests.
+The brute-force oracles for the source problems, which turn those
+equivalences into executable tests, live in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
-from itertools import product
 from typing import NamedTuple
 
-from .digraph import Arc, Digraph, _header, biorientation, bits, is_eulerian
-from .errors import GraphFormatError, PreconditionError, SizeLimitError
+from .digraph import Arc, Digraph, _header, biorientation, is_eulerian
+from .errors import GraphFormatError, PreconditionError
 
 
 class Hypergraph(NamedTuple("Hypergraph", [("n", int),
@@ -103,18 +102,6 @@ def hypergraph_gadget(h: Hypergraph, ell: int) -> ReductionOutput:
     return ReductionOutput(d, terminals, ell, provenance)
 
 
-def is_two_colorable(h: Hypergraph, limit: int = 20) -> bool:
-    """Every hyperedge sees both colors under some 2-coloring; exhaustive."""
-    if h.n > limit:
-        raise SizeLimitError(f"{h.n} vertices exceeds limit {limit}")
-    members = [tuple(e) for e in h.edges]
-    for bits in range(1 << h.n):
-        if all(any(bits >> v & 1 for v in e) and any(not (bits >> v & 1) for v in e)
-               for e in members):
-            return True
-    return False
-
-
 # -- disjoint-paths gadget -------------------------------------------------------
 
 def _check_endpoints(d: Digraph, ends: tuple[int, ...]) -> None:
@@ -180,31 +167,6 @@ def linkage_gadget(d: Digraph, s1: int, t1: int, s2: int, t2: int,
     return ReductionOutput(out, terminals, ell, provenance)
 
 
-def has_disjoint_paths(d: Digraph, s1: int, t1: int, s2: int, t2: int,
-                       limit: int = 12) -> bool:
-    """Vertex-disjoint s1->t1 and s2->t2 paths, by path enumeration."""
-    if d.n > limit:
-        raise SizeLimitError(f"{d.n} vertices exceeds limit {limit}")
-    _check_endpoints(d, (s1, t1, s2, t2))
-    adj = [bits(x) for x in d.out]
-
-    def paths(src, dst, banned):
-        stack = [(src, {src})]
-        while stack:
-            v, used = stack.pop()
-            if v == dst:
-                yield used
-                continue
-            for w in adj[v]:
-                if w not in used and w not in banned:
-                    stack.append((w, used | {w}))
-
-    for p1 in paths(s1, t1, {s2, t2}):
-        for _ in paths(s2, t2, p1):
-            return True
-    return False
-
-
 # -- set-cover-packing gadgets ----------------------------------------------------
 
 def cover_packing_gadget_internal(g: BipartiteGraph) -> ReductionOutput:
@@ -260,38 +222,6 @@ def cover_packing_gadget_arc(g: BipartiteGraph) -> ReductionOutput:
     return ReductionOutput(d, terminals, 0, provenance)
 
 
-def cover_packing_number(g: BipartiteGraph, limit: int = 16) -> int:
-    """Maximum number of pairwise disjoint subsets of the cover side that
-    each dominate every element; exhaustive over labelings.
-
-    With no elements every cover vertex is its own (vacuous) cover, so the
-    answer is the cover side size.
-    """
-    if g.c > limit:
-        raise SizeLimitError(f"{g.c} cover vertices exceeds limit {limit}")
-    if g.b == 0:
-        return g.c
-    elem_nbrs = [g.neighbors_of_element(y) for y in range(g.b)]
-    if any(not nb for nb in elem_nbrs):
-        return 0
-    best = 0
-    for ell in range(1, g.c + 1):
-        if not _packable(g, elem_nbrs, ell):
-            break
-        best = ell
-    return best
-
-
-def _packable(g: BipartiteGraph, elem_nbrs, ell: int) -> bool:
-    for labeling in product(range(ell + 1), repeat=g.c):
-        groups = [set() for _ in range(ell + 1)]
-        for u, lab in enumerate(labeling):
-            groups[lab].add(u)
-        if all(all(nb & groups[c] for nb in elem_nbrs) for c in range(1, ell + 1)):
-            return True
-    return False
-
-
 # -- text formats -----------------------------------------------------------------
 #
 # Hypergraph: line 1 "n e", then e lines of space-separated vertex ids.
@@ -318,12 +248,6 @@ def read_hypergraph(text: str) -> Hypergraph:
     if len(edges) != e:
         raise GraphFormatError(f"header promises {e} edges, found {len(edges)}")
     return Hypergraph(n, edges)
-
-
-def write_bipartite(g: BipartiteGraph) -> str:
-    lines = [f"{g.c} {g.b} {len(g.edges)}"]
-    lines.extend(f"{x} {y}" for x, y in sorted(g.edges))
-    return "\n".join(lines) + "\n"
 
 
 def read_bipartite(text: str) -> BipartiteGraph:

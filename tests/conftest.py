@@ -4,6 +4,8 @@ import pytest
 
 import strongpack as sp
 
+from oracles import lexicographic_product
+
 
 @pytest.fixture
 def c3():
@@ -41,7 +43,7 @@ def check_hamiltonian_cycle(d, order):
 def reference_blowup(t, r):
     """The directed t-cycle with every vertex replaced by r independent
     ones, built by the product rather than read off a decomposition."""
-    return sp.lexicographic_product(sp.directed_cycle(t), sp.empty_digraph(r))
+    return lexicographic_product(sp.directed_cycle(t), sp.empty_digraph(r))
 
 
 def check_decomposes_host(dec):

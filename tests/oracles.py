@@ -1,17 +1,21 @@
 """Brute-force oracles that only the tests call: independent cross-checks
-of the exact solvers and of the digraph record, kept beside the tests that
+of the exact solvers, of the digraph record and of the hardness gadgets'
+source problems, plus the lexicographic product and the bipartite writer
+that only tests build inputs with.  They are kept beside the tests that
 use them so that no op of the package compiles them."""
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, product
 from typing import NamedTuple
 
+from strongpack.composition import CompositionSpec, compose
 from strongpack.digraph import Digraph, as_terminals, bits, is_strong, is_symmetric
-from strongpack.errors import PreconditionError, StrongpackError
+from strongpack.errors import PreconditionError, SizeLimitError, StrongpackError
 from strongpack.exact import (DEFAULT_LIMITS, SolverLimits, exact_kappa, exact_lambda,
                               is_strong_cut, min_strong_cut, steiner_cut_undirected)
 from strongpack.flows import vertex_capacitated_connectivity
+from strongpack.reductions import BipartiteGraph, Hypergraph, _check_endpoints
 
 
 def adjacency(d: Digraph) -> list[list[int]]:
@@ -84,3 +88,88 @@ def max_disjoint_paths_undirected(d: Digraph, u: int, v: int) -> int:
     if not is_symmetric(d):
         raise PreconditionError("host must be symmetric")
     return vertex_capacitated_connectivity(d, u, v, frozenset({u, v}))
+
+
+def lexicographic_product(g: Digraph, h: Digraph) -> Digraph:
+    """Composition with every inner equal to ``h``.
+
+    Vertex (u, u') of the product gets id u*|V(h)| + u'.
+    """
+    if g.n < 2:
+        raise PreconditionError("left factor needs at least 2 vertices")
+    return compose(CompositionSpec(g, (h,) * g.n))
+
+
+def is_two_colorable(h: Hypergraph, limit: int = 20) -> bool:
+    """Every hyperedge sees both colors under some 2-coloring; exhaustive."""
+    if h.n > limit:
+        raise SizeLimitError(f"{h.n} vertices exceeds limit {limit}")
+    members = [tuple(e) for e in h.edges]
+    for bits in range(1 << h.n):
+        if all(any(bits >> v & 1 for v in e) and any(not (bits >> v & 1) for v in e)
+               for e in members):
+            return True
+    return False
+
+
+def has_disjoint_paths(d: Digraph, s1: int, t1: int, s2: int, t2: int,
+                       limit: int = 12) -> bool:
+    """Vertex-disjoint s1->t1 and s2->t2 paths, by path enumeration."""
+    if d.n > limit:
+        raise SizeLimitError(f"{d.n} vertices exceeds limit {limit}")
+    _check_endpoints(d, (s1, t1, s2, t2))
+    adj = [bits(x) for x in d.out]
+
+    def paths(src, dst, banned):
+        stack = [(src, {src})]
+        while stack:
+            v, used = stack.pop()
+            if v == dst:
+                yield used
+                continue
+            for w in adj[v]:
+                if w not in used and w not in banned:
+                    stack.append((w, used | {w}))
+
+    for p1 in paths(s1, t1, {s2, t2}):
+        for _ in paths(s2, t2, p1):
+            return True
+    return False
+
+
+def cover_packing_number(g: BipartiteGraph, limit: int = 16) -> int:
+    """Maximum number of pairwise disjoint subsets of the cover side that
+    each dominate every element; exhaustive over labelings.
+
+    With no elements every cover vertex is its own (vacuous) cover, so the
+    answer is the cover side size.
+    """
+    if g.c > limit:
+        raise SizeLimitError(f"{g.c} cover vertices exceeds limit {limit}")
+    if g.b == 0:
+        return g.c
+    elem_nbrs = [g.neighbors_of_element(y) for y in range(g.b)]
+    if any(not nb for nb in elem_nbrs):
+        return 0
+    best = 0
+    for ell in range(1, g.c + 1):
+        if not _packable(g, elem_nbrs, ell):
+            break
+        best = ell
+    return best
+
+
+def _packable(g: BipartiteGraph, elem_nbrs, ell: int) -> bool:
+    for labeling in product(range(ell + 1), repeat=g.c):
+        groups = [set() for _ in range(ell + 1)]
+        for u, lab in enumerate(labeling):
+            groups[lab].add(u)
+        if all(all(nb & groups[c] for nb in elem_nbrs) for c in range(1, ell + 1)):
+            return True
+    return False
+
+
+def write_bipartite(g: BipartiteGraph) -> str:
+    lines = [f"{g.c} {g.b} {len(g.edges)}"]
+    lines.extend(f"{x} {y}" for x, y in sorted(g.edges))
+    return "\n".join(lines) + "\n"

@@ -16,7 +16,8 @@ from strongpack.errors import InfeasibleError
 from strongpack.exact import SolverLimits
 
 from conftest import check_decomposes_host, reference_blowup
-from oracles import lambda_k, min_strong_cut_exhaustive
+from oracles import (cover_packing_number, has_disjoint_paths, is_two_colorable, lambda_k,
+                     min_strong_cut_exhaustive)
 
 WIDE = SolverLimits(max_vertices=10, max_arcs=48)
 
@@ -184,7 +185,7 @@ def test_criterion_06_hypergraph_gadget_iff_exhaustive():
         for e in range(1, 4):
             for edges in itertools.combinations(subsets, e):
                 h = sp.Hypergraph(n, edges)
-                colorable = sp.is_two_colorable(h)
+                colorable = is_two_colorable(h)
                 for ell in (2, 3):
                     out = sp.hypergraph_gadget(h, ell)
                     kappa = sp.exact_kappa(out.digraph, out.terminals, WIDE)[0]
@@ -213,7 +214,7 @@ def test_criterion_07_linkage_gadget_iff_handmade():
     positives = negatives = 0
     for d, s1, t1, s2, t2, expect in LINKAGE_INSTANCES:
         assert sp.is_eulerian(d)
-        assert sp.has_disjoint_paths(d, s1, t1, s2, t2) == expect
+        assert has_disjoint_paths(d, s1, t1, s2, t2) == expect
         out = sp.linkage_gadget(d, s1, t1, s2, t2, 2, 2)
         assert sp.is_eulerian(out.digraph)
         kappa = sp.exact_kappa(out.digraph, out.terminals, WIDE)[0]
@@ -235,7 +236,7 @@ def test_criterion_08_cover_packing_gadgets_exhaustive():
             for bits in range(1 << len(cells)):
                 edges = [cells[i] for i in range(len(cells)) if bits >> i & 1]
                 g = sp.BipartiteGraph(c, b, edges)
-                want = sp.cover_packing_number(g)
+                want = cover_packing_number(g)
                 internal = sp.cover_packing_gadget_internal(g)
                 arc = sp.cover_packing_gadget_arc(g)
                 assert sp.exact_kappa(internal.digraph, internal.terminals, WIDE)[0] == want

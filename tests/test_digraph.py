@@ -43,6 +43,19 @@ class TestStrongComponents:
         seen = sorted(v for p in parts for v in p)
         assert seen == list(range(6))
 
+    def test_reads_each_component_from_its_lowest_vertex(self, monkeypatch):
+        # 8,000 one-vertex components: the masks read into sets span O(n)
+        # bits in all, not the O(n^2) of reading each from vertex 0
+        from strongpack import digraph
+
+        spans = []
+        bits = digraph.bits
+        monkeypatch.setattr(digraph, "bits",
+                            lambda mask: spans.append(mask.bit_length()) or bits(mask))
+        d = sp.read_digraph("8000 0\n")
+        assert sp.strong_components(d) == [frozenset({v}) for v in range(8000)]
+        assert sum(spans) <= 2 * d.n
+
 
 class TestPredicates:
     def test_is_strong(self, c3):

@@ -10,7 +10,8 @@ no ``assert`` statement, since ``python -O`` strips it, so a check must
 raise instead; one function that splits text into lines; one function
 that calls the kernel directly, and ``exact`` imports it only where its
 driver searches; one place outside ``_core`` pairs a forward and a
-backward closure; no package module imports ``cli``; and what lets
+backward closure; one spine construction and one place that builds a
+packing in ``packing``; no package module imports ``cli``; and what lets
 ``cli.entry`` skip interpreter teardown holds: every ``open`` is a ``with``
 item, only ``entry`` calls ``os._exit`` or ``gc.disable``, and no module
 imports ``threading``.  Modules of the ``commands`` subpackage are keyed by
@@ -296,3 +297,19 @@ def test_one_forward_backward_pair():
              if module != "_core.py" for fn in ast.walk(tree)
              if isinstance(fn, ast.FunctionDef) and calls(fn) > 1]
     assert pairs == []
+
+
+def _callers_in(module: str, name: str) -> list[str]:
+    """The functions of ``module`` that call ``name`` directly."""
+    return [fn.name for fn in ast.walk(TREES[module]) if isinstance(fn, ast.FunctionDef)
+            for node in ast.walk(fn) if isinstance(node, ast.Call)
+            and getattr(node.func, "id", None) == name]
+
+
+def test_one_spine_construction():
+    """Within ``packing`` only ``_spine_parts`` decomposes a cycle blow-up,
+    so every packer only chooses its cycles and the construction derives
+    every join; only ``_checked`` builds a ``Packing``, so every packer's
+    result is verified on its way out."""
+    assert _callers_in("packing.py", "decompose_cycle_blowup") == ["_spine_parts"]
+    assert _callers_in("packing.py", "Packing") == ["_checked"]

@@ -20,18 +20,16 @@ PUBLIC = [
     "InfeasibleError", "Packing", "PreconditionError", "ReductionOutput", "SizeLimitError",
     "SolverLimits", "StrongpackError", "UnsupportedCaseError", "Verdict", "biorientation",
     "canonical_decomposition_strong_qt", "complete_bipartite_digraph", "compose",
-    "cover_packing_gadget_arc", "cover_packing_gadget_internal", "cover_packing_number",
-    "decompose_cycle_blowup", "directed_cycle", "directed_path", "empty_digraph",
-    "exact_kappa", "exact_lambda", "hamilton_semicomplete", "has_disjoint_paths",
-    "has_strong_arc_decomposition", "hypergraph_gadget", "is_eulerian", "is_in_exceptional",
-    "is_quasi_transitive", "is_semicomplete", "is_strong", "is_symmetric",
-    "is_two_colorable", "kernel_backend", "lexicographic_product", "linkage_gadget",
-    "min_semi_degree", "min_strong_cut", "pack_bipartite", "pack_quasi_transitive",
+    "cover_packing_gadget_arc", "cover_packing_gadget_internal", "decompose_cycle_blowup",
+    "directed_cycle", "directed_path", "empty_digraph", "exact_kappa", "exact_lambda",
+    "hamilton_semicomplete", "has_strong_arc_decomposition", "hypergraph_gadget",
+    "is_eulerian", "is_in_exceptional", "is_quasi_transitive", "is_semicomplete",
+    "is_strong", "is_symmetric", "kernel_backend", "linkage_gadget", "min_semi_degree",
+    "min_strong_cut", "pack_bipartite", "pack_quasi_transitive",
     "pack_semicomplete_composition", "pack_symmetric_composition", "read_bipartite",
     "read_composition", "read_digraph", "read_hypergraph", "read_packing", "relabel",
     "steiner_cut_undirected", "strong_components", "terminal_semi_degree", "verify_packing",
-    "write_bipartite", "write_composition", "write_digraph", "write_hypergraph",
-    "write_packing",
+    "write_composition", "write_digraph", "write_hypergraph", "write_packing",
 ]
 
 
@@ -51,7 +49,7 @@ def test_exported_name_is_its_modules_object(name):
 
 
 def test_public_names_are_unchanged():
-    assert len(PUBLIC) == 66
+    assert len(PUBLIC) == 61
     assert sorted(sp.__all__) == PUBLIC
     assert set(PUBLIC) <= set(dir(sp))
 

@@ -85,8 +85,17 @@ class TestPackBipartite:
             assert len(sp.pack_bipartite(a, b).parts) == sp.min_semi_degree(host) == a
 
     def test_rejects_bad_sides(self):
-        with pytest.raises(PreconditionError):
-            sp.pack_bipartite(3, 2)
+        for a, b in [(0, 2), (2, 0), (-1, 3)]:
+            with pytest.raises(PreconditionError, match="both sides must be nonempty"):
+                sp.pack_bipartite(a, b)
+
+    @pytest.mark.parametrize("a,b", [(2, 1), (3, 2), (5, 1), (7, 4)])
+    def test_larger_side_first(self, a, b):
+        p = sp.pack_bipartite(a, b)
+        assert p.host == sp.complete_bipartite_digraph(a, b)
+        assert len(p.parts) == min(a, b)
+        assert all(p.part_vertices(i) == frozenset(range(a + b)) for i in range(b))
+        assert sp.verify_packing(p).ok
 
 
 class TestExceptional:

@@ -5,6 +5,8 @@ import pytest
 import strongpack as sp
 from strongpack.errors import GraphFormatError, PreconditionError, SizeLimitError
 
+from oracles import cover_packing_number, has_disjoint_paths, is_two_colorable, write_bipartite
+
 
 class TestHypergraphGadget:
     def test_shape_for_minimal_ell(self):
@@ -24,13 +26,13 @@ class TestHypergraphGadget:
 
     def test_positive_instance(self):
         h = sp.Hypergraph(2, [{0, 1}])
-        assert sp.is_two_colorable(h)
+        assert is_two_colorable(h)
         out = sp.hypergraph_gadget(h, 2)
         assert sp.exact_kappa(out.digraph, out.terminals)[0] >= 2
 
     def test_negative_instance(self):
         h = sp.Hypergraph(1, [{0}])
-        assert not sp.is_two_colorable(h)
+        assert not is_two_colorable(h)
         out = sp.hypergraph_gadget(h, 2)
         assert sp.exact_kappa(out.digraph, out.terminals)[0] < 2
 
@@ -40,7 +42,7 @@ class TestHypergraphGadget:
 
     def test_oracle_limit(self):
         with pytest.raises(SizeLimitError):
-            sp.is_two_colorable(sp.Hypergraph(25, [{0}]), limit=20)
+            is_two_colorable(sp.Hypergraph(25, [{0}]), limit=20)
 
     def test_oracle_on_fano_like_system(self):
         lines = [{0, 1, 2}, {0, 3, 4}, {0, 5, 6}, {1, 3, 5},
@@ -48,7 +50,7 @@ class TestHypergraphGadget:
         h = sp.Hypergraph(7, lines)
         # brute force over all 2^7 colorings, frozen: the 7-point projective
         # plane is not 2-colorable
-        assert sp.is_two_colorable(h) is False
+        assert is_two_colorable(h) is False
 
 
 class TestLinkageGadget:
@@ -72,13 +74,13 @@ class TestLinkageGadget:
 
     def test_positive_iff(self):
         d = self.euler_square()
-        assert sp.has_disjoint_paths(d, 0, 1, 2, 3)
+        assert has_disjoint_paths(d, 0, 1, 2, 3)
         out = sp.linkage_gadget(d, 0, 1, 2, 3, 2, 2)
         assert sp.exact_kappa(out.digraph, out.terminals)[0] >= 2
 
     def test_negative_iff(self):
         d = self.euler_square()
-        assert not sp.has_disjoint_paths(d, 0, 2, 1, 3)
+        assert not has_disjoint_paths(d, 0, 2, 1, 3)
         out = sp.linkage_gadget(d, 0, 2, 1, 3, 2, 2)
         assert sp.exact_kappa(out.digraph, out.terminals)[0] < 2
 
@@ -96,22 +98,22 @@ class TestLinkageGadget:
         with pytest.raises(PreconditionError, match=f"path endpoint {t2} is not a vertex"):
             sp.linkage_gadget(d, 0, 1, 2, t2, 2, 2)
         with pytest.raises(PreconditionError, match=f"path endpoint {t2} is not a vertex"):
-            sp.has_disjoint_paths(d, 0, 1, 2, t2)
+            has_disjoint_paths(d, 0, 1, 2, t2)
 
     def test_oracle_two_disjoint_arcs(self):
         d = sp.Digraph(4, [(0, 1), (2, 3)])
-        assert sp.has_disjoint_paths(d, 0, 1, 2, 3)
+        assert has_disjoint_paths(d, 0, 1, 2, 3)
 
     def test_oracle_forced_shared_vertex(self):
         # both connections must pass through vertex 4
         d = sp.Digraph(5, [(0, 4), (4, 1), (2, 4), (4, 3)])
-        assert not sp.has_disjoint_paths(d, 0, 1, 2, 3)
+        assert not has_disjoint_paths(d, 0, 1, 2, 3)
 
 
 class TestCoverPackingGadgets:
     def test_two_disjoint_covers(self):
         g = sp.BipartiteGraph(2, 1, [(0, 0), (1, 0)])
-        assert sp.cover_packing_number(g) == 2
+        assert cover_packing_number(g) == 2
         oi = sp.cover_packing_gadget_internal(g)
         oa = sp.cover_packing_gadget_arc(g)
         assert sp.exact_kappa(oi.digraph, oi.terminals)[0] == 2
@@ -131,19 +133,19 @@ class TestCoverPackingGadgets:
 
     def test_uncoverable_element_gives_zero(self):
         g = sp.BipartiteGraph(2, 2, [(0, 0), (1, 0)])
-        assert sp.cover_packing_number(g) == 0
+        assert cover_packing_number(g) == 0
         oi = sp.cover_packing_gadget_internal(g)
         assert sp.exact_kappa(oi.digraph, oi.terminals)[0] == 0
 
     def test_single_cover_vertex(self):
         g = sp.BipartiteGraph(1, 2, [(0, 0), (0, 1)])
-        assert sp.cover_packing_number(g) == 1
+        assert cover_packing_number(g) == 1
         oa = sp.cover_packing_gadget_arc(g)
         # every route into the hub squeezes through one splitting arc
         assert sp.exact_lambda(oa.digraph, oa.terminals)[0] == 1
 
     def test_empty_element_side(self):
-        assert sp.cover_packing_number(sp.BipartiteGraph(3, 0, [])) == 3
+        assert cover_packing_number(sp.BipartiteGraph(3, 0, [])) == 3
         with pytest.raises(PreconditionError):
             sp.cover_packing_gadget_internal(sp.BipartiteGraph(3, 0, []))
         with pytest.raises(PreconditionError):
@@ -155,7 +157,7 @@ class TestCoverPackingGadgets:
                   (2, 3, [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)])]
         for c, b, edges in combos:
             g = sp.BipartiteGraph(c, b, edges)
-            want = sp.cover_packing_number(g)
+            want = cover_packing_number(g)
             oi = sp.cover_packing_gadget_internal(g)
             oa = sp.cover_packing_gadget_arc(g)
             assert sp.exact_kappa(oi.digraph, oi.terminals)[0] == want
@@ -174,8 +176,8 @@ class TestFormats:
 
     def test_bipartite_round_trip(self):
         g = sp.BipartiteGraph(2, 3, [(0, 0), (1, 2)])
-        text = sp.write_bipartite(g)
-        assert sp.write_bipartite(sp.read_bipartite(text)) == text
+        text = write_bipartite(g)
+        assert write_bipartite(sp.read_bipartite(text)) == text
 
     @pytest.mark.parametrize("build", [
         lambda: sp.Hypergraph(-3, []),
