@@ -1,69 +1,65 @@
-"""Command-line interface.
+"""Command-line interface: ``main`` reads a well-formed op from the
+``OPTIONS`` table of its subcommand's module under ``commands``, and
+argparse, in ``usage``, reads any other argv.  Exit codes: 0 success, 2
+precondition violation, bad arguments or an unwritable output path or
+stdout, 3 parse error or an unreadable input file, 4 size-limit refusal."""
 
-Subcommands: analyze, pack, verify, exact, reduce, gen, survey and
-decompose.  Each one's arguments and handler live in the module of the
-same name under ``commands``, and an op imports only the module of the
-subcommand it names, which imports the library modules it runs when it
-is called: with bytecode caching off, every op compiles each line it
-imports.  Exit codes: 0 success, 2 precondition violation, bad arguments
-or an unwritable output path, 3 parse error or an unreadable input file,
-4 size-limit refusal.
-"""
-
-from __future__ import annotations
-
-import argparse
 import atexit
 import gc
 import importlib
 import os
 import sys
+from types import SimpleNamespace
 
-from .commands import EXIT_LIMIT, EXIT_PARSE, EXIT_PRECONDITION
-from .errors import (GraphFormatError, PreconditionError, SizeLimitError,
-                     StrongpackError)
-
-# Each subcommand with its help line, in the order of the help text.
-COMMANDS = {
-    "analyze": "digraph class report",
-    "pack": "construct a packing",
-    "verify": "check a packing file",
-    "exact": "exhaustive solvers",
-    "reduce": "generate a hardness gadget",
-    "gen": "seeded random instances",
-    "survey": "CSV of packing and cut sizes",
-    "decompose": "Hamiltonian decomposition of a cycle blow-up",
-}
+# The subcommands, in the order of the help text.
+COMMANDS = ("analyze", "pack", "verify", "exact", "reduce", "gen", "survey", "decompose")
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """Every subcommand with its help line, but the arguments only on
-    ``command``'s subparser, so only that subcommand's module is imported.
-    When ``command`` names no subcommand (``--version``, ``--help``, none
-    or a misspelt one) none is imported: argparse stops at this parser."""
-    from . import __version__
-
-    ap = argparse.ArgumentParser(
-        prog="strongpack",
-        description="packings of arc-disjoint strong subgraphs in digraph "
-                    "compositions, exact small-instance solvers, and "
-                    "hardness-gadget generation")
-    ap.add_argument("--version", action="version",
-                    version=f"strongpack {__version__}")
-    sub = ap.add_subparsers(dest="command", required=True)
-    for name, text in COMMANDS.items():
-        p = sub.add_parser(name, help=text)
-        if name == command:
-            module = importlib.import_module(f".commands.{name}", __package__)
-            module.add_arguments(p)
-            p.set_defaults(fn=module.run)
-    return ap
+def _parse(argv):
+    """argparse's namespace for ``<command> (--flag value | positional)*``
+    with each flag an exact name from the command's ``OPTIONS`` given once,
+    no value starting with ``-``, and each argument valid; else None."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    module = importlib.import_module(f".commands.{argv[0]}", __package__)
+    rows = module.OPTIONS
+    positionals = iter([name for name in rows if name[0] != "-"])
+    given, tokens = {}, iter(argv[1:])
+    for token in tokens:
+        name, value = (token, next(tokens, "-")) if token[:1] == "-" else (
+            next(positionals, "-"), token)
+        if name not in rows or name in given or value[:1] == "-":
+            return None
+        given[name] = value
+    exclusive = [name for name, kw in rows.items() if kw.get("exclusive")]
+    if exclusive and sum(name in given for name in exclusive) != 1:
+        return None
+    args = SimpleNamespace(command=argv[0], fn=module.run)
+    for name, kw in rows.items():
+        value = kw.get("default")
+        if name in given:
+            try:
+                value = kw.get("type", str)(given[name])
+            except ValueError:
+                return None
+            if value not in kw.get("choices", [value]):
+                return None
+        elif kw.get("required") or name[0] != "-":
+            return None
+        setattr(args, kw.get("dest", name.lstrip("-").replace("-", "_")), value)
+    return args
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    command = next((arg for arg in argv if not arg.startswith("-")), None)
-    args = build_parser(command).parse_args(argv)
+    args = _parse(argv)
+    if args is None:
+        from .usage import parse_args
+
+        args = parse_args(COMMANDS, argv)
+    from .commands import EXIT_LIMIT, EXIT_PARSE, EXIT_PRECONDITION
+    from .errors import GraphFormatError, PreconditionError, SizeLimitError, StrongpackError
+
     try:
         return args.fn(args)
     except GraphFormatError as exc:
@@ -83,7 +79,15 @@ def main(argv=None) -> int:
 def entry() -> None:
     """Run ``main`` as a process: no cyclic collector, no interpreter teardown."""
     gc.disable()
-    code = main()
+    try:
+        code = main()
+        if sys.stdout is not None:
+            sys.stdout.flush()
+    except BrokenPipeError:  # stdout's reader is gone: the rest goes nowhere, silently
+        with open(os.devnull, "w") as null:
+            os.dup2(null.fileno(), sys.stdout.fileno())
+        print("precondition violated: cannot write stdout", file=sys.stderr)
+        from .commands import EXIT_PRECONDITION as code
     atexit._run_exitfuncs()
     try:
         for stream in filter(None, (sys.stdout, sys.stderr)):

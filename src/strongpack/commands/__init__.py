@@ -1,14 +1,12 @@
 """One module per subcommand, and what they share.
 
-Each module here gives its subcommand's arguments (``add_arguments``) and
-handler (``run``); ``cli`` imports only the module of the subcommand an op
-names.  The helpers below read inputs, write outputs and parse the common
-flags.  Nothing in this package imports ``cli``: under ``python -m
-strongpack.cli`` that module runs as ``__main__``, and importing it by name
-would compile it a second time.
+Each module here gives its subcommand's options table ``OPTIONS`` (each
+flag or positional name with its argparse keywords; the rows marked
+``exclusive`` form a required group of mutually exclusive flags) and its
+handler ``run``.  The helpers below read inputs, write outputs and parse
+the common flags.  Nothing here imports ``cli``, which runs as ``__main__``
+under ``python -m strongpack.cli``: an import by name would compile it twice.
 """
-
-from __future__ import annotations
 
 import sys
 

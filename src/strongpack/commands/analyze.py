@@ -3,9 +3,7 @@ and class predicate flags."""
 
 from . import EXIT_OK, _read
 
-
-def add_arguments(p) -> None:
-    p.add_argument("--graph", required=True)
+OPTIONS = {"--graph": {"required": True}}
 
 
 def run(args) -> int:

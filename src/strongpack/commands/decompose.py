@@ -3,11 +3,7 @@ cycle blown up by independent vertices, one cycle per line."""
 
 from . import EXIT_OK, _write_out
 
-
-def add_arguments(p) -> None:
-    p.add_argument("t", type=int)
-    p.add_argument("r", type=int)
-    p.add_argument("--out")
+OPTIONS = {"t": {"type": int}, "r": {"type": int}, "--out": {}}
 
 
 def run(args) -> int:

@@ -3,14 +3,9 @@ decomposition) and the minimum strong cut."""
 
 from . import EXIT_OK, _limits, _read, _terminals, _write_out
 
-
-def add_arguments(p) -> None:
-    p.add_argument("--mode", required=True, choices=["lambda", "kappa", "sad", "cut"])
-    p.add_argument("--graph", required=True)
-    p.add_argument("--terminals", default="")
-    p.add_argument("--limit-n", type=int, dest="limit_n")
-    p.add_argument("--limit-m", type=int, dest="limit_m")
-    p.add_argument("--out")
+OPTIONS = {"--mode": {"required": True, "choices": ["lambda", "kappa", "sad", "cut"]},
+           "--graph": {"required": True}, "--terminals": {"default": ""},
+           "--limit-n": {"type": int}, "--limit-m": {"type": int}, "--out": {}}
 
 
 def run(args) -> int:

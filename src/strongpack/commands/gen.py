@@ -2,19 +2,13 @@
 
 from . import EXIT_OK, _write_out
 
-
-def add_arguments(p) -> None:
-    p.add_argument("kind", choices=["sym-comp", "semi-comp", "bipartite",
-                                    "hypergraph", "eulerian-linkage"])
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--t", type=int, default=3)
-    p.add_argument("--max-inner", type=int, dest="max_inner", default=3)
-    p.add_argument("--a", type=int, default=2)
-    p.add_argument("--b", type=int, default=3)
-    p.add_argument("--n", type=int, default=6)
-    p.add_argument("--e", type=int, default=3)
-    p.add_argument("--cycles", type=int, default=2)
-    p.add_argument("--out")
+OPTIONS = {"kind": {"choices": ["sym-comp", "semi-comp", "bipartite", "hypergraph",
+                                 "eulerian-linkage"]},
+           "--seed": {"type": int, "default": 0}, "--t": {"type": int, "default": 3},
+           "--max-inner": {"type": int, "default": 3}, "--a": {"type": int, "default": 2},
+           "--b": {"type": int, "default": 3}, "--n": {"type": int, "default": 6},
+           "--e": {"type": int, "default": 3}, "--cycles": {"type": int, "default": 2},
+           "--out": {}}
 
 
 def run(args) -> int:

@@ -4,15 +4,11 @@ complete bipartite or quasi-transitive digraph."""
 from ..errors import PreconditionError
 from . import EXIT_OK, _read, _terminals, _write_out
 
-
-def add_arguments(p) -> None:
-    source = p.add_mutually_exclusive_group(required=True)
-    source.add_argument("--graph")
-    source.add_argument("--composition")
-    p.add_argument("--terminals", required=True, help="comma-separated ids")
-    p.add_argument("--strategy", default="auto",
-                   choices=["auto", "bipartite", "symmetric", "semicomplete", "qt"])
-    p.add_argument("--out")
+OPTIONS = {"--graph": {"exclusive": True}, "--composition": {"exclusive": True},
+           "--terminals": {"required": True, "help": "comma-separated ids"},
+           "--strategy": {"default": "auto",
+                          "choices": ["auto", "bipartite", "symmetric", "semicomplete", "qt"]},
+           "--out": {}}
 
 
 def run(args) -> int:

@@ -6,15 +6,11 @@ import sys
 from ..errors import PreconditionError
 from . import EXIT_OK, _read, _terminals, _write_file, _write_out
 
-
-def add_arguments(p) -> None:
-    p.add_argument("--from", dest="source", required=True,
-                   choices=["hypergraph", "linkage", "setcover-issp", "setcover-assp"])
-    p.add_argument("--input", required=True)
-    p.add_argument("--ell", type=int, default=2)
-    p.add_argument("--k", type=int, default=2)
-    p.add_argument("--endpoints", default="", help="s1,t1,s2,t2 for linkage")
-    p.add_argument("--out")
+OPTIONS = {"--from": {"dest": "source", "required": True,
+                      "choices": ["hypergraph", "linkage", "setcover-issp", "setcover-assp"]},
+           "--input": {"required": True}, "--ell": {"type": int, "default": 2},
+           "--k": {"type": int, "default": 2},
+           "--endpoints": {"default": "", "help": "s1,t1,s2,t2 for linkage"}, "--out": {}}
 
 
 def run(args) -> int:

@@ -6,14 +6,9 @@ from . import EXIT_OK, _limits, _write_out
 
 SURVEY_COLUMNS = ["instance", "n", "m", "k", "lambda_S", "c2", "c1", "status"]
 
-
-def add_arguments(p) -> None:
-    p.add_argument("--family", default="symmetric", choices=["symmetric", "semi-comp"])
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=10)
-    p.add_argument("--limit-n", type=int, dest="limit_n")
-    p.add_argument("--limit-m", type=int, dest="limit_m")
-    p.add_argument("--out")
+OPTIONS = {"--family": {"default": "symmetric", "choices": ["symmetric", "semi-comp"]},
+           "--seed": {"type": int, "default": 0}, "--trials": {"type": int, "default": 10},
+           "--limit-n": {"type": int}, "--limit-m": {"type": int}, "--out": {}}
 
 
 def run(args) -> int:

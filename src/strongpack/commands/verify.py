@@ -2,11 +2,7 @@
 
 from . import EXIT_OK, EXIT_PRECONDITION, _read, _terminals
 
-
-def add_arguments(p) -> None:
-    p.add_argument("--graph", required=True)
-    p.add_argument("--terminals", required=True)
-    p.add_argument("packing")
+OPTIONS = {"--graph": {"required": True}, "--terminals": {"required": True}, "packing": {}}
 
 
 def run(args) -> int:

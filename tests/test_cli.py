@@ -651,29 +651,61 @@ class TestHelpBytes:
 
 class TestImportFootprint:
     """Each subcommand loads only the package modules it runs, and none
-    loads ``dataclasses`` (with ``inspect``, ``ast`` and ``dis`` behind it)."""
+    loads ``dataclasses`` (with ``inspect``, ``ast`` and ``dis`` behind it).
+    A well-formed op loads no ``argparse`` (with ``gettext`` and ``locale``
+    behind it): only help, the version and a usage error do."""
+
+    ARGPARSE = {"argparse", "gettext", "locale"}
 
     @staticmethod
-    def loaded(argv, workdir):
-        """The package modules an op loads, plus ``dataclasses`` if it is loaded."""
+    def loaded(argv, workdir, expect="0"):
+        """The package modules an op loads, plus ``dataclasses``,
+        ``argparse``, ``gettext`` and ``locale`` if they are loaded."""
         code = ("import sys\n"
                 "from strongpack.cli import main\n"
                 "try:\n    code = main(sys.argv[1:])\nexcept SystemExit as exc:\n"
                 "    code = exc.code\n"
-                "print(code, *sorted(m for m in sys.modules\n"
-                "                    if m.startswith('strongpack') or m == 'dataclasses'))\n")
+                "print(code, *sorted(m for m in sys.modules if m.startswith('strongpack')\n"
+                "                    or m in ('dataclasses', 'argparse', 'gettext', 'locale')))\n")
         src = str(Path(sp.__file__).resolve().parents[1])
         run = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
                              text=True, check=True, cwd=workdir,
                              env={**os.environ, "PYTHONPATH": src})
         code, *modules = run.stdout.splitlines()[-1].split()
-        assert code == "0"
+        assert code == expect
         return {m.removeprefix("strongpack.") for m in modules}
 
     def test_version(self, workdir):
-        # no subcommand named: no subcommand's module, no library module
-        assert self.loaded(["--version"], workdir) == {
-            "strongpack", "cli", "errors", "commands"}
+        # no subcommand named: no subcommand's module, no library module;
+        # argparse answers
+        loaded = self.loaded(["--version"], workdir)
+        assert "argparse" in loaded
+        assert loaded - self.ARGPARSE == {"strongpack", "cli", "usage"}
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--graph", "k.dg"],
+        ["pack", "--graph", "k.dg", "--terminals", "0,2", "--out", "k.pack"],
+        ["verify", "--graph", "k.dg", "--terminals", "0,2", "k.pack"],
+        ["exact", "--mode", "cut", "--graph", "k.dg", "--terminals", "0,2", "--limit-n", "9"],
+        ["reduce", "--from", "linkage", "--input", "k.dg", "--endpoints", "0,1,2,3"],
+        ["gen", "bipartite", "--a", "2", "--out", "g.dg"],
+        ["survey", "--trials", "1", "--family", "semi-comp"],
+        ["decompose", "3", "--out", "d.txt", "4"],
+    ], ids=lambda argv: argv[0])
+    def test_well_formed_op_loads_no_argparse(self, workdir, argv):
+        d = sp.complete_bipartite_digraph(2, 3)
+        write(workdir / "k.dg", sp.write_digraph(d))
+        write(workdir / "k.pack", sp.write_packing(sp.pack_bipartite(2, 3, [0, 2])))
+        loaded = self.loaded(argv, workdir)
+        assert f"commands.{argv[0]}" in loaded
+        assert not loaded & (self.ARGPARSE | {"usage"})
+
+    @pytest.mark.parametrize("argv, code", [
+        (["--help"], "0"), (["pack", "--terminals", "0,1"], "2"), (["bogus"], "2"),
+        (["pack", "--graph=k.dg", "--terminals", "0,1", "-h"], "0")],
+        ids=["help", "usage-error", "misspelt", "pack-help"])
+    def test_help_and_errors_load_argparse(self, workdir, argv, code):
+        assert {"argparse", "usage"} <= self.loaded(argv, workdir, expect=code)
 
     def test_decompose(self, workdir):
         assert self.loaded(["decompose", "3", "4"], workdir) == {
@@ -730,14 +762,16 @@ class TestLinesLoaded:
     bytecode caching off, as under ``PYTHONDONTWRITEBYTECODE``, an op
     compiles every line it imports, so a change that makes an op load more
     code fails here rather than only in the benchmark.  Each ceiling is at
-    or a little above the count measured: 291 lines for ``--version``,
-    1,119 for a certified lambda, 964 for a cut, 1,599 for ``pack`` and
-    727 for ``verify`` (541, 1,868, 1,868, 1,788 and 1,068 while ``cli``
+    or a little above the count measured: 254 lines for ``--version``,
+    1,116 for a certified lambda, 961 for a cut, 1,597 for ``pack`` and
+    725 for ``verify`` (541, 1,868, 1,868, 1,788 and 1,068 while ``cli``
     held every handler and ``exact`` imported the kernel up front; 300,
     1,290, 1,135, 1,614 and 850 while the solvers and the verifier loaded
     all of ``digraph`` and ``exact`` held the test oracles; 296, 1,124,
     969, 1,614 and 732 while the packers built their own joins and the
-    package exported the gadget oracles and the lexicographic product)."""
+    package exported the gadget oracles and the lexicographic product;
+    291, 1,119, 964, 1,599 and 727 while every op built its arguments with
+    argparse, whose builder ``cli`` held)."""
 
     @staticmethod
     def lines(argv, workdir):
@@ -757,29 +791,29 @@ class TestLinesLoaded:
         return int(lines)
 
     def test_version(self, workdir):
-        assert self.lines(["--version"], workdir) <= 291
+        assert self.lines(["--version"], workdir) <= 254
 
     def test_certified_lambda(self, workdir):
         write(workdir / "k.dg", sp.write_digraph(sp.complete_bipartite_digraph(2, 3)))
         assert self.lines(["exact", "--mode", "lambda", "--graph", "k.dg",
-                           "--terminals", "0,2"], workdir) <= 1119
+                           "--terminals", "0,2"], workdir) <= 1116
 
     def test_cut(self, workdir):
         write(workdir / "k.dg", sp.write_digraph(sp.complete_bipartite_digraph(2, 3)))
         assert self.lines(["exact", "--mode", "cut", "--graph", "k.dg",
-                           "--terminals", "0,2"], workdir) <= 964
+                           "--terminals", "0,2"], workdir) <= 961
 
     def test_pack_composition(self, workdir, strong_tournament4):
         spec = sp.CompositionSpec(strong_tournament4, tuple(sp.empty_digraph(3) for _ in range(4)))
         write(workdir / "t.comp", sp.write_composition(spec))
         assert self.lines(["pack", "--composition", "t.comp", "--terminals", "0,4",
-                           "--out", "t.pack"], workdir) <= 1599
+                           "--out", "t.pack"], workdir) <= 1597
 
     def test_verify(self, workdir):
         write(workdir / "k.dg", sp.write_digraph(sp.complete_bipartite_digraph(2, 3)))
         write(workdir / "k.pack", sp.write_packing(sp.pack_bipartite(2, 3, [0, 2])))
         assert self.lines(["verify", "--graph", "k.dg", "--terminals", "0,2", "k.pack"],
-                          workdir) <= 727
+                          workdir) <= 725
 
 
 SRC = str(Path(sp.__file__).resolve().parents[1])
@@ -875,6 +909,29 @@ class TestProcessEntry:
         assert launched == (2, "", "precondition violated: cannot write stdout\n")
         monkeypatch.setattr(sys, "stdout", None)
         assert self.in_process(argv, workdir, monkeypatch, capsys) == launched
+
+    @pytest.mark.parametrize("program", PROGRAMS, ids=["cli", "package"])
+    def test_reader_gone_while_writing(self, program, workdir, monkeypatch, capsys):
+        # more than a pipe holds, so the write fails whenever the read end closes
+        argv = ["decompose", "40", "41"]
+        assert len(self.in_process(argv, workdir, monkeypatch, capsys)[1]) > 65536
+        with subprocess.Popen([sys.executable, *program, *argv], stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE, cwd=workdir, env=ENV) as proc:
+            proc.stdout.close()
+            err = proc.stderr.read()
+        assert (proc.returncode, err) == (2, b"precondition violated: cannot write stdout\n")
+
+    @pytest.mark.parametrize("program", PROGRAMS, ids=["cli", "package"])
+    def test_reader_gone_before_the_flush(self, program, workdir, inputs):
+        # a few buffered lines, which only the flush at the end writes
+        read, written = os.pipe()
+        os.close(read)
+        try:
+            run = subprocess.run([sys.executable, *program, "analyze", "--graph", "c3.dg"],
+                                 stdout=written, stderr=subprocess.PIPE, cwd=workdir, env=ENV)
+        finally:
+            os.close(written)
+        assert (run.returncode, run.stderr) == (2, b"precondition violated: cannot write stdout\n")
 
     @pytest.mark.parametrize("module", ["strongpack.cli", "strongpack"])
     def test_exit_handlers_run(self, module, workdir):

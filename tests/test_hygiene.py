@@ -14,8 +14,9 @@ backward closure; one spine construction and one place that builds a
 packing in ``packing``; no package module imports ``cli``; and what lets
 ``cli.entry`` skip interpreter teardown holds: every ``open`` is a ``with``
 item, only ``entry`` calls ``os._exit`` or ``gc.disable``, and no module
-imports ``threading``.  Modules of the ``commands`` subpackage are keyed by
-their path, ``commands/pack.py``."""
+imports ``threading``; only the argparse builder calls ``add_argument``, and
+each subcommand's options table names each option once.  Modules of the
+``commands`` subpackage are keyed by their path, ``commands/pack.py``."""
 
 import ast
 import functools
@@ -313,3 +314,24 @@ def test_one_spine_construction():
     result is verified on its way out."""
     assert _callers_in("packing.py", "decompose_cycle_blowup") == ["_spine_parts"]
     assert _callers_in("packing.py", "Packing") == ["_checked"]
+
+
+def test_options_declared_once():
+    """Only ``usage.build_parser`` calls ``add_argument``, reading each
+    subcommand's ``OPTIONS``, and no table names a flag or positional twice
+    (a dict display would keep only the last of two rows)."""
+    builder = next(fn for fn in TREES["usage.py"].body
+                   if isinstance(fn, ast.FunctionDef) and fn.name == "build_parser")
+    inside = set(map(id, ast.walk(builder)))
+    calls = [node for tree in TREES.values() for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "add_argument"]
+    assert calls and all(id(node) in inside for node in calls)
+    tables = {module: next(stmt.value for stmt in TREES[module].body
+                           if isinstance(stmt, ast.Assign)
+                           and getattr(stmt.targets[0], "id", None) == "OPTIONS")
+              for module in TREES
+              if module.startswith("commands/") and module != "commands/__init__.py"}
+    assert len(tables) == 8
+    for module, table in tables.items():
+        names = [ast.literal_eval(key) for key in table.keys]
+        assert len(names) == len(set(names)), module
