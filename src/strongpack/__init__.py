@@ -12,10 +12,9 @@ import importlib
 
 __version__ = "0.1.0"
 
-# Each exported name and the module that defines it.  An alias gives the
-# defining module and the name there, joined by a dot.
+# Each exported name and the module that defines it.
 _EXPORTS = {
-    "kernel_backend": "_kernel.backend",
+    "kernel_backend": "_kernel",
     "CompositionSpec": "composition",
     "canonical_decomposition_strong_qt": "composition",
     "compose": "composition",
@@ -90,8 +89,7 @@ def __getattr__(name: str):
         return importlib.import_module(f"{__name__}.{name}")
     if name not in _EXPORTS:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    module, _, attr = _EXPORTS[name].partition(".")
-    value = getattr(importlib.import_module(f"{__name__}.{module}"), attr or name)
+    value = getattr(importlib.import_module(f"{__name__}.{_EXPORTS[name]}"), name)
     globals()[name] = value
     return value
 

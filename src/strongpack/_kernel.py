@@ -67,7 +67,7 @@ from .errors import SizeLimitError
 MAX_VERTICES = 64
 
 
-def backend() -> str:
+def kernel_backend() -> str:
     """Name of the search kernel recorded in benchmark results; always
     'pure' (the package is pure Python)."""
     return "pure"

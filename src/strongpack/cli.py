@@ -63,17 +63,16 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except GraphFormatError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        code, line = EXIT_PARSE, f"parse error: {exc}"
     except SizeLimitError as exc:
-        print(f"size limit: {exc}", file=sys.stderr)
-        return EXIT_LIMIT
+        code, line = EXIT_LIMIT, f"size limit: {exc}"
     except PreconditionError as exc:
-        print(f"precondition violated: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
+        code, line = EXIT_PRECONDITION, f"precondition violated: {exc}"
     except StrongpackError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
+        code, line = EXIT_PRECONDITION, f"error: {exc}"
+    if sys.stderr is not None:  # closed at start: print(file=None) would write to stdout
+        print(line, file=sys.stderr)
+    return code
 
 
 def entry() -> None:
@@ -86,7 +85,8 @@ def entry() -> None:
     except BrokenPipeError:  # stdout's reader is gone: the rest goes nowhere, silently
         with open(os.devnull, "w") as null:
             os.dup2(null.fileno(), sys.stdout.fileno())
-        print("precondition violated: cannot write stdout", file=sys.stderr)
+        if sys.stderr is not None:
+            print("precondition violated: cannot write stdout", file=sys.stderr)
         from .commands import EXIT_PRECONDITION as code
     atexit._run_exitfuncs()
     try:

@@ -36,7 +36,8 @@ def _write_file(path: str, text: str) -> None:
         raise PreconditionError(f"cannot write {path}: {exc.strerror or exc}")
 
 
-def _write_out(text: str, out: str | None) -> None:
+def _write_out(text: str, out: str | None = None) -> None:
+    """``text`` to the file ``out``, else to stdout, which nothing else writes."""
     if out:
         _write_file(out, text)
     elif sys.stdout is None:  # closed when the process started

@@ -1,7 +1,7 @@
 """``strongpack analyze``: a digraph's order, size, strong-component count
 and class predicate flags."""
 
-from . import EXIT_OK, _read
+from . import EXIT_OK, _read, _write_out
 
 OPTIONS = {"--graph": {"required": True}}
 
@@ -11,10 +11,10 @@ def run(args) -> int:
 
     d = dg.read_digraph(_read(args.graph))
     comps = dg.strong_components(d)
-    print(f"n={d.n} m={d.m} scc={len(comps)}")
-    print(f"strong={dg.is_strong(d) if d.n else False}")
-    print(f"symmetric={dg.is_symmetric(d)}")
-    print(f"semicomplete={dg.is_semicomplete(d)}")
-    print(f"eulerian={dg.is_eulerian(d)}")
-    print(f"quasi_transitive={dg.is_quasi_transitive(d)}")
+    _write_out(f"n={d.n} m={d.m} scc={len(comps)}\n"
+               f"strong={dg.is_strong(d) if d.n else False}\n"
+               f"symmetric={dg.is_symmetric(d)}\n"
+               f"semicomplete={dg.is_semicomplete(d)}\n"
+               f"eulerian={dg.is_eulerian(d)}\n"
+               f"quasi_transitive={dg.is_quasi_transitive(d)}\n")
     return EXIT_OK

@@ -20,11 +20,11 @@ def run(args) -> int:
         terminals = _terminals(args.terminals)
         fn = ex.exact_lambda if args.mode == "lambda" else ex.exact_kappa
         value, packing = fn(d, terminals, limits)
-        print(f"value={value}")
+        _write_out(f"value={value}\n")
         _write_out(vf.write_packing(packing), args.out)
     elif args.mode == "sad":
         flag, witness = ex.has_strong_arc_decomposition(d, limits)
-        print(f"strong_arc_decomposition={flag}")
+        _write_out(f"strong_arc_decomposition={flag}\n")
         if flag:
             from .. import verify as vf
 
@@ -32,6 +32,6 @@ def run(args) -> int:
             _write_out(vf.write_packing(packing), args.out)
     else:  # cut
         cert = ex.min_strong_cut(d, _terminals(args.terminals))
-        print(f"size={cert.size} witness={cert.witness[0]},{cert.witness[1]}")
+        _write_out(f"size={cert.size} witness={cert.witness[0]},{cert.witness[1]}\n")
         _write_out(" ".join(f"{u}>{v}" for u, v in sorted(cert.arcs)) + "\n", args.out)
     return EXIT_OK

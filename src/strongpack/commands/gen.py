@@ -19,10 +19,9 @@ def run(args) -> int:
     from .. import generators as gen
 
     rng = random.Random(args.seed)
-    if args.kind == "sym-comp":
-        text = cp.write_composition(gen.random_symmetric_composition(args.t, args.max_inner, rng))
-    elif args.kind == "semi-comp":
-        text = cp.write_composition(gen.random_semicomplete_composition(args.t, args.max_inner, rng))
+    if args.kind in ("sym-comp", "semi-comp"):
+        symmetric = args.kind == "sym-comp"
+        text = cp.write_composition(gen.random_composition(args.t, args.max_inner, rng, symmetric))
     elif args.kind == "bipartite":
         text = dg.write_digraph(gen.random_bipartite_host(args.a, args.b))
     elif args.kind == "hypergraph":

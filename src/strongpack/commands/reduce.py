@@ -1,10 +1,8 @@
 """``strongpack reduce``: a hardness gadget with a JSON provenance sidecar
 that maps every vertex to its role."""
 
-import sys
-
 from ..errors import PreconditionError
-from . import EXIT_OK, _read, _terminals, _write_file, _write_out
+from . import EXIT_OK, _read, _terminals, _write_out
 
 OPTIONS = {"--from": {"dest": "source", "required": True,
                       "choices": ["hypergraph", "linkage", "setcover-issp", "setcover-assp"]},
@@ -39,8 +37,5 @@ def run(args) -> int:
         "roles": {str(v): role for v, role in sorted(out.provenance.items())},
     }
     side_text = json.dumps(sidecar, indent=2, sort_keys=True) + "\n"
-    if args.out:
-        _write_file(args.out + ".provenance.json", side_text)
-    else:
-        sys.stdout.write(side_text)
+    _write_out(side_text, args.out and args.out + ".provenance.json")
     return EXIT_OK

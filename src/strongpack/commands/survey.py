@@ -35,7 +35,7 @@ def run(args) -> int:
         else:
             from .. import composition as cp
 
-            spec = gen.random_semicomplete_composition(rng.randint(2, 3), 3, rng)
+            spec = gen.random_composition(rng.randint(2, 3), 3, rng, symmetric=False)
             d = cp.compose(spec)
         k = rng.randint(2, max(2, min(4, d.n)))
         terminals = sorted(rng.sample(range(d.n), k))

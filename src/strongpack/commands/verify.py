@@ -1,6 +1,6 @@
 """``strongpack verify``: re-check a packing file against its host."""
 
-from . import EXIT_OK, EXIT_PRECONDITION, _read, _terminals
+from . import EXIT_OK, EXIT_PRECONDITION, _read, _terminals, _write_out
 
 OPTIONS = {"--graph": {"required": True}, "--terminals": {"required": True}, "packing": {}}
 
@@ -13,7 +13,7 @@ def run(args) -> int:
     packing = vf.read_packing(_read(args.packing), d, _terminals(args.terminals))
     verdict = vf.verify_packing(packing)
     if verdict.ok:
-        print(f"ok parts={len(packing.parts)} mode={packing.mode}")
+        _write_out(f"ok parts={len(packing.parts)} mode={packing.mode}\n")
         return EXIT_OK
-    print(f"violation: {verdict.reason} parts={verdict.parts} witness={verdict.witness}")
+    _write_out(f"violation: {verdict.reason} parts={verdict.parts} witness={verdict.witness}\n")
     return EXIT_PRECONDITION

@@ -64,33 +64,19 @@ def random_inner(n: int, arc_prob: float, rng: random.Random) -> Digraph:
     return Digraph(n, arcs)
 
 
-def random_symmetric_composition(t: int, max_inner: int, rng: random.Random,
-                                 extra_edges: int = 1,
-                                 inner_arc_prob: float = 0.15) -> CompositionSpec:
+def random_composition(t: int, max_inner: int, rng: random.Random,
+                       symmetric: bool) -> CompositionSpec:
+    """A strong symmetric (a spanning tree plus one edge, bioriented) or
+    semicomplete outer digraph on ``t`` vertices, each composed with a
+    random inner digraph of 1 to ``max_inner`` vertices."""
     from .composition import CompositionSpec
 
     if max_inner < 1:
         raise PreconditionError("max_inner must be at least 1")
     if t < 2:
         raise PreconditionError("outer digraph needs at least 2 vertices")
-    outer = random_strong_symmetric(t, extra_edges, rng)
-    inners = [random_inner(rng.randint(1, max_inner), inner_arc_prob, rng)
-              for _ in range(t)]
-    return CompositionSpec(outer, inners)
-
-
-def random_semicomplete_composition(t: int, max_inner: int, rng: random.Random,
-                                    min_inner: int = 1,
-                                    inner_arc_prob: float = 0.15) -> CompositionSpec:
-    from .composition import CompositionSpec
-
-    if not 1 <= min_inner <= max_inner:
-        raise PreconditionError("need 1 <= min_inner <= max_inner")
-    if t < 2:
-        raise PreconditionError("outer digraph needs at least 2 vertices")
-    outer = random_strong_semicomplete(t, rng)
-    inners = [random_inner(rng.randint(min_inner, max_inner), inner_arc_prob, rng)
-              for _ in range(t)]
+    outer = random_strong_symmetric(t, 1, rng) if symmetric else random_strong_semicomplete(t, rng)
+    inners = [random_inner(rng.randint(1, max_inner), 0.15, rng) for _ in range(t)]
     return CompositionSpec(outer, inners)
 
 

@@ -14,6 +14,8 @@ import pytest
 import strongpack as sp
 from strongpack.errors import InfeasibleError
 from strongpack.exact import SolverLimits
+from strongpack.generators import (random_composition, random_inner, random_strong_semicomplete,
+                                   random_strong_symmetric)
 
 from conftest import check_decomposes_host, reference_blowup
 from oracles import (cover_packing_number, has_disjoint_paths, is_two_colorable, lambda_k,
@@ -94,10 +96,9 @@ def test_criterion_03_exceptional_hosts_versus_random():
     found = 0
     while found < 10:
         t = rng.choice([3, 4])
-        spec = None
-        from strongpack.generators import random_semicomplete_composition
-        cand = random_semicomplete_composition(t, 3, rng, min_inner=2,
-                                               inner_arc_prob=0.1)
+        outer = random_strong_semicomplete(t, rng)
+        cand = sp.CompositionSpec(outer, [random_inner(rng.randint(2, 3), 0.1, rng)
+                                          for _ in range(t)])
         if cand.n0 != 2 or cand.n > 9:
             continue
         host = sp.compose(cand)
@@ -118,8 +119,6 @@ def test_criterion_04_composition_packings_random():
     """Symmetric-outer and semicomplete-outer compositions: the
     construction returns n0 verified parts and never beats the exact
     packing number."""
-    from strongpack.generators import (random_semicomplete_composition,
-                                       random_symmetric_composition)
     started = time.perf_counter()
     rng = random.Random(46)
     done_sym = done_semi = 0
@@ -127,9 +126,11 @@ def test_criterion_04_composition_packings_random():
         symmetric = (done_sym < 20 and (done_semi >= 20 or rng.random() < 0.5))
         t = rng.choice([2, 3])
         if symmetric:
-            spec = random_symmetric_composition(t, 3, rng, extra_edges=rng.randint(0, 1))
+            outer = random_strong_symmetric(t, rng.randint(0, 1), rng)
+            spec = sp.CompositionSpec(outer, [random_inner(rng.randint(1, 3), 0.15, rng)
+                                              for _ in range(t)])
         else:
-            spec = random_semicomplete_composition(t, 3, rng)
+            spec = random_composition(t, 3, rng, symmetric=False)
         if spec.n > 9:
             continue
         host = sp.compose(spec)

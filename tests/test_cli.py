@@ -347,6 +347,15 @@ class TestReduce:
         gadget = sp.read_digraph((workdir / "e.out").read_text())
         assert sp.is_eulerian(gadget)
 
+    def test_without_out_the_digraph_then_the_sidecar_on_stdout(self, workdir, capsys):
+        h = write(workdir / "h.hg", sp.write_hypergraph(sp.Hypergraph(2, [{0, 1}])))
+        argv = ["reduce", "--from", "hypergraph", "--input", h]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert main([*argv, "--out", str(workdir / "h.dg")]) == 0
+        assert out == ((workdir / "h.dg").read_text()
+                       + (workdir / "h.dg.provenance.json").read_text())
+
     def test_setcover_variants(self, workdir):
         g = write(workdir / "g.bp",
                   write_bipartite(sp.BipartiteGraph(2, 1, [(0, 0), (1, 0)])))
@@ -560,6 +569,23 @@ class TestRefusals:
         assert err.startswith("precondition violated: cannot write ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("source, text, expected", [
+        ("hypergraph", "3 1\n0 5\n", (2, "precondition violated: hyperedge member out of range\n")),
+        ("hypergraph", "3 0\n", (2, "precondition violated: need at least one hyperedge\n")),
+        ("setcover-issp", "2 1 1\n0 0 1\n",
+         (3, "parse error: line 2: expected edge line 'c_idx b_idx'\n")),
+        ("setcover-assp", "2 2 2\n0 0\n", (3, "parse error: header promises 2 edges, found 1\n")),
+    ], ids=["member-out-of-range", "no-hyperedge", "three-field-edge", "edge-missing"])
+    def test_reduce_bad_input(self, workdir, capsys, source, text, expected):
+        g = write(workdir / "in.txt", text)
+        assert refusal(["reduce", "--from", source, "--input", g], capsys) == expected
+
+    def test_linkage_needs_k_at_least_2(self, workdir, capsys):
+        g = write(workdir / "e.dg", sp.write_digraph(sp.directed_cycle(4)))
+        assert refusal(["reduce", "--from", "linkage", "--input", g, "--endpoints", "0,1,2,3",
+                        "--k", "1"], capsys) == (
+            2, "precondition violated: need k >= 2 and ell >= 2\n")
+
     @pytest.mark.parametrize("source", ["setcover-issp", "setcover-assp"])
     def test_bipartite_negative_side_exits_2(self, workdir, capsys, source):
         g = write(workdir / "g.bp", "-1 2 0\n")
@@ -579,6 +605,12 @@ class TestRefusals:
         code, err = refusal(argv, capsys)
         assert code == 2
         assert err.startswith("precondition violated: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("kind", ["sym-comp", "semi-comp"])
+    def test_gen_composition_needs_an_inner_vertex(self, capsys, kind):
+        # both families name the flag's own bound, not an option the CLI lacks
+        assert refusal(["gen", kind, "--max-inner", "0"], capsys) == (
+            2, "precondition violated: max_inner must be at least 1\n")
 
     @pytest.mark.parametrize("kind", ["sym-comp", "semi-comp"])
     @pytest.mark.parametrize("t", [-1, 0, 1])
@@ -762,16 +794,18 @@ class TestLinesLoaded:
     bytecode caching off, as under ``PYTHONDONTWRITEBYTECODE``, an op
     compiles every line it imports, so a change that makes an op load more
     code fails here rather than only in the benchmark.  Each ceiling is at
-    or a little above the count measured: 254 lines for ``--version``,
-    1,116 for a certified lambda, 961 for a cut, 1,597 for ``pack`` and
-    725 for ``verify`` (541, 1,868, 1,868, 1,788 and 1,068 while ``cli``
+    or a little above the count measured: 252 lines for ``--version``,
+    1,115 for a certified lambda, 960 for a cut, 1,596 for ``pack`` and
+    724 for ``verify`` (541, 1,868, 1,868, 1,788 and 1,068 while ``cli``
     held every handler and ``exact`` imported the kernel up front; 300,
     1,290, 1,135, 1,614 and 850 while the solvers and the verifier loaded
     all of ``digraph`` and ``exact`` held the test oracles; 296, 1,124,
     969, 1,614 and 732 while the packers built their own joins and the
     package exported the gadget oracles and the lexicographic product;
     291, 1,119, 964, 1,599 and 727 while every op built its arguments with
-    argparse, whose builder ``cli`` held)."""
+    argparse, whose builder ``cli`` held; 254, 1,116, 961, 1,597 and 725
+    while the export table had an alias form and ``cli`` printed each
+    refusal in its own branch)."""
 
     @staticmethod
     def lines(argv, workdir):
@@ -791,29 +825,29 @@ class TestLinesLoaded:
         return int(lines)
 
     def test_version(self, workdir):
-        assert self.lines(["--version"], workdir) <= 254
+        assert self.lines(["--version"], workdir) <= 252
 
     def test_certified_lambda(self, workdir):
         write(workdir / "k.dg", sp.write_digraph(sp.complete_bipartite_digraph(2, 3)))
         assert self.lines(["exact", "--mode", "lambda", "--graph", "k.dg",
-                           "--terminals", "0,2"], workdir) <= 1116
+                           "--terminals", "0,2"], workdir) <= 1115
 
     def test_cut(self, workdir):
         write(workdir / "k.dg", sp.write_digraph(sp.complete_bipartite_digraph(2, 3)))
         assert self.lines(["exact", "--mode", "cut", "--graph", "k.dg",
-                           "--terminals", "0,2"], workdir) <= 961
+                           "--terminals", "0,2"], workdir) <= 960
 
     def test_pack_composition(self, workdir, strong_tournament4):
         spec = sp.CompositionSpec(strong_tournament4, tuple(sp.empty_digraph(3) for _ in range(4)))
         write(workdir / "t.comp", sp.write_composition(spec))
         assert self.lines(["pack", "--composition", "t.comp", "--terminals", "0,4",
-                           "--out", "t.pack"], workdir) <= 1597
+                           "--out", "t.pack"], workdir) <= 1596
 
     def test_verify(self, workdir):
         write(workdir / "k.dg", sp.write_digraph(sp.complete_bipartite_digraph(2, 3)))
         write(workdir / "k.pack", sp.write_packing(sp.pack_bipartite(2, 3, [0, 2])))
         assert self.lines(["verify", "--graph", "k.dg", "--terminals", "0,2", "k.pack"],
-                          workdir) <= 725
+                          workdir) <= 724
 
 
 SRC = str(Path(sp.__file__).resolve().parents[1])
@@ -854,6 +888,8 @@ class TestProcessEntry:
         write(workdir / "bad.dg", "gibberish\n")
         write(workdir / "e30.dg", sp.write_digraph(sp.empty_digraph(30)))
         write(workdir / "c3.dg", sp.write_digraph(sp.directed_cycle(3)))
+        write(workdir / "k.dg", sp.write_digraph(sp.complete_bipartite_digraph(2, 3)))
+        write(workdir / "k.pack", sp.write_packing(sp.pack_bipartite(2, 3, [0, 2])))
 
     @pytest.mark.parametrize("program", PROGRAMS, ids=["cli", "package"])
     @pytest.mark.parametrize("argv, code, last_err", [
@@ -909,6 +945,46 @@ class TestProcessEntry:
         assert launched == (2, "", "precondition violated: cannot write stdout\n")
         monkeypatch.setattr(sys, "stdout", None)
         assert self.in_process(argv, workdir, monkeypatch, capsys) == launched
+
+    @pytest.mark.parametrize("program", PROGRAMS, ids=["cli", "package"])
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--graph", "c3.dg"],
+        ["verify", "--graph", "k.dg", "--terminals", "0,2", "k.pack"],
+        *[["exact", "--mode", mode, "--graph", "k.dg", "--terminals", "0,2", "--out", "q.pack"]
+          for mode in ("lambda", "kappa", "sad", "cut")],
+    ], ids=["analyze", "verify", "lambda", "kappa", "sad", "cut"])
+    def test_every_line_for_a_closed_stdout_is_refused(self, program, argv, workdir, inputs,
+                                                       monkeypatch, capsys):
+        # the report and verdict lines go through the same writer, and the
+        # refusal comes before ``exact`` writes its ``--out`` file
+        launched = self.launch(program, argv, workdir, preexec_fn=lambda: os.close(1))
+        assert launched == (2, "", "precondition violated: cannot write stdout\n")
+        monkeypatch.setattr(sys, "stdout", None)
+        assert self.in_process(argv, workdir, monkeypatch, capsys) == launched
+        assert not (workdir / "q.pack").exists()
+
+    @pytest.mark.parametrize("program", PROGRAMS, ids=["cli", "package"])
+    def test_refusal_for_a_closed_stderr_goes_nowhere(self, program, workdir,
+                                                      monkeypatch, capsys):
+        # ``print(file=None)`` writes to stdout: the line is dropped instead
+        argv = ["analyze", "--graph", "missing.dg"]
+        launched = self.launch(program, argv, workdir, preexec_fn=lambda: os.close(2))
+        assert launched == (3, "", "")
+        monkeypatch.setattr(sys, "stderr", None)
+        assert self.in_process(argv, workdir, monkeypatch, capsys) == launched
+
+    @pytest.mark.parametrize("program", PROGRAMS, ids=["cli", "package"])
+    def test_reader_gone_with_stderr_closed(self, program, workdir, inputs):
+        # the broken-pipe refusal has nowhere to go, and keeps its exit code
+        read, written = os.pipe()
+        os.close(read)
+        try:
+            run = subprocess.run([sys.executable, *program, "analyze", "--graph", "c3.dg"],
+                                 stdout=written, cwd=workdir, env=ENV,
+                                 preexec_fn=lambda: os.close(2))
+        finally:
+            os.close(written)
+        assert run.returncode == 2
 
     @pytest.mark.parametrize("program", PROGRAMS, ids=["cli", "package"])
     def test_reader_gone_while_writing(self, program, workdir, monkeypatch, capsys):

@@ -15,8 +15,9 @@ packing in ``packing``; no package module imports ``cli``; and what lets
 ``cli.entry`` skip interpreter teardown holds: every ``open`` is a ``with``
 item, only ``entry`` calls ``os._exit`` or ``gc.disable``, and no module
 imports ``threading``; only the argparse builder calls ``add_argument``, and
-each subcommand's options table names each option once.  Modules of the
-``commands`` subpackage are keyed by their path, ``commands/pack.py``."""
+each subcommand's options table names each option once; in ``commands``
+only ``_write_out`` calls ``print`` or touches ``sys.stdout``.  Modules of
+the ``commands`` subpackage are keyed by their path, ``commands/pack.py``."""
 
 import ast
 import functools
@@ -33,10 +34,9 @@ CALLERS = [ast.parse(p.read_text(), filename=str(p))
            for d in (ROOT / "tests", ROOT / "perfbench") for p in sorted(d.glob("*.py"))]
 MODULES = {name[:-3] for name in TREES} - {"__init__"}
 # the package's export table: exported name -> (defining module, name there)
-EXPORTS = {name: (where.partition(".")[0], where.partition(".")[2] or name)
-           for name, where in ast.literal_eval(next(
-               stmt.value for stmt in TREES["__init__.py"].body
-               if isinstance(stmt, ast.Assign) and stmt.targets[0].id == "_EXPORTS")).items()}
+EXPORTS = {name: (module, name) for name, module in ast.literal_eval(next(
+    stmt.value for stmt in TREES["__init__.py"].body
+    if isinstance(stmt, ast.Assign) and stmt.targets[0].id == "_EXPORTS")).items()}
 
 
 def _annotation_names(node: ast.AST) -> set[str]:
@@ -335,3 +335,22 @@ def test_options_declared_once():
     for module, table in tables.items():
         names = [ast.literal_eval(key) for key in table.keys]
         assert len(names) == len(set(names)), module
+
+
+def test_one_stdout_writer():
+    """In ``commands`` only ``_write_out`` calls ``print`` or touches
+    ``sys.stdout``, so one function decides what a stdout closed at start
+    means: a refusal with exit 2, not a line lost with exit 0.  Elsewhere
+    only ``cli`` prints: its refusals, to stderr."""
+    writer = next(fn for fn in TREES["commands/__init__.py"].body
+                  if isinstance(fn, ast.FunctionDef) and fn.name == "_write_out")
+    inside = set(map(id, ast.walk(writer)))
+    touches = [node for module, tree in TREES.items() if module.startswith("commands/")
+               for node in ast.walk(tree)
+               if getattr(node, "id", None) in ("print", "stdout", "__stdout__")
+               or getattr(node, "attr", None) in ("stdout", "__stdout__")
+               or isinstance(node, ast.alias) and node.name in ("stdout", "__stdout__")]
+    assert touches and all(id(node) in inside for node in touches)
+    printers = {module for module, tree in TREES.items() for node in ast.walk(tree)
+                if getattr(node, "id", None) == "print"}
+    assert printers == {"cli.py"}

@@ -57,7 +57,7 @@ def _valid_packing(rng):
         ts = frozenset(rng.sample(range(d.n), rng.randint(2, min(4, d.n))))
         return sp.Packing(d, ts, MODE_ARC, exact._greedy_parts(d, ts))
     if kind == 1:
-        spec = gen.random_symmetric_composition(rng.randint(2, 4), 4, rng)
+        spec = gen.random_composition(rng.randint(2, 4), 4, rng, symmetric=True)
         ts = rng.sample(range(spec.n), 2)
         return sp.pack_symmetric_composition(spec, ts)
     d = gen.random_strong_symmetric(rng.randint(3, 6), rng.randint(0, 3), rng)
