@@ -32,7 +32,6 @@ _EXPORTS = {
     "is_semicomplete": "digraph",
     "is_strong": "digraph",
     "is_symmetric": "digraph",
-    "min_semi_degree": "digraph",
     "read_digraph": "digraph",
     "strong_components": "digraph",
     "write_digraph": "digraph",
@@ -77,9 +76,8 @@ _EXPORTS = {
     "write_packing": "verify",
 }
 
-_SUBMODULES = frozenset({"_kernel", "cli", "commands", "composition", "digraph", "errors",
-                         "exact", "flows", "generators", "hamilton", "packing", "reductions",
-                         "verify"})
+_SUBMODULES = frozenset({"_kernel", "cli", "commands", "composition", "digraph", "errors", "exact",
+                         "flows", "generators", "hamilton", "packing", "reductions", "verify"})
 
 __all__ = sorted(_EXPORTS)
 

@@ -70,8 +70,10 @@ def main(argv=None) -> int:
         code, line = EXIT_PRECONDITION, f"precondition violated: {exc}"
     except StrongpackError as exc:
         code, line = EXIT_PRECONDITION, f"error: {exc}"
-    if sys.stderr is not None:  # closed at start: print(file=None) would write to stdout
-        print(line, file=sys.stderr)
+    try:
+        sys.stderr.write(line + "\n")
+    except (AttributeError, OSError):  # closed at start (None) or unwritable (2</dev/null):
+        sys.stderr = None  # the line goes nowhere, and ``entry`` flushes no stderr
     return code
 
 

@@ -1,5 +1,6 @@
-"""``strongpack pack``: a constructive packing of a composition or of a
-complete bipartite or quasi-transitive digraph."""
+"""``strongpack pack``: a constructive packing of a composition, or of a
+digraph through the composition its co-components form.  For a digraph,
+the strategies ``auto``, ``bipartite`` and ``qt`` are that one path."""
 
 from ..errors import PreconditionError
 from . import EXIT_OK, _read, _terminals, _write_out
@@ -31,33 +32,9 @@ def run(args) -> int:
                 f"strategy {strategy!r} needs a plain graph input")
     else:
         d = dg.read_digraph(_read(args.graph))
-        strategy = args.strategy
-        sides = _bipartite_sides(d) if strategy in ("auto", "bipartite") else None
-        if strategy == "auto":
-            strategy = "bipartite" if sides else "qt"
-        if strategy == "bipartite":
-            if sides is None:
-                raise PreconditionError("graph is not a complete bipartite digraph")
-            a, b = sides
-            packing = pk.pack_bipartite(a, b, terminals)
-        elif strategy == "qt":
-            packing = pk.pack_quasi_transitive(d, terminals)
-        else:
+        if args.strategy in ("symmetric", "semicomplete"):
             raise PreconditionError(
-                f"strategy {strategy!r} needs a composition input")
+                f"strategy {args.strategy!r} needs a composition input")
+        packing = pk.pack_quasi_transitive(d, terminals)
     _write_out(pk.write_packing(packing), args.out)
     return EXIT_OK
-
-
-def _bipartite_sides(d):
-    """(a, b) if the graph is exactly a complete bipartite digraph with the
-    standard vertex layout, else None.  Vertex 0 lies on the first side,
-    so its out-degree is the size b of the second."""
-    from ..digraph import complete_bipartite_digraph
-
-    if d.n < 2:
-        return None
-    a = d.n - d.out_degree(0)
-    if a < d.n and d == complete_bipartite_digraph(a, d.n - a):
-        return a, d.n - a
-    return None

@@ -71,13 +71,6 @@ def is_quasi_transitive(d: Digraph) -> bool:
     return True
 
 
-def min_semi_degree(d: Digraph) -> int:
-    """min over vertices of min(out-degree, in-degree)."""
-    if d.n < 1:
-        raise PreconditionError("min_semi_degree needs at least one vertex")
-    return min(min(x.bit_count(), y.bit_count()) for x, y in zip(d.out, d.in_masks()))
-
-
 def directed_cycle(t: int) -> Digraph:
     if t < 2:
         raise PreconditionError("directed cycle needs at least 2 vertices")

@@ -6,9 +6,10 @@ the Hamiltonian cycles of blown-up cycles of layers, with the other
 vertices joined to every part.  A packer only chooses the cycles; the
 construction decomposes them, from the shift rows of
 ``decompose_cycle_blowup`` written straight into host ids (so no blow-up
-digraph or vertex order is built), and derives every join.  A complete
-bipartite host is packed as the 2-cycle composition.  Each packer
-self-checks its result once, in ``_checked``.
+digraph or vertex order is built), and derives every join.
+``pack_quasi_transitive`` packs a digraph as the composition its
+co-components form.  Each packer self-checks its result once, in
+``_checked``.
 """
 
 from __future__ import annotations
@@ -123,9 +124,15 @@ def pack_symmetric_composition(spec: CompositionSpec, terminals) -> Packing:
         raise PreconditionError("outer digraph is not strong")
     host = compose(spec)
     ts = as_terminals(host, terminals)
+    return _checked(host, ts, _symmetric_parts(spec))
+
+
+def _symmetric_parts(spec: CompositionSpec) -> list[set[Arc]]:
+    """The parts of ``pack_symmetric_composition`` in flat ids, unchecked;
+    the outer digraph must be strong and symmetric."""
     size = [h.n for h in spec.inners]
-    orders = [sorted(arc, key=size.__getitem__) for arc in outer.arcs if arc[0] < arc[1]]
-    return _checked(host, ts, _spine_parts(spec, [(o, size[o[0]]) for o in orders]))
+    orders = [sorted(arc, key=size.__getitem__) for arc in spec.outer.arcs if arc[0] < arc[1]]
+    return _spine_parts(spec, [(o, size[o[0]]) for o in orders])
 
 
 def _spine_parts(spec: CompositionSpec,
@@ -272,8 +279,12 @@ def _c3_core_parts(spec: CompositionSpec) -> tuple[list[set[Arc]], list[int]]:
 
 
 def pack_quasi_transitive(d: Digraph, terminals) -> Packing:
-    """Packing for a strong quasi-transitive digraph through its canonical
-    decomposition; the part count is that decomposition's n0."""
+    """Packing for a strong digraph whose co-components are modules, such as
+    a strong quasi-transitive or a complete bipartite digraph, through the
+    composition they form (``canonical_decomposition_strong_qt``); the part
+    count is its n0.  The parts are those of the symmetric packer when the
+    outer digraph is symmetric and of the semicomplete packer otherwise,
+    and the whole digraph when n0 = 1."""
     verdict = is_in_exceptional(d)
     if verdict.member:
         raise InfeasibleError(
@@ -281,6 +292,8 @@ def pack_quasi_transitive(d: Digraph, terminals) -> Packing:
             f"(vertex mapping {verdict.witness})")
     spec = canonical_decomposition_strong_qt(d)
     ts = as_terminals(d, terminals)
+    if spec.n0 == 1:
+        return _checked(d, ts, [d.arcs])
+    parts = (_symmetric_parts if is_symmetric(spec.outer) else _semicomplete_parts)(spec)
     back = spec.original_ids
-    return _checked(d, ts, [d.arcs] if spec.n0 == 1 else [
-        {(back[u], back[v]) for u, v in part} for part in _semicomplete_parts(spec)])
+    return _checked(d, ts, [{(back[u], back[v]) for u, v in part} for part in parts])

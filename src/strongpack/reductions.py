@@ -48,9 +48,6 @@ class BipartiteGraph(NamedTuple("BipartiteGraph", [("c", int), ("b", int),
             raise PreconditionError("edge endpoint out of range")
         return super().__new__(cls, c, b, edges)
 
-    def neighbors_of_element(self, y: int) -> frozenset[int]:
-        return frozenset(x for (x, yy) in self.edges if yy == y)
-
 
 class ReductionOutput(NamedTuple):
     """A generated instance plus a role label for every vertex."""

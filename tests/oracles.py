@@ -1,8 +1,9 @@
 """Brute-force oracles that only the tests call: independent cross-checks
 of the exact solvers, of the digraph record and of the hardness gadgets'
-source problems, plus the lexicographic product and the bipartite writer
-that only tests build inputs with.  They are kept beside the tests that
-use them so that no op of the package compiles them."""
+source problems, plus the lexicographic product, the bipartite writer and
+the degree and neighbourhood helpers that only tests use.  They are kept
+beside the tests that use them so that no op of the package compiles
+them."""
 
 from __future__ import annotations
 
@@ -30,6 +31,13 @@ def out_masks(d: Digraph) -> list[int]:
 
 def reverse(d: Digraph) -> Digraph:
     return Digraph.from_masks(d.n, d.in_masks())
+
+
+def min_semi_degree(d: Digraph) -> int:
+    """min over vertices of min(out-degree, in-degree)."""
+    if d.n < 1:
+        raise PreconditionError("min_semi_degree needs at least one vertex")
+    return min(min(x.bit_count(), y.bit_count()) for x, y in zip(d.out, d.in_masks()))
 
 
 def min_strong_cut_exhaustive(d: Digraph, terminals,
@@ -148,7 +156,7 @@ def cover_packing_number(g: BipartiteGraph, limit: int = 16) -> int:
         raise SizeLimitError(f"{g.c} cover vertices exceeds limit {limit}")
     if g.b == 0:
         return g.c
-    elem_nbrs = [g.neighbors_of_element(y) for y in range(g.b)]
+    elem_nbrs = [neighbors_of_element(g, y) for y in range(g.b)]
     if any(not nb for nb in elem_nbrs):
         return 0
     best = 0
@@ -157,6 +165,10 @@ def cover_packing_number(g: BipartiteGraph, limit: int = 16) -> int:
             break
         best = ell
     return best
+
+
+def neighbors_of_element(g: BipartiteGraph, y: int) -> frozenset[int]:
+    return frozenset(x for (x, yy) in g.edges if yy == y)
 
 
 def _packable(g: BipartiteGraph, elem_nbrs, ell: int) -> bool:

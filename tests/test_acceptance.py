@@ -19,7 +19,7 @@ from strongpack.generators import (random_composition, random_inner, random_stro
 
 from conftest import check_decomposes_host, reference_blowup
 from oracles import (cover_packing_number, has_disjoint_paths, is_two_colorable, lambda_k,
-                     min_strong_cut_exhaustive)
+                     min_semi_degree, min_strong_cut_exhaustive)
 
 WIDE = SolverLimits(max_vertices=10, max_arcs=48)
 
@@ -168,7 +168,7 @@ def test_criterion_05_uniform_triangle_blowup_sharpness():
         packing = sp.pack_semicomplete_composition(spec, [0, r])
         assert len(packing.parts) == r
         assert sp.verify_packing(packing).ok
-        assert sp.min_semi_degree(host) == r
+        assert min_semi_degree(host) == r
         if r == 3:
             assert sp.exact_lambda(host, range(host.n), WIDE)[0] == 3
             assert lambda_k(host, 2, WIDE) == 3
@@ -292,6 +292,6 @@ def test_criterion_10_oracle_sanity_random():
         if k >= 3:
             smaller = terminals[:-1]
             assert lam <= sp.exact_lambda(d, smaller)[0], (d, terminals)
-        assert sp.exact_lambda(d, range(n))[0] <= sp.min_semi_degree(d), d
+        assert sp.exact_lambda(d, range(n))[0] <= min_semi_degree(d), d
         trials += 1
     report(10, True, "200 random instances show zero oracle violations")

@@ -1,16 +1,23 @@
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import os
+import random
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
+import networkx as nx
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import strongpack as sp
 from strongpack import _core, exact, flows
+from strongpack import generators as gen
 from strongpack.cli import main
 
 from oracles import write_bipartite
@@ -146,18 +153,25 @@ class TestPackVerify:
         assert all(packing.part_vertices(i) == frozenset(range(5)) for i in range(2))
 
     def test_bipartite_sides(self):
-        from strongpack.commands.pack import _bipartite_sides
-        assert _bipartite_sides(sp.complete_bipartite_digraph(4, 2)) == (4, 2)
-        assert _bipartite_sides(sp.Digraph(1)) is None
-        assert _bipartite_sides(sp.empty_digraph(3)) is None
-        assert _bipartite_sides(sp.biorientation(3, [(0, 1), (0, 2), (1, 2)])) is None
+        # in the standard layout the co-components are the two sides, lowest
+        # vertex first: the spec, and so the bytes, of ``pack_bipartite``
+        d = sp.complete_bipartite_digraph(4, 2)
+        spec = sp.canonical_decomposition_strong_qt(d)
+        assert spec == sp.CompositionSpec(
+            sp.directed_cycle(2), (sp.empty_digraph(4), sp.empty_digraph(2)), range(6))
+        assert sp.write_packing(sp.pack_quasi_transitive(d, [0, 5])) \
+            == sp.write_packing(sp.pack_bipartite(4, 2, [0, 5]))
+        for no_sides in (sp.Digraph(1), sp.empty_digraph(3)):
+            with pytest.raises(sp.PreconditionError):
+                sp.canonical_decomposition_strong_qt(no_sides)
 
-    @pytest.mark.parametrize("strategy", ["auto", "bipartite"])
+    @pytest.mark.parametrize("strategy", ["auto", "bipartite", "qt"])
     def test_bipartite_sides_found_once(self, workdir, monkeypatch, strategy):
-        from strongpack.commands import pack
+        from strongpack import packing
         calls = []
-        sides = pack._bipartite_sides
-        monkeypatch.setattr(pack, "_bipartite_sides", lambda d: calls.append(d) or sides(d))
+        find = packing.canonical_decomposition_strong_qt
+        monkeypatch.setattr(packing, "canonical_decomposition_strong_qt",
+                            lambda d: calls.append(d) or find(d))
         g = write(workdir / "k.dg", sp.write_digraph(sp.complete_bipartite_digraph(2, 3)))
         assert main(["pack", "--graph", g, "--terminals", "0,1", "--strategy", strategy,
                      "--out", str(workdir / "k.pack")]) == 0
@@ -168,7 +182,15 @@ class TestPackVerify:
         g = write(workdir / "k.dg", sp.write_digraph(sp.Digraph(5, d.arcs - {(4, 0)})))
         assert main(["pack", "--graph", g, "--terminals", "0,1",
                      "--strategy", "bipartite"]) == 2
-        assert "not a complete bipartite" in capsys.readouterr().err
+        assert capsys.readouterr().err == ("precondition violated: digraph is not a "
+                                           "composition: a co-component is not a module\n")
+
+    @pytest.mark.parametrize("strategy", ["symmetric", "semicomplete"])
+    def test_graph_refuses_a_composition_strategy(self, workdir, capsys, strategy):
+        g = write(workdir / "k.dg", sp.write_digraph(sp.complete_bipartite_digraph(2, 3)))
+        assert main(["pack", "--graph", g, "--terminals", "0,1", "--strategy", strategy]) == 2
+        assert capsys.readouterr().err == (f"precondition violated: strategy {strategy!r} "
+                                           f"needs a composition input\n")
 
     def test_verify_flags_tampering(self, workdir, capsys):
         p = sp.pack_bipartite(2, 2)
@@ -187,6 +209,101 @@ class TestPackVerify:
         assert capsys.readouterr().out == (
             "violation: part is not a terminal-covering strong subgraph "
             "parts=(0,) witness=None\n")
+
+
+def co_components(d):
+    """The connected components of the complement of the underlying graph,
+    by networkx."""
+    g = nx.Graph()
+    g.add_nodes_from(range(d.n))
+    g.add_edges_from(d.arcs)
+    return list(nx.connected_components(nx.complement(g)))
+
+
+def is_module(d, part):
+    """Whether every vertex outside ``part`` sees all of it the same way."""
+    return all(len({(d.has_arc(z, v), d.has_arc(v, z)) for v in part}) == 1
+               for z in range(d.n) if z not in part)
+
+
+def pack_graph(host, terminals):
+    """``pack --graph`` on ``host`` in a fresh directory: exit code, stderr
+    and the packing read back (None unless the exit is 0)."""
+    with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
+        Path("h.dg").write_text(sp.write_digraph(host))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["pack", "--graph", "h.dg", "--terminals",
+                         ",".join(map(str, terminals)), "--out", "h.pack"])
+        packing = sp.read_packing(Path("h.pack").read_text(), host, terminals) \
+            if code == 0 else None
+    return code, err.getvalue(), packing
+
+
+class TestPackGraph:
+    """``pack --graph`` packs the composition a digraph's co-components
+    form, whatever its vertex layout, or refuses it in one line."""
+
+    @staticmethod
+    def parts(host, terminals=(0, 1)):
+        code, err, packing = pack_graph(host, list(terminals))
+        assert (code, err) == (0, "")
+        assert sp.verify_packing(packing).ok
+        return len(packing.parts)
+
+    def test_symmetric_composition_file(self, workdir):
+        # the file's n0 is 2, but its co-components are a side of 6 vertices
+        # and one of 3: 3 parts, which is exact lambda for S = V
+        comp = str(workdir / "s.comp")
+        assert main(["gen", "sym-comp", "--t", "4", "--max-inner", "3", "--seed", "2",
+                     "--out", comp]) == 0
+        spec = sp.read_composition(Path(comp).read_text())
+        assert spec.n0 == 2
+        assert self.parts(sp.compose(spec)) == 3
+
+    def test_relabelled_complete_bipartite(self):
+        perm = list(range(8))
+        random.Random(5).shuffle(perm)
+        host = sp.relabel(sp.complete_bipartite_digraph(3, 5), perm)
+        assert host != sp.complete_bipartite_digraph(3, 5)
+        assert self.parts(host) == 3
+
+    def test_complete_tripartite(self):
+        outer = sp.biorientation(3, [(0, 1), (1, 2), (0, 2)])
+        host = sp.compose(sp.CompositionSpec(outer, [sp.empty_digraph(k) for k in (2, 3, 4)]))
+        assert self.parts(host) == 2
+
+    def test_strong_inner_that_is_not_quasi_transitive(self):
+        host = sp.compose(sp.CompositionSpec(sp.directed_cycle(3), (
+            sp.directed_cycle(5), sp.empty_digraph(3), sp.empty_digraph(4))))
+        assert not sp.is_quasi_transitive(host)
+        assert self.parts(host) == 3
+
+    def test_directed_cycle_is_not_a_composition(self):
+        code, err, _ = pack_graph(sp.directed_cycle(5), [0, 1])
+        assert (code, err) == (2, "precondition violated: digraph is not a composition: "
+                                  "the complement of its underlying graph is connected\n")
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.integers(2, 6), st.sampled_from([3, 5, 8]), st.booleans(), st.randoms())
+def test_graph_packs_the_co_component_composition(t, max_inner, symmetric, rng):
+    spec = gen.random_composition(t, max_inner, rng, symmetric)
+    perm = list(range(spec.n))
+    rng.shuffle(perm)
+    host = sp.relabel(sp.compose(spec), perm)
+    terminals = sorted(rng.sample(range(host.n), min(host.n, 3)))
+    code, err, packing = pack_graph(host, terminals)
+    parts = co_components(host)
+    composition = len(parts) > 1 and all(is_module(host, part) for part in parts)
+    if code == 0:
+        assert composition and err == ""
+        assert sp.verify_packing(packing).ok
+        assert len(packing.parts) == min(map(len, parts))
+    else:
+        assert code == 2 and err.count("\n") == 1, err
+        assert ("exceptional composition" in err or "needs non-shift matchings" in err
+                or "not a composition" in err and not composition), err
 
 
 class TestExact:
@@ -795,7 +912,7 @@ class TestLinesLoaded:
     compiles every line it imports, so a change that makes an op load more
     code fails here rather than only in the benchmark.  Each ceiling is at
     or a little above the count measured: 252 lines for ``--version``,
-    1,115 for a certified lambda, 960 for a cut, 1,596 for ``pack`` and
+    1,115 for a certified lambda, 960 for a cut, 1,576 for ``pack`` and
     724 for ``verify`` (541, 1,868, 1,868, 1,788 and 1,068 while ``cli``
     held every handler and ``exact`` imported the kernel up front; 300,
     1,290, 1,135, 1,614 and 850 while the solvers and the verifier loaded
@@ -805,7 +922,9 @@ class TestLinesLoaded:
     291, 1,119, 964, 1,599 and 727 while every op built its arguments with
     argparse, whose builder ``cli`` held; 254, 1,116, 961, 1,597 and 725
     while the export table had an alias form and ``cli`` printed each
-    refusal in its own branch)."""
+    refusal in its own branch; 252, 1,115, 960, 1,596 and 724 while
+    ``pack --graph`` had a bipartite layout check and a quasi-transitive
+    gate, and ``digraph`` held ``min_semi_degree``)."""
 
     @staticmethod
     def lines(argv, workdir):
@@ -841,7 +960,7 @@ class TestLinesLoaded:
         spec = sp.CompositionSpec(strong_tournament4, tuple(sp.empty_digraph(3) for _ in range(4)))
         write(workdir / "t.comp", sp.write_composition(spec))
         assert self.lines(["pack", "--composition", "t.comp", "--terminals", "0,4",
-                           "--out", "t.pack"], workdir) <= 1596
+                           "--out", "t.pack"], workdir) <= 1576
 
     def test_verify(self, workdir):
         write(workdir / "k.dg", sp.write_digraph(sp.complete_bipartite_digraph(2, 3)))
@@ -972,6 +1091,15 @@ class TestProcessEntry:
         assert launched == (3, "", "")
         monkeypatch.setattr(sys, "stderr", None)
         assert self.in_process(argv, workdir, monkeypatch, capsys) == launched
+
+    @pytest.mark.parametrize("program", PROGRAMS, ids=["cli", "package"])
+    def test_refusal_for_an_unwritable_stderr_keeps_its_exit_code(self, program, workdir):
+        # as after ``2</dev/null``: stderr is open but read-only, so writing
+        # the line fails, and the refusal goes nowhere
+        with open(os.devnull) as read_only:
+            run = subprocess.run([sys.executable, *program, "analyze", "--graph", "missing.dg"],
+                                 stdout=subprocess.PIPE, stderr=read_only, cwd=workdir, env=ENV)
+        assert (run.returncode, run.stdout) == (3, b"")
 
     @pytest.mark.parametrize("program", PROGRAMS, ids=["cli", "package"])
     def test_reader_gone_with_stderr_closed(self, program, workdir, inputs):

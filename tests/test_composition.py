@@ -96,12 +96,23 @@ class TestCanonicalDecomposition:
         with pytest.raises(PreconditionError):
             sp.canonical_decomposition_strong_qt(tt3)
 
-    def test_rejects_non_quasi_transitive(self):
+    def test_decomposes_a_non_quasi_transitive_composition(self):
         # complete bipartite digraphs have non-adjacent pairs joined by
-        # 2-paths, so they fail the adjacency-forcing condition
-        assert not sp.is_quasi_transitive(sp.complete_bipartite_digraph(2, 2))
-        with pytest.raises(PreconditionError):
-            sp.canonical_decomposition_strong_qt(sp.complete_bipartite_digraph(2, 2))
+        # 2-paths, so they fail the adjacency-forcing condition, but their
+        # co-components, the two sides, are modules
+        k22 = sp.complete_bipartite_digraph(2, 2)
+        assert not sp.is_quasi_transitive(k22)
+        spec = sp.canonical_decomposition_strong_qt(k22)
+        assert spec.outer == sp.directed_cycle(2) and spec.original_ids == (0, 1, 2, 3)
+        assert spec.inners == (sp.empty_digraph(2), sp.empty_digraph(2))
+
+    def test_rejects_a_digraph_that_is_no_composition(self):
+        # one co-component, then two of which {0, 1} is no module: 4 sees 0 one way
+        near = sp.Digraph(5, sp.complete_bipartite_digraph(2, 3).arcs - {(4, 0)})
+        for d, reason in ((sp.directed_cycle(5), "underlying graph is connected"),
+                          (near, "a co-component is not a module")):
+            with pytest.raises(PreconditionError, match=reason):
+                sp.canonical_decomposition_strong_qt(d)
 
 
 class TestCompositionFormat:

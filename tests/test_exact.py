@@ -11,7 +11,7 @@ from strongpack.exact import SolverLimits
 
 from conftest import exceptional_member
 from oracles import (check_cut_relation, kappa_k, lambda_k, max_disjoint_paths_undirected,
-                     min_strong_cut_exhaustive)
+                     min_semi_degree, min_strong_cut_exhaustive)
 from test_kernel import PINNED_NODES, _pinned_host
 
 WIDE = SolverLimits(max_vertices=10, max_arcs=40)
@@ -258,7 +258,7 @@ class TestBoundsAndWrappers:
             assert lambda_k(k23, k) == 2
 
     def test_lambda_k_bounded_by_min_semi_degree(self, k23):
-        assert lambda_k(k23, 2) <= sp.min_semi_degree(k23)
+        assert lambda_k(k23, 2) <= min_semi_degree(k23)
 
     def test_kappa_k_at_most_lambda_k(self, k23):
         assert kappa_k(k23, 3) <= lambda_k(k23, 3)

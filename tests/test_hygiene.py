@@ -11,7 +11,8 @@ raise instead; one function that splits text into lines; one function
 that calls the kernel directly, and ``exact`` imports it only where its
 driver searches; one place outside ``_core`` pairs a forward and a
 backward closure; one spine construction and one place that builds a
-packing in ``packing``; no package module imports ``cli``; and what lets
+packing in ``packing``; only ``analyze`` asks whether a digraph is
+quasi-transitive; no package module imports ``cli``; and what lets
 ``cli.entry`` skip interpreter teardown holds: every ``open`` is a ``with``
 item, only ``entry`` calls ``os._exit`` or ``gc.disable``, and no module
 imports ``threading``; only the argparse builder calls ``add_argument``, and
@@ -314,6 +315,16 @@ def test_one_spine_construction():
     result is verified on its way out."""
     assert _callers_in("packing.py", "decompose_cycle_blowup") == ["_spine_parts"]
     assert _callers_in("packing.py", "Packing") == ["_checked"]
+
+
+def test_only_analyze_asks_quasi_transitivity():
+    """``pack --graph`` recognises a composition by its co-components alone,
+    so ``is_quasi_transitive`` gates no packer: only ``analyze`` calls it,
+    to print the flag."""
+    callers = [module for module, tree in TREES.items() for node in ast.walk(tree)
+               if isinstance(node, ast.Call) and "is_quasi_transitive" in (
+                   getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+    assert callers == ["commands/analyze.py"]
 
 
 def test_options_declared_once():

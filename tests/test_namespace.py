@@ -24,12 +24,12 @@ PUBLIC = [
     "directed_cycle", "directed_path", "empty_digraph", "exact_kappa", "exact_lambda",
     "hamilton_semicomplete", "has_strong_arc_decomposition", "hypergraph_gadget",
     "is_eulerian", "is_in_exceptional", "is_quasi_transitive", "is_semicomplete",
-    "is_strong", "is_symmetric", "kernel_backend", "linkage_gadget", "min_semi_degree",
-    "min_strong_cut", "pack_bipartite", "pack_quasi_transitive",
-    "pack_semicomplete_composition", "pack_symmetric_composition", "read_bipartite",
-    "read_composition", "read_digraph", "read_hypergraph", "read_packing", "relabel",
-    "steiner_cut_undirected", "strong_components", "terminal_semi_degree", "verify_packing",
-    "write_composition", "write_digraph", "write_hypergraph", "write_packing",
+    "is_strong", "is_symmetric", "kernel_backend", "linkage_gadget", "min_strong_cut",
+    "pack_bipartite", "pack_quasi_transitive", "pack_semicomplete_composition",
+    "pack_symmetric_composition", "read_bipartite", "read_composition", "read_digraph",
+    "read_hypergraph", "read_packing", "relabel", "steiner_cut_undirected",
+    "strong_components", "terminal_semi_degree", "verify_packing", "write_composition",
+    "write_digraph", "write_hypergraph", "write_packing",
 ]
 
 
@@ -49,7 +49,7 @@ def test_exported_name_is_its_modules_object(name):
 
 
 def test_public_names_are_unchanged():
-    assert len(PUBLIC) == 61
+    assert len(PUBLIC) == 60
     assert sorted(sp.__all__) == PUBLIC
     assert set(PUBLIC) <= set(dir(sp))
 

@@ -11,7 +11,7 @@ from strongpack.errors import (GraphFormatError, InfeasibleError, PreconditionEr
 from strongpack.verify import MODE_ARC, MODE_INTERNAL
 
 from conftest import exceptional_member
-from oracles import reverse
+from oracles import min_semi_degree, reverse
 
 
 def make_packing(host, terminals, parts, mode=MODE_ARC):
@@ -82,7 +82,7 @@ class TestPackBipartite:
     def test_part_count_matches_min_semi_degree(self):
         for a, b in [(1, 3), (2, 3), (3, 3), (2, 5)]:
             host = sp.complete_bipartite_digraph(a, b)
-            assert len(sp.pack_bipartite(a, b).parts) == sp.min_semi_degree(host) == a
+            assert len(sp.pack_bipartite(a, b).parts) == min_semi_degree(host) == a
 
     def test_rejects_bad_sides(self):
         for a, b in [(0, 2), (2, 0), (-1, 3)]:
@@ -185,7 +185,7 @@ class TestPackSemicompleteComposition:
         assert len(p.parts) == 3
         assert sp.verify_packing(p).ok
         host = sp.compose(spec)
-        assert sp.min_semi_degree(host) == 3
+        assert min_semi_degree(host) == 3
 
     def test_exceptional_rejected_with_witness(self):
         spec = sp.CompositionSpec(sp.directed_cycle(3),
@@ -325,9 +325,16 @@ class TestPackQuasiTransitive:
         assert sp.verify_packing(p).ok
         assert p.host == shuffled
 
-    def test_rejects_non_qt(self, k23):
-        with pytest.raises(PreconditionError):
-            sp.pack_quasi_transitive(k23, [0, 2])
+    def test_packs_a_non_qt_composition(self, k23):
+        assert not sp.is_quasi_transitive(k23)
+        p = sp.pack_quasi_transitive(k23, [0, 2])
+        assert len(p.parts) == 2 and sp.verify_packing(p).ok
+
+    def test_rejects_a_digraph_that_is_no_composition(self):
+        near = sp.Digraph(5, sp.complete_bipartite_digraph(2, 3).arcs - {(4, 0)})
+        for d in (sp.directed_cycle(5), near):
+            with pytest.raises(PreconditionError, match="not a composition"):
+                sp.pack_quasi_transitive(d, [0, 2])
 
 
 def _layers(outer, *sizes):
