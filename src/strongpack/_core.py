@@ -9,7 +9,7 @@ digraphs the package builds, does not.  All functions here are pure."""
 
 from __future__ import annotations
 
-from itertools import compress
+from itertools import compress, islice
 from typing import Iterable, Iterator, Sequence
 
 from .errors import GraphFormatError, PreconditionError
@@ -184,8 +184,7 @@ def underlying_connected(d: Digraph) -> bool:
     return reachable(nbr, 0) == (1 << d.n) - 1
 
 
-# -- text formats: each is read through ``_rows``.  Digraph: first line "n m",
-# then m lines "u v" (0-based), as ``digraph.write_digraph`` writes them.
+# -- text formats, whose errors ``_rows`` locates.  Digraph: "n m", then m lines "u v".
 
 def _rows(text: str) -> Iterator[Row]:
     """(1-based physical line number, fields) of every line that is not
@@ -196,63 +195,71 @@ def _rows(text: str) -> Iterator[Row]:
             yield lineno, fields
 
 
-def _header(text: str, kind: str) -> tuple[Iterator[Row], int, list[str]]:
-    """(the rows after the first, its line number, its fields) of ``text``."""
-    rows = _rows(text)
-    for lineno, fields in rows:
-        return rows, lineno, fields
+def _header(rows: Iterator[Row], kind: str) -> Row:
+    """The first of ``rows``, taken from them: a file's header row."""
+    for row in rows:
+        return row
     raise GraphFormatError(f"empty {kind} file")
 
 
 def read_digraph(text: str) -> Digraph:
-    """Parse the text format; ``_digraph`` gives the order of its errors."""
-    return _digraph(_rows(text))
+    """Parse the text format: ``_plain`` reads a plain file, ``_digraph`` any other."""
+    return _plain(text.splitlines()) or _digraph(_rows(text))
 
 
-def _digraph(rows: Iterable[Row]) -> Digraph:
-    """The digraph on ``rows``.  Every row is checked for syntax first (with
-    its line number); then the arc count, the vertex count and the first
-    loop or out-of-range arc are reported, in that order.  ``ids`` keeps
-    each field's int, so a field is parsed only the first time it is seen."""
-    n, m = 0, None  # m stays None until the header row is read
-    out: list[int] = []
-    count = 0
-    bad_arc = None
-    ids: dict[str, int] = {}
-    for lineno, fields in rows:
-        if m is None:
-            if len(fields) != 2:
-                raise GraphFormatError("expected header 'n m'", lineno)
+def _plain(lines: list[str]) -> Digraph | None:
+    """The digraph of "n m" and exactly m lines "u v", no loop, ids in range;
+    else None.  ``tail`` and ``head`` parse and check each id field once."""
+    try:
+        n, m = map(int, lines[0].split())
+        if n < 0 or len(lines) - 1 != m:
+            return None
+        out, tail, head, arcs = [0] * n, {}, {}, map(str.split, islice(lines, 1, None))
+        while True:
             try:
-                n, m = int(fields[0]), int(fields[1])
-            except ValueError:
-                raise GraphFormatError("header fields must be integers", lineno)
-            out = [0] * max(n, 0)
-            continue
+                for a, b in arcs:
+                    out[tail[a]] |= head[b]
+                break
+            except KeyError:  # a field not seen before: the loop resumes after its line
+                u, v = int(a), int(b)
+                if not (0 <= u < n and 0 <= v < n):
+                    return None
+                tail[a], head[b] = u, 1 << v
+                out[u] |= 1 << v
+    except (IndexError, ValueError):  # no line, a field count, a field not an int
+        return None
+    return None if any(x >> u & 1 for u, x in enumerate(out)) else Digraph.from_masks(n, out)
+
+
+def _digraph(rows: Iterator[Row]) -> Digraph:
+    """The digraph on ``rows``, the first its header.  Every row is checked
+    for syntax first (with its line number); then the arc count, the vertex
+    count and the first loop or out-of-range arc are reported, in that order."""
+    lineno, fields = _header(rows, "digraph")
+    if len(fields) != 2:
+        raise GraphFormatError("expected header 'n m'", lineno)
+    try:
+        n, m = int(fields[0]), int(fields[1])
+    except ValueError:
+        raise GraphFormatError("header fields must be integers", lineno)
+    out, count, bad = [0] * max(n, 0), 0, []
+    for lineno, fields in rows:
         if len(fields) != 2:
             raise GraphFormatError("expected arc line 'u v'", lineno)
-        a, b = fields
         try:
-            u, v = ids[a], ids[b]
-        except KeyError:
-            try:
-                ids[a], ids[b] = u, v = int(a), int(b)
-            except ValueError:
-                raise GraphFormatError("arc endpoints must be integers", lineno)
+            u, v = int(fields[0]), int(fields[1])
+        except ValueError:
+            raise GraphFormatError("arc endpoints must be integers", lineno)
         count += 1
         if u != v and 0 <= u < n and 0 <= v < n:
             out[u] |= 1 << v
-        elif bad_arc is None:
-            bad_arc = (u, v)
-    if m is None:
-        raise GraphFormatError("empty digraph file")
+        elif not bad:
+            bad.append((u, v))
     if count != m:
         raise GraphFormatError(f"header promises {m} arcs, found {count}")
-    if n < 0:
-        raise GraphFormatError("vertex count must be nonnegative")
-    if bad_arc is not None:
-        u, v = bad_arc
-        if u == v:
-            raise GraphFormatError(f"loop arc ({u}, {u}) not allowed")
-        raise GraphFormatError(f"arc ({u}, {v}) out of range for n={n}")
+    if n < 0 or bad:  # ``Digraph`` words it: a negative n, else the first bad arc
+        try:
+            Digraph(n, bad)
+        except PreconditionError as exc:
+            raise GraphFormatError(str(exc)) from None
     return Digraph.from_masks(n, out)

@@ -80,16 +80,7 @@ def main(argv=None) -> int:
 def entry() -> None:
     """Run ``main`` as a process: no cyclic collector, no interpreter teardown."""
     gc.disable()
-    try:
-        code = main()
-        if sys.stdout is not None:
-            sys.stdout.flush()
-    except BrokenPipeError:  # stdout's reader is gone: the rest goes nowhere, silently
-        with open(os.devnull, "w") as null:
-            os.dup2(null.fileno(), sys.stdout.fileno())
-        if sys.stderr is not None:
-            print("precondition violated: cannot write stdout", file=sys.stderr)
-        from .commands import EXIT_PRECONDITION as code
+    code = main()
     atexit._run_exitfuncs()
     try:
         for stream in filter(None, (sys.stdout, sys.stderr)):

@@ -37,13 +37,16 @@ def _write_file(path: str, text: str) -> None:
 
 
 def _write_out(text: str, out: str | None = None) -> None:
-    """``text`` to the file ``out``, else to stdout, which nothing else writes."""
+    """``text`` to the file ``out``, else to stdout, which nothing else writes;
+    stdout is flushed here, so a reader gone is refused like a closed stdout."""
     if out:
-        _write_file(out, text)
-    elif sys.stdout is None:  # closed when the process started
-        raise PreconditionError("cannot write stdout")
-    else:
+        return _write_file(out, text)
+    try:
         sys.stdout.write(text)
+        sys.stdout.flush()
+    except (AttributeError, BrokenPipeError):  # closed at start (None), or its reader gone:
+        sys.stdout = None  # the rest goes nowhere, and ``entry`` flushes no stdout
+        raise PreconditionError("cannot write stdout") from None
 
 
 def _terminals(arg: str) -> list[int]:

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from typing import NamedTuple, Sequence
 
-from .digraph import (Digraph, _digraph, _header, bits, induced, is_semicomplete, is_strong,
-                      mask_of, reachable, write_digraph)
-from .errors import GraphFormatError, PreconditionError, StrongpackError
+from ._core import _digraph, _header, _plain, _rows
+from .digraph import Digraph, bits, induced, is_strong, mask_of, reachable, write_digraph
+from .errors import GraphFormatError, PreconditionError
 
 
 class CompositionSpec(NamedTuple("CompositionSpec", [
@@ -85,11 +85,11 @@ def canonical_decomposition_strong_qt(d: Digraph) -> CompositionSpec:
 
     That is a composition exactly when every co-component is a module (a
     vertex set that every outside vertex sees the same way), as on every
-    strong quasi-transitive digraph and every complete bipartite digraph.
-    The recomposition decides it, and PreconditionError names the reason
-    when it fails or when there is a single co-component.  Any two
-    co-components are then joined, so the outer digraph is strong
-    semicomplete; that is checked, and a mismatch raises.
+    strong quasi-transitive digraph and every complete bipartite digraph:
+    each vertex of a co-component P has the same out- and in-neighbours
+    outside P.  PreconditionError names the reason when that fails or when
+    there is a single co-component.  Any two co-components are joined, so
+    the outer digraph is strong semicomplete.
     """
     if d.n < 2:
         raise PreconditionError("need at least 2 vertices")
@@ -112,23 +112,16 @@ def canonical_decomposition_strong_qt(d: Digraph) -> CompositionSpec:
     if t < 2:
         raise PreconditionError("digraph is not a composition: the complement "
                                 "of its underlying graph is connected")
-    inners = [induced(d, bucket) for bucket in parts]
-    outer_out = []
-    for i, bucket in enumerate(parts):
-        heads = 0
-        for v in bucket:
-            heads |= d.out[v]
-        outer_out.append(mask_of(p for p, other in enumerate(part_masks)
-                                 if p != i and heads & other))
-    outer = Digraph.from_masks(t, outer_out)
-    original_ids = tuple(v for bucket in parts for v in bucket)
-    spec = CompositionSpec(outer, inners, original_ids)
-    if relabel(compose(spec), original_ids) != d:
+    if any(len({(d.out[v] & ~pm, inn[v] & ~pm) for v in part}) > 1
+           for pm, part in zip(part_masks, parts)):
         raise PreconditionError("digraph is not a composition: a co-component "
                                 "is not a module")
-    if not is_semicomplete(outer) or not is_strong(outer):
-        raise StrongpackError("outer quotient is not strong semicomplete")
-    return spec
+    # a module's outer arcs are those of any one of its vertices
+    outer = Digraph.from_masks(t, [
+        mask_of(p for p, other in enumerate(part_masks) if p != i and d.out[part[0]] & other)
+        for i, part in enumerate(parts)])
+    return CompositionSpec(outer, [induced(d, part) for part in parts],
+                           tuple(v for part in parts for v in part))
 
 
 def relabel(d: Digraph, mapping: Sequence[int]) -> Digraph:
@@ -155,9 +148,18 @@ def write_composition(spec: CompositionSpec) -> str:
 
 
 def read_composition(text: str) -> CompositionSpec:
-    """Parse the text format.  The blocks are parsed in file order as the
-    rows stream past; the inner blocks are counted after the first t."""
-    rows, lineno, fields = _header(text, "composition")
+    """Parse the text format.  When line 1 is t, exactly t lines are "---"
+    and ``_plain`` reads each block around them, the first on t vertices,
+    those blocks are the digraphs.  Otherwise the row scanner parses the
+    blocks in file order, and counts the inner blocks after the first t."""
+    lines = text.splitlines()
+    cuts = [0, *(i for i, line in enumerate(lines) if line == "---"), len(lines)]
+    blocks = [_plain(lines[i + 1:j]) for i, j in zip(cuts, cuts[1:])]
+    if lines[:1] == [str(len(cuts) - 2)] and all(blocks) and blocks[0].n == len(cuts) - 2:
+        return CompositionSpec(blocks[0], blocks[1:])
+    del lines, blocks  # the row scanner splits the text itself
+    rows = _rows(text)
+    lineno, fields = _header(rows, "composition")
     try:
         [t] = map(int, fields)
     except ValueError:

@@ -5,8 +5,8 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from ._core import (Arc as Arc, Digraph as Digraph, Row as Row, _digraph as _digraph,
-                    _header as _header, _lowest as _lowest, _rows as _rows, _step as _step,
+from ._core import (Arc as Arc, Digraph as Digraph, Row as Row, _header as _header,
+                    _lowest as _lowest, _rows as _rows, _step as _step,
                     as_terminals as as_terminals, bits as bits, is_strong as is_strong,
                     is_symmetric as is_symmetric, mask_of as mask_of, reachable as reachable,
                     read_digraph as read_digraph, strong_component as strong_component,
@@ -87,11 +87,7 @@ def empty_digraph(n: int) -> Digraph:
 
 def biorientation(n: int, edges: Iterable[tuple[int, int]]) -> Digraph:
     """Symmetric digraph obtained by replacing each edge with both arcs."""
-    arcs = []
-    for u, v in edges:
-        arcs.append((u, v))
-        arcs.append((v, u))
-    return Digraph(n, arcs)
+    return Digraph(n, [arc for u, v in edges for arc in ((u, v), (v, u))])
 
 
 def complete_bipartite_digraph(a: int, b: int) -> Digraph:

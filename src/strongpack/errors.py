@@ -14,9 +14,7 @@ class GraphFormatError(StrongpackError, ValueError):
 
     def __init__(self, message, line=None):
         self.line = line
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
+        super().__init__(message if line is None else f"line {line}: {message}")
 
 
 class SizeLimitError(StrongpackError, ValueError):

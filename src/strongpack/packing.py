@@ -296,4 +296,6 @@ def pack_quasi_transitive(d: Digraph, terminals) -> Packing:
         return _checked(d, ts, [d.arcs])
     parts = (_symmetric_parts if is_symmetric(spec.outer) else _semicomplete_parts)(spec)
     back = spec.original_ids
-    return _checked(d, ts, [{(back[u], back[v]) for u, v in part} for part in parts])
+    if back != tuple(range(d.n)):  # the host's ids are not already layer-major
+        parts = [{(back[u], back[v]) for u, v in part} for part in parts]
+    return _checked(d, ts, parts)

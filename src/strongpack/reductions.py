@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .digraph import Arc, Digraph, _header, biorientation, is_eulerian
+from .digraph import Arc, Digraph, _header, _rows, biorientation, is_eulerian
 from .errors import GraphFormatError, PreconditionError
 
 
@@ -231,7 +231,8 @@ def write_hypergraph(h: Hypergraph) -> str:
 
 
 def read_hypergraph(text: str) -> Hypergraph:
-    rows, head_line, head_fields = _header(text, "hypergraph")
+    rows = _rows(text)
+    head_line, head_fields = _header(rows, "hypergraph")
     try:
         n, e = map(int, head_fields)
     except ValueError:
@@ -248,7 +249,8 @@ def read_hypergraph(text: str) -> Hypergraph:
 
 
 def read_bipartite(text: str) -> BipartiteGraph:
-    rows, head_line, head_fields = _header(text, "bipartite")
+    rows = _rows(text)
+    head_line, head_fields = _header(rows, "bipartite")
     try:
         c, b, e = map(int, head_fields)
     except ValueError:

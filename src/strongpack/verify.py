@@ -17,7 +17,7 @@ from __future__ import annotations
 from operator import and_, or_
 from typing import NamedTuple, Optional
 
-from ._core import Arc, Digraph, _header, as_terminals
+from ._core import Arc, Digraph, _header, _rows, as_terminals
 from .errors import GraphFormatError
 
 MODE_ARC = "arc"
@@ -123,7 +123,8 @@ def write_packing(p: Packing) -> str:
 
 
 def read_packing(text: str, host: Digraph, terminals) -> Packing:
-    rows, head_line, head_fields = _header(text, "packing")
+    rows = _rows(text)
+    head_line, head_fields = _header(rows, "packing")
     head = dict(item.split("=", 1) for item in head_fields if "=" in item)
     try:
         count = int(head["parts"])
@@ -133,7 +134,7 @@ def read_packing(text: str, host: Digraph, terminals) -> Packing:
                                head_line)
     if mode not in (MODE_ARC, MODE_INTERNAL):
         raise GraphFormatError(f"unknown mode {mode!r}", head_line)
-    ids: dict[str, int] = {}  # each distinct id parsed once, as by the digraph reader
+    ids: dict[str, int] = {}  # each distinct id parsed once, as by ``_core._plain``
     parts = []
     for lineno, fields in rows:
         arcs = []

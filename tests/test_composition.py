@@ -1,6 +1,9 @@
+import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import strongpack as sp
+from strongpack import generators as gen
 from strongpack.errors import GraphFormatError, PreconditionError, StrongpackError
 
 from conftest import reference_blowup
@@ -113,6 +116,47 @@ class TestCanonicalDecomposition:
                           (near, "a co-component is not a module")):
             with pytest.raises(PreconditionError, match=reason):
                 sp.canonical_decomposition_strong_qt(d)
+
+
+def recomposition_verdict(d):
+    """What ``canonical_decomposition_strong_qt`` decided by recomposing: the
+    spec over the co-components (networkx's complement components, lowest
+    vertex first), or its refusal, from whether that spec composes back to ``d``."""
+    g = nx.complement(nx.Graph(list(d.arcs)) if d.m else nx.empty_graph(d.n))
+    g.add_nodes_from(range(d.n))
+    parts = sorted(sorted(c) for c in nx.connected_components(g))
+    if len(parts) < 2:
+        return "digraph is not a composition: the complement of its underlying graph is connected"
+    outer = sp.Digraph(len(parts), [(i, j) for i, a in enumerate(parts) for j, b in enumerate(parts)
+                                    if i != j and any(d.has_arc(u, v) for u in a for v in b)])
+    ids = tuple(v for part in parts for v in part)
+    inners = [sp.Digraph(len(p), [(x, y) for x, u in enumerate(p) for y, v in enumerate(p)
+                                  if d.has_arc(u, v)]) for p in parts]
+    spec = sp.CompositionSpec(outer, inners, ids)
+    if sp.relabel(sp.compose(spec), ids) != d:
+        return "digraph is not a composition: a co-component is not a module"
+    return spec
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 4), st.booleans(), st.booleans(), st.randoms(use_true_random=False))
+def test_module_test_agrees_with_the_recomposition(t, symmetric, toggle, rng):
+    # composition hosts in a shuffled layout, some with one arc toggled, so
+    # that a co-component may stop being a module
+    host = sp.compose(gen.random_composition(t, 3, rng, symmetric))
+    arcs = set(host.arcs)
+    if toggle:
+        arcs ^= {tuple(rng.sample(range(host.n), 2))}
+    perm = list(range(host.n))
+    rng.shuffle(perm)
+    d = sp.relabel(sp.Digraph(host.n, arcs), perm)
+    if not sp.is_strong(d):
+        return
+    try:
+        got = sp.canonical_decomposition_strong_qt(d)
+    except PreconditionError as exc:
+        got = str(exc)
+    assert got == recomposition_verdict(d)
 
 
 class TestCompositionFormat:

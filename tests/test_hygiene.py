@@ -7,7 +7,7 @@ referenced somewhere in the package beyond its own definition, and every
 public one somewhere in the package or through ``strongpack`` in its
 tests or its benchmark (the ``__init__`` export table does not count);
 no ``assert`` statement, since ``python -O`` strips it, so a check must
-raise instead; one function that splits text into lines; one function
+raise instead; one function that decides which lines are data; one function
 that calls the kernel directly, and ``exact`` imports it only where its
 driver searches; one place outside ``_core`` pairs a forward and a
 backward closure; one spine construction and one place that builds a
@@ -190,14 +190,17 @@ def test_no_assert_statement(module):
 
 
 def test_one_row_scanner():
-    """Only ``_core._rows`` splits text into lines, so every text format
-    shares its rule for which lines are data and which line an error names."""
+    """Only ``_core._rows`` decides which lines are data and which line an
+    error names, so every text format shares that rule.  The two fast
+    readers also split their text, but accept only a file whose every line
+    is data (or, in a composition, exactly "---") and hand any other text to
+    ``_rows``; ``test_reader_reference`` checks that both paths agree."""
     callers = [f"{module[:-3]}.{fn.name}" for module, tree in TREES.items()
                for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
                for node in ast.walk(fn) if isinstance(node, ast.Call)
                and isinstance(node.func, ast.Attribute)
                and node.func.attr == "splitlines"]
-    assert callers == ["_core._rows"]
+    assert callers == ["_core._rows", "_core.read_digraph", "composition.read_composition"]
 
 
 def _is_kernel_ref(node: ast.AST) -> bool:
@@ -351,8 +354,8 @@ def test_options_declared_once():
 def test_one_stdout_writer():
     """In ``commands`` only ``_write_out`` calls ``print`` or touches
     ``sys.stdout``, so one function decides what a stdout closed at start
-    means: a refusal with exit 2, not a line lost with exit 0.  Elsewhere
-    only ``cli`` prints: its refusals, to stderr."""
+    means: a refusal with exit 2, not a line lost with exit 0.  No module
+    prints: ``cli.main`` writes every refusal to stderr itself."""
     writer = next(fn for fn in TREES["commands/__init__.py"].body
                   if isinstance(fn, ast.FunctionDef) and fn.name == "_write_out")
     inside = set(map(id, ast.walk(writer)))
@@ -364,4 +367,4 @@ def test_one_stdout_writer():
     assert touches and all(id(node) in inside for node in touches)
     printers = {module for module, tree in TREES.items() for node in ast.walk(tree)
                 if getattr(node, "id", None) == "print"}
-    assert printers == {"cli.py"}
+    assert printers == set()

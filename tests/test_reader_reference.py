@@ -1,16 +1,23 @@
-"""Differential tests of ``read_digraph`` and ``read_packing`` against plain
-per-line reference readers kept here.  The package readers parse each
-distinct field once and look it up after that; the references call ``int``
-on every field of every line.  On every drawn text both give an equal
-``Digraph`` or ``Packing``, or a ``GraphFormatError`` with the same text
-and the same line number."""
+"""Differential tests of ``read_digraph``, ``read_composition`` and
+``read_packing`` against plain per-line reference readers kept here.  The
+package's digraph and composition readers first try one tight loop that
+accepts only a file whose every line is data (``_core._plain``) and parses
+each distinct id field once; on anything else they fall back to the row
+scanner.  The references call ``int`` on every field of every line.  On
+every drawn text both give an equal result, or a ``GraphFormatError`` (or a
+``PreconditionError`` from ``CompositionSpec``) with the same text and the
+same line number.  The drawn texts sit at the fast loop's edge: tabs, runs
+of spaces, leading and trailing blanks, "\r\n" and "\r" line ends, ids
+spelt "+3", "007" or "1_0", negative and out-of-range ids, loops, duplicate
+arcs, comment and blank lines between arcs, and header counts one off."""
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 from hypothesis.strategies import composite
 
 import strongpack as sp
-from strongpack.errors import GraphFormatError
+from strongpack._core import _plain
+from strongpack.errors import GraphFormatError, PreconditionError
 
 pytestmark = pytest.mark.filterwarnings("ignore::hypothesis.errors.NonInteractiveExampleWarning")
 
@@ -23,8 +30,12 @@ def _data_rows(text):
 
 
 def reference_read_digraph(text):
+    return reference_digraph(list(_data_rows(text)))
+
+
+def reference_digraph(rows):
     header, arcs = None, []
-    for lineno, fields in _data_rows(text):
+    for lineno, fields in rows:
         if header is None:
             if len(fields) != 2:
                 raise GraphFormatError("expected header 'n m'", lineno)
@@ -52,6 +63,30 @@ def reference_read_digraph(text):
         if not (0 <= u < n and 0 <= v < n):
             raise GraphFormatError(f"arc ({u}, {v}) out of range for n={n}")
     return sp.Digraph(n, arcs)
+
+
+def reference_read_composition(text):
+    rows = list(_data_rows(text))
+    if not rows:
+        raise GraphFormatError("empty composition file")
+    (lineno, fields), blocks = rows[0], [[]]
+    try:
+        [t] = map(int, fields)
+    except ValueError:
+        raise GraphFormatError("first line must be the outer order t", lineno)
+    for row in rows[1:]:
+        if row[1] == ["---"]:
+            blocks.append([])
+        else:
+            blocks[-1].append(row)
+    outer = reference_digraph(blocks[0])
+    if outer.n != t:
+        raise GraphFormatError(f"outer digraph has {outer.n} vertices, expected {t}")
+    found = len(blocks) - 1
+    inners = [reference_digraph(block) for block in blocks[1:1 + max(0, min(found, t))]]
+    if found != t:
+        raise GraphFormatError(f"expected {t} inner digraphs, found {found}")
+    return sp.CompositionSpec(outer, inners)
 
 
 def reference_read_packing(text, host, terminals):
@@ -88,11 +123,13 @@ def reference_read_packing(text, host, terminals):
 
 
 def outcome(read, *args):
-    """("ok", result) or ("error", message, line)."""
+    """("ok", result), ("error", message, line) or ("refused", message)."""
     try:
         return ("ok", read(*args))
     except GraphFormatError as exc:
         return ("error", str(exc), exc.line)
+    except PreconditionError as exc:
+        return ("refused", str(exc))
 
 
 # -- drawing texts ---------------------------------------------------------------
@@ -102,37 +139,48 @@ FILLERS = ["", "   ", "\t", "# a comment", "  # indented comment", "\t#tab comme
 
 
 @composite
-def spelling(draw, value):
-    """A field that ``int`` reads as ``value``: plain, zero-padded or signed."""
+def spelling(draw, value, plain=False):
+    """A field that ``int`` reads as ``value``: plain, zero-padded, signed
+    or with an underscore between digits."""
     text = str(abs(value))
+    if plain:
+        return str(value)
     pad = draw(st.sampled_from(["", "", "0", "00"]))
+    if len(text) > 1 and draw(st.booleans()):
+        text = text[0] + "_" + text[1:]
     sign = "-" if value < 0 else draw(st.sampled_from(["", "", "+"]))
     return sign + pad + text
 
 
 @composite
-def separator(draw):
-    return draw(st.sampled_from([" ", "  ", "\t", " \t "]))
+def separator(draw, plain=False):
+    return " " if plain else draw(st.sampled_from([" ", "  ", "\t", " \t "]))
 
 
 @composite
-def document(draw, data_lines):
+def document(draw, data_lines, plain=False):
     """The data lines with filler lines between them, leading and trailing
-    blanks on some lines and a drawn line ending."""
+    blanks on some lines and a drawn line ending.  A ``plain`` document has
+    no filler and no blank around a line, as ``write_digraph`` writes."""
     lines = []
     for line in data_lines:
+        if plain:
+            lines.append(line)
+            continue
         lines += draw(st.lists(st.sampled_from(FILLERS), max_size=2))
         lead = draw(st.sampled_from(["", "", " ", "\t"]))
         trail = draw(st.sampled_from(["", "", " ", "\t"]))
         lines.append(lead + line + trail)
-    lines += draw(st.lists(st.sampled_from(FILLERS), max_size=2))
-    end = draw(st.sampled_from(["\n", "\r\n"]))
+    if not plain:
+        lines += draw(st.lists(st.sampled_from(FILLERS), max_size=2))
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
     return end.join(lines) + draw(st.sampled_from([end, ""]))
 
 
 @composite
-def digraph_texts(draw, faults=True):
-    n = draw(st.integers(min_value=-1 if faults else 0, max_value=6))
+def digraph_lines(draw, faults=True, plain=False, max_n=12, min_n=0):
+    """The header and arc lines of a digraph text, before ``document``."""
+    n = draw(st.integers(min_value=-1 if faults else min_n, max_value=max_n))
     span = max(n, 1)
     low, high = (-1, span + 1) if faults else (0, span - 1)
     pairs = draw(st.lists(st.tuples(st.integers(low, high), st.integers(low, high)),
@@ -141,13 +189,37 @@ def digraph_texts(draw, faults=True):
         pairs = [(u, v) for u, v in pairs if u != v and n > 1]
     pairs += draw(st.lists(st.sampled_from(pairs), max_size=3)) if pairs else []  # duplicates
     m = len(pairs) + (draw(st.sampled_from([0, 0, 0, 1, -1])) if faults else 0)
-    lines = [draw(spelling(n)) + draw(separator()) + draw(spelling(m))]
+    lines = [draw(spelling(n, plain)) + draw(separator(plain)) + draw(spelling(m, plain))]
     for u, v in pairs:
-        lines.append(draw(spelling(u)) + draw(separator()) + draw(spelling(v)))
+        lines.append(draw(spelling(u, plain)) + draw(separator(plain)) + draw(spelling(v, plain)))
     if faults and draw(st.booleans()):
-        bad = draw(st.sampled_from(["1 2 3", "7", "0 x", "x 0", "1.0 2", "0 1 # tail"]))
+        bad = draw(st.sampled_from(["1 2 3", "7", "0 x", "x 0", "1.0 2", "0 1 # tail", "---"]))
         lines.insert(draw(st.integers(0, len(lines))), bad)
-    return draw(document(lines))
+    return lines
+
+
+@composite
+def digraph_texts(draw, faults=True, plain=None):
+    plain = draw(st.booleans()) if plain is None else plain
+    return draw(document(draw(digraph_lines(faults, plain)), plain))
+
+
+@composite
+def composition_texts(draw, faults=True):
+    """A composition text whose blocks are drawn digraph texts, cut by "---"
+    or by a separator line that only the row scanner reads as one."""
+    plain = draw(st.booleans())
+    t = draw(st.integers(min_value=0 if faults else 2, max_value=4))
+    blocks = [draw(digraph_lines(faults, plain, max_n=4, min_n=1)) for _ in range(t + 1)]
+    if not faults:
+        blocks[0] = [f"{t} 0"]  # an outer digraph on t vertices and no arc
+    if faults and draw(st.booleans()):
+        blocks = blocks[:draw(st.integers(1, len(blocks)))]  # too few or too many blocks
+    cuts = ["---"] if plain else ["---", "---", " --- ", "---\t"]
+    lines = [draw(spelling(t, plain))] + blocks[0]
+    for block in blocks[1:]:
+        lines += [draw(st.sampled_from(cuts))] + block
+    return draw(document(lines, plain))
 
 
 @composite
@@ -194,6 +266,34 @@ def test_valid_digraph_texts_parse(text):
 
 
 @SETTINGS
+@given(digraph_texts())
+def test_fast_loop_reads_only_what_the_reference_reads(text):
+    # the fast loop either declines, or gives the reference's digraph
+    got = _plain(text.splitlines())
+    assert got is None or outcome(reference_read_digraph, text) == ("ok", got)
+
+
+@SETTINGS
+@given(digraph_texts(faults=False, plain=True))
+def test_fast_loop_reads_every_plain_text(text):
+    # as ``write_digraph`` writes: no filler, every field as ``str`` spells it
+    assert _plain(text.splitlines()) == reference_read_digraph(text)
+
+
+@SETTINGS
+@given(composition_texts())
+def test_read_composition_matches_the_reference(text):
+    assert outcome(sp.read_composition, text) == outcome(reference_read_composition, text)
+
+
+@SETTINGS
+@given(composition_texts(faults=False))
+def test_valid_composition_texts_parse(text):
+    got = outcome(sp.read_composition, text)
+    assert got[0] == "ok" and got == outcome(reference_read_composition, text)
+
+
+@SETTINGS
 @given(packing_texts())
 def test_read_packing_matches_the_reference(case):
     text, host, terminals = case
@@ -218,6 +318,30 @@ def test_valid_packing_texts_parse(case):
     ("3 2\n0 1\n", ("error", "header promises 2 arcs, found 1", None)),
     ("3 1\n# c\n0 1 2\n", ("error", "line 3: expected arc line 'u v'", 3)),
     ("3 1\n\n0 y\n", ("error", "line 3: arc endpoints must be integers", 3)),
+    ("12 2\r1_0 +3\r-0 011\r", ("ok", sp.Digraph(12, [(10, 3), (0, 11)]))),
+    ("3 2\n0 1\n0 1\n", ("ok", sp.Digraph(3, [(0, 1)]))),
+    ("3 1\n0 1\n\n", ("ok", sp.Digraph(3, [(0, 1)]))),
+    ("3 2\n0 1\n1 1\n", ("error", "loop arc (1, 1) not allowed", None)),
+    ("3 2\n0 1\n1 -1\n", ("error", "arc (1, -1) out of range for n=3", None)),
+    ("3 0\n0 1\n", ("error", "header promises 0 arcs, found 1", None)),
+    ("", ("error", "empty digraph file", None)),
 ])
 def test_hand_picked_digraph_texts(text, expected):
     assert outcome(sp.read_digraph, text) == outcome(reference_read_digraph, text) == expected
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("2\n2 2\n0 1\n1 0\n---\n1 0\n---\n2 0\n",
+     ("ok", sp.CompositionSpec(sp.directed_cycle(2), (sp.Digraph(1), sp.Digraph(2))))),
+    ("2\n2 2\n0 1\n1 0\n --- \n1 0\n---\t\n2 0\n",
+     ("ok", sp.CompositionSpec(sp.directed_cycle(2), (sp.Digraph(1), sp.Digraph(2))))),
+    ("2\n2 2\n0 1\n1 0\n---\n1 0\n", ("error", "expected 2 inner digraphs, found 1", None)),
+    ("2\n3 0\n---\n1 0\n---\n1 0\n",
+     ("error", "outer digraph has 3 vertices, expected 2", None)),
+    ("2\n2 0\n---\n---\n1 0\n", ("error", "empty digraph file", None)),
+    ("1\n1 0\n---\n1 0\n", ("refused", "outer digraph needs at least 2 vertices")),
+    ("x\n", ("error", "line 1: first line must be the outer order t", 1)),
+])
+def test_hand_picked_composition_texts(text, expected):
+    assert outcome(sp.read_composition, text) == \
+        outcome(reference_read_composition, text) == expected
