@@ -10,6 +10,7 @@ digraphs the package builds, does not.  All functions here are pure."""
 from __future__ import annotations
 
 from itertools import compress, islice
+from operator import length_hint
 from typing import Iterable, Iterator, Sequence
 
 from .errors import GraphFormatError, PreconditionError
@@ -184,14 +185,17 @@ def underlying_connected(d: Digraph) -> bool:
     return reachable(nbr, 0) == (1 << d.n) - 1
 
 
-# -- text formats, whose errors ``_rows`` locates.  Digraph: "n m", then m lines "u v".
+# -- text formats, whose data lines ``_fields`` picks.  Digraph: "n m", then m lines "u v".
 
-def _rows(text: str) -> Iterator[Row]:
-    """(1-based physical line number, fields) of every line that is not
-    blank and whose first field does not start with '#'."""
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        fields = line.split()
-        if fields and fields[0][0] != "#":
+def _fields(line: str) -> list[str]:
+    """The fields of a data line; [] for a blank line or a '#' comment."""
+    return fields if (fields := line.split()) and fields[0][0] != "#" else []
+
+
+def _rows(lines: Iterable[str], start: int = 1) -> Iterator[Row]:
+    """(physical line number, fields) of every data line, the first line ``start``."""
+    for lineno, fields in enumerate(map(_fields, lines), start):
+        if fields:
             yield lineno, fields
 
 
@@ -203,63 +207,57 @@ def _header(rows: Iterator[Row], kind: str) -> Row:
 
 
 def read_digraph(text: str) -> Digraph:
-    """Parse the text format: ``_plain`` reads a plain file, ``_digraph`` any other."""
-    return _plain(text.splitlines()) or _digraph(_rows(text))
+    """Parse the text format."""
+    return _digraph(text.splitlines())
 
 
-def _plain(lines: list[str]) -> Digraph | None:
-    """The digraph of "n m" and exactly m lines "u v", no loop, ids in range;
-    else None.  ``tail`` and ``head`` parse and check each id field once."""
-    try:
-        n, m = map(int, lines[0].split())
-        if n < 0 or len(lines) - 1 != m:
-            return None
-        out, tail, head, arcs = [0] * n, {}, {}, map(str.split, islice(lines, 1, None))
-        while True:
-            try:
-                for a, b in arcs:
-                    out[tail[a]] |= head[b]
-                break
-            except KeyError:  # a field not seen before: the loop resumes after its line
-                u, v = int(a), int(b)
-                if not (0 <= u < n and 0 <= v < n):
-                    return None
-                tail[a], head[b] = u, 1 << v
-                out[u] |= 1 << v
-    except (IndexError, ValueError):  # no line, a field count, a field not an int
-        return None
-    return None if any(x >> u & 1 for u, x in enumerate(out)) else Digraph.from_masks(n, out)
-
-
-def _digraph(rows: Iterator[Row]) -> Digraph:
-    """The digraph on ``rows``, the first its header.  Every row is checked
+def _digraph(lines: list[str], start: int = 1) -> Digraph:
+    """The digraph whose text is ``lines``, the first of them line ``start``.
+    ``out[tail[a]] |= head[b]`` reads each arc line whose two fields it has
+    seen, each parsed and range-checked once; its except arm adds a new pair
+    of ids and reads any other line by ``_fields``.  Every line is checked
     for syntax first (with its line number); then the arc count, the vertex
     count and the first loop or out-of-range arc are reported, in that order."""
-    lineno, fields = _header(rows, "digraph")
+    rows, end = iter(lines), start + len(lines) - 1  # the line last taken: end - length_hint
+    lineno, fields = _header(_rows(rows, start), "digraph")
     if len(fields) != 2:
         raise GraphFormatError("expected header 'n m'", lineno)
     try:
         n, m = int(fields[0]), int(fields[1])
     except ValueError:
         raise GraphFormatError("header fields must be integers", lineno)
-    out, count, bad = [0] * max(n, 0), 0, []
-    for lineno, fields in rows:
-        if len(fields) != 2:
-            raise GraphFormatError("expected arc line 'u v'", lineno)
+    first, skipped, bad = lineno + 1 - start, 0, False
+    out, tail, head, arcs = [0] * max(n, 0), {}, {}, map(str.split, rows)
+    while True:
         try:
-            u, v = int(fields[0]), int(fields[1])
-        except ValueError:
-            raise GraphFormatError("arc endpoints must be integers", lineno)
-        count += 1
-        if u != v and 0 <= u < n and 0 <= v < n:
+            for a, b in arcs:
+                out[tail[a]] |= head[b]
+            break
+        except KeyError:  # two fields, one of them new
+            pass
+        except ValueError:  # another field count, so no pair of ids
+            a = b = ""
+        try:  # reached only by an exception: a new arc, if its two fields are ids
+            u, v = int(a), int(b)
+        except ValueError:  # no arc: a blank or comment line, else a syntax error
+            lineno = end - length_hint(rows)
+            fields = _fields(lines[lineno - start])
+            if fields:
+                raise GraphFormatError("arc endpoints must be integers" if len(fields) == 2
+                                       else "expected arc line 'u v'", lineno)
+            skipped += 1
+            continue
+        if 0 <= u < n and 0 <= v < n:  # a loop is found on the finished masks
+            tail[a], head[b] = u, 1 << v
             out[u] |= 1 << v
-        elif not bad:
-            bad.append((u, v))
+        else:
+            bad = True
+    count = len(lines) - first - skipped
     if count != m:
         raise GraphFormatError(f"header promises {m} arcs, found {count}")
-    if n < 0 or bad:  # ``Digraph`` words it: a negative n, else the first bad arc
-        try:
-            Digraph(n, bad)
+    if n < 0 or bad or any(x >> u & 1 for u, x in enumerate(out)):
+        try:  # ``Digraph`` words it: a negative n, else the first bad arc in file order
+            Digraph(n, filter(None, map(_fields, islice(lines, first, None))))
         except PreconditionError as exc:
             raise GraphFormatError(str(exc)) from None
     return Digraph.from_masks(n, out)

@@ -64,8 +64,8 @@ def main(argv=None) -> int:
         return args.fn(args)
     except GraphFormatError as exc:
         code, line = EXIT_PARSE, f"parse error: {exc}"
-    except SizeLimitError as exc:
-        code, line = EXIT_LIMIT, f"size limit: {exc}"
+    except (SizeLimitError, MemoryError, OverflowError) as exc:  # a size no list can hold
+        code, line = EXIT_LIMIT, f"size limit: {str(exc) or 'out of memory'}"
     except PreconditionError as exc:
         code, line = EXIT_PRECONDITION, f"precondition violated: {exc}"
     except StrongpackError as exc:

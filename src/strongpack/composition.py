@@ -9,9 +9,10 @@ composition inside a digraph, where its co-components form one.
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import NamedTuple, Sequence
 
-from ._core import _digraph, _header, _plain, _rows
+from ._core import _digraph, _header, _rows
 from .digraph import Digraph, bits, induced, is_strong, mask_of, reachable, write_digraph
 from .errors import GraphFormatError, PreconditionError
 
@@ -148,39 +149,22 @@ def write_composition(spec: CompositionSpec) -> str:
 
 
 def read_composition(text: str) -> CompositionSpec:
-    """Parse the text format.  When line 1 is t, exactly t lines are "---"
-    and ``_plain`` reads each block around them, the first on t vertices,
-    those blocks are the digraphs.  Otherwise the row scanner parses the
-    blocks in file order, and counts the inner blocks after the first t."""
+    """Parse the text format: ``_digraph`` reads the blocks between the
+    separators in file order, then the inner blocks are counted."""
     lines = text.splitlines()
-    cuts = [0, *(i for i, line in enumerate(lines) if line == "---"), len(lines)]
-    blocks = [_plain(lines[i + 1:j]) for i, j in zip(cuts, cuts[1:])]
-    if lines[:1] == [str(len(cuts) - 2)] and all(blocks) and blocks[0].n == len(cuts) - 2:
-        return CompositionSpec(blocks[0], blocks[1:])
-    del lines, blocks  # the row scanner splits the text itself
-    rows = _rows(text)
-    lineno, fields = _header(rows, "composition")
+    lineno, fields = _header(_rows(lines), "composition")
     try:
         [t] = map(int, fields)
     except ValueError:
         raise GraphFormatError("first line must be the outer order t", lineno)
-    separators = 0  # consumed so far, each by the block it ends
-
-    def block():
-        nonlocal separators
-        for row in rows:
-            if row[1] == ["---"]:
-                separators += 1
-                return
-            yield row
-
-    outer = _digraph(block())
+    cuts = [i for i, line in enumerate(islice(lines, lineno, None), lineno)
+            if line.strip() == "---"]  # the separators' line indices
+    blocks = ((lines[i + 1:j], i + 2) for i, j in zip([lineno - 1, *cuts], [*cuts, len(lines)]))
+    outer = _digraph(*next(blocks))
     if outer.n != t:
         raise GraphFormatError(f"outer digraph has {outer.n} vertices, expected {t}")
-    inners = []
-    while len(inners) < min(separators, t):
-        inners.append(_digraph(block()))
-    found = separators + sum(row[1] == ["---"] for row in rows)
+    found = len(cuts)
+    inners = [_digraph(*block) for block in islice(blocks, min(found, t))]
     if found != t:
         raise GraphFormatError(f"expected {t} inner digraphs, found {found}")
     return CompositionSpec(outer, inners)

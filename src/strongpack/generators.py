@@ -85,6 +85,8 @@ def random_hypergraph(n: int, e: int, rng: random.Random) -> Hypergraph:
 
     if n < 1:
         raise PreconditionError("hypergraph needs at least 1 vertex")
+    if e < 0:
+        raise PreconditionError("edge count must be nonnegative")
     edges = []
     for _ in range(e):
         size = rng.randint(1, n)

@@ -231,7 +231,7 @@ def write_hypergraph(h: Hypergraph) -> str:
 
 
 def read_hypergraph(text: str) -> Hypergraph:
-    rows = _rows(text)
+    rows = _rows(text.splitlines())
     head_line, head_fields = _header(rows, "hypergraph")
     try:
         n, e = map(int, head_fields)
@@ -249,7 +249,7 @@ def read_hypergraph(text: str) -> Hypergraph:
 
 
 def read_bipartite(text: str) -> BipartiteGraph:
-    rows = _rows(text)
+    rows = _rows(text.splitlines())
     head_line, head_fields = _header(rows, "bipartite")
     try:
         c, b, e = map(int, head_fields)

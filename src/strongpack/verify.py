@@ -123,7 +123,7 @@ def write_packing(p: Packing) -> str:
 
 
 def read_packing(text: str, host: Digraph, terminals) -> Packing:
-    rows = _rows(text)
+    rows = _rows(text.splitlines())
     head_line, head_fields = _header(rows, "packing")
     head = dict(item.split("=", 1) for item in head_fields if "=" in item)
     try:
@@ -134,7 +134,7 @@ def read_packing(text: str, host: Digraph, terminals) -> Packing:
                                head_line)
     if mode not in (MODE_ARC, MODE_INTERNAL):
         raise GraphFormatError(f"unknown mode {mode!r}", head_line)
-    ids: dict[str, int] = {}  # each distinct id parsed once, as by ``_core._plain``
+    ids: dict[str, int] = {}  # each distinct id parsed once, as by ``_core._digraph``
     parts = []
     for lineno, fields in rows:
         arcs = []

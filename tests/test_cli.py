@@ -717,6 +717,7 @@ class TestRefusals:
         ["gen", "semi-comp", "--max-inner", "0"],
         ["gen", "eulerian-linkage", "--cycles", "0"],  # no arc set can pass
         ["gen", "eulerian-linkage", "--cycles", "-1"],
+        ["gen", "hypergraph", "--e", "-1"],
     ])
     def test_gen_bad_size_exits_2(self, capsys, argv):
         code, err = refusal(argv, capsys)
@@ -911,9 +912,9 @@ class TestLinesLoaded:
     bytecode caching off, as under ``PYTHONDONTWRITEBYTECODE``, an op
     compiles every line it imports, so a change that makes an op load more
     code fails here rather than only in the benchmark.  Each ceiling is at
-    or a little above the count measured: 252 lines for ``--version``,
-    1,115 for a certified lambda, 960 for a cut, 1,576 for ``pack`` and
-    724 for ``verify`` (541, 1,868, 1,868, 1,788 and 1,068 while ``cli``
+    or a little above the count measured: 243 lines for ``--version``,
+    1,113 for a certified lambda, 957 for a cut, 1,558 for ``pack`` and
+    722 for ``verify`` (541, 1,868, 1,868, 1,788 and 1,068 while ``cli``
     held every handler and ``exact`` imported the kernel up front; 300,
     1,290, 1,135, 1,614 and 850 while the solvers and the verifier loaded
     all of ``digraph`` and ``exact`` held the test oracles; 296, 1,124,
@@ -926,9 +927,9 @@ class TestLinesLoaded:
     ``pack --graph`` had a bipartite layout check and a quasi-transitive
     gate, and ``digraph`` held ``min_semi_degree``; 252, 1,115, 960, 1,576
     and 724 while the digraph reader had only its row scanner and ``entry``
-    printed the broken-pipe refusal itself; now 243, 1,115, 959, 1,576 and
-    724, with the fast reading loop paid for by the row scanner's shorter
-    error path and ``entry``'s)."""
+    printed the broken-pipe refusal itself; 243, 1,115, 959, 1,576 and
+    724 while the digraph and composition readers each had a tight loop and
+    a row-scanner path beside it; now 243, 1,113, 957, 1,558 and 722)."""
 
     @staticmethod
     def lines(argv, workdir):
@@ -948,29 +949,29 @@ class TestLinesLoaded:
         return int(lines)
 
     def test_version(self, workdir):
-        assert self.lines(["--version"], workdir) <= 252
+        assert self.lines(["--version"], workdir) <= 243
 
     def test_certified_lambda(self, workdir):
         write(workdir / "k.dg", sp.write_digraph(sp.complete_bipartite_digraph(2, 3)))
         assert self.lines(["exact", "--mode", "lambda", "--graph", "k.dg",
-                           "--terminals", "0,2"], workdir) <= 1115
+                           "--terminals", "0,2"], workdir) <= 1113
 
     def test_cut(self, workdir):
         write(workdir / "k.dg", sp.write_digraph(sp.complete_bipartite_digraph(2, 3)))
         assert self.lines(["exact", "--mode", "cut", "--graph", "k.dg",
-                           "--terminals", "0,2"], workdir) <= 960
+                           "--terminals", "0,2"], workdir) <= 957
 
     def test_pack_composition(self, workdir, strong_tournament4):
         spec = sp.CompositionSpec(strong_tournament4, tuple(sp.empty_digraph(3) for _ in range(4)))
         write(workdir / "t.comp", sp.write_composition(spec))
         assert self.lines(["pack", "--composition", "t.comp", "--terminals", "0,4",
-                           "--out", "t.pack"], workdir) <= 1576
+                           "--out", "t.pack"], workdir) <= 1558
 
     def test_verify(self, workdir):
         write(workdir / "k.dg", sp.write_digraph(sp.complete_bipartite_digraph(2, 3)))
         write(workdir / "k.pack", sp.write_packing(sp.pack_bipartite(2, 3, [0, 2])))
         assert self.lines(["verify", "--graph", "k.dg", "--terminals", "0,2", "k.pack"],
-                          workdir) <= 724
+                          workdir) <= 722
 
 
 SRC = str(Path(sp.__file__).resolve().parents[1])
@@ -1036,6 +1037,24 @@ class TestProcessEntry:
         assert expected[0] == code
         assert err == "" if last_err is None else err.splitlines()[-1].startswith(last_err)
         assert self.launch(program, argv, workdir) == expected
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--graph", "huge.dg"],
+        ["exact", "--mode", "lambda", "--graph", "huge.dg", "--terminals", "0,1"],
+        ["verify", "--graph", "huge.dg", "--terminals", "0,1", "k.pack"],
+        ["pack", "--graph", "huge.dg", "--terminals", "0,1"],
+        ["pack", "--composition", "huge.comp", "--terminals", "0,1"],
+    ], ids=["analyze", "exact", "verify", "pack-graph", "pack-composition"])
+    @pytest.mark.parametrize("n", [10**15, 10**20])
+    def test_huge_vertex_count_exits_4(self, argv, n, workdir, inputs):
+        # a list of 10**15 masks exceeds the address space, so it fails before
+        # any memory is taken, and 10**20 is no list index at all (a count such
+        # as 10**9 could really be allocated)
+        write(workdir / "huge.dg", f"{n} 0\n")
+        write(workdir / "huge.comp", f"2\n{n} 0\n---\n1 0\n---\n1 0\n")
+        code, out, err = self.launch(PROGRAMS[0], argv, workdir)
+        assert (code, out) == (4, "") and err.count("\n") == 1
+        assert err.startswith("size limit: ") and (n != 10**15 or err.endswith("out of memory\n"))
 
     @pytest.mark.parametrize("program", PROGRAMS, ids=["cli", "package"])
     def test_large_stdout_equals_out_file(self, program, workdir, inputs,

@@ -190,17 +190,19 @@ def test_no_assert_statement(module):
 
 
 def test_one_row_scanner():
-    """Only ``_core._rows`` decides which lines are data and which line an
-    error names, so every text format shares that rule.  The two fast
-    readers also split their text, but accept only a file whose every line
-    is data (or, in a composition, exactly "---") and hand any other text to
-    ``_rows``; ``test_reader_reference`` checks that both paths agree."""
-    callers = [f"{module[:-3]}.{fn.name}" for module, tree in TREES.items()
-               for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
-               for node in ast.walk(fn) if isinstance(node, ast.Call)
-               and isinstance(node.func, ast.Attribute)
-               and node.func.attr == "splitlines"]
-    assert callers == ["_core._rows", "_core.read_digraph", "composition.read_composition"]
+    """Only ``_core._fields`` decides which lines are data, so every text
+    format shares that rule: ``_rows`` asks it for every format's header and
+    rows, and ``_core._digraph`` for each line its tight loop cannot take.
+    No other function names the comment mark."""
+    def functions(found):
+        return {f"{module[:-3]}.{fn.name}" for module, tree in TREES.items()
+                for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+                for node in ast.walk(fn) if found(node)}
+
+    assert functions(lambda node: isinstance(node, ast.Name) and node.id == "_fields") == {
+        "_core._rows", "_core._digraph"}
+    assert functions(lambda node: isinstance(node, ast.Constant) and node.value == "#") == {
+        "_core._fields"}
 
 
 def _is_kernel_ref(node: ast.AST) -> bool:

@@ -1,12 +1,13 @@
 """Differential tests of ``read_digraph``, ``read_composition`` and
 ``read_packing`` against plain per-line reference readers kept here.  The
-package's digraph and composition readers first try one tight loop that
-accepts only a file whose every line is data (``_core._plain``) and parses
-each distinct id field once; on anything else they fall back to the row
-scanner.  The references call ``int`` on every field of every line.  On
-every drawn text both give an equal result, or a ``GraphFormatError`` (or a
+package's digraph reader runs one tight loop that parses each distinct id
+field once, and reads any line that loop cannot take (a new field, a blank
+or comment line, a syntax error) in the loop's except arm; the composition
+reader cuts its text at the separators and hands each block to it.  The
+references call ``int`` on every field of every line.  On every drawn text
+both give an equal result, or a ``GraphFormatError`` (or a
 ``PreconditionError`` from ``CompositionSpec``) with the same text and the
-same line number.  The drawn texts sit at the fast loop's edge: tabs, runs
+same line number.  The drawn texts sit at the tight loop's edge: tabs, runs
 of spaces, leading and trailing blanks, "\r\n" and "\r" line ends, ids
 spelt "+3", "007" or "1_0", negative and out-of-range ids, loops, duplicate
 arcs, comment and blank lines between arcs, and header counts one off."""
@@ -16,7 +17,6 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from hypothesis.strategies import composite
 
 import strongpack as sp
-from strongpack._core import _plain
 from strongpack.errors import GraphFormatError, PreconditionError
 
 pytestmark = pytest.mark.filterwarnings("ignore::hypothesis.errors.NonInteractiveExampleWarning")
@@ -199,15 +199,15 @@ def digraph_lines(draw, faults=True, plain=False, max_n=12, min_n=0):
 
 
 @composite
-def digraph_texts(draw, faults=True, plain=None):
-    plain = draw(st.booleans()) if plain is None else plain
+def digraph_texts(draw, faults=True):
+    plain = draw(st.booleans())
     return draw(document(draw(digraph_lines(faults, plain)), plain))
 
 
 @composite
 def composition_texts(draw, faults=True):
     """A composition text whose blocks are drawn digraph texts, cut by "---"
-    or by a separator line that only the row scanner reads as one."""
+    or by a separator line with blanks around its "---"."""
     plain = draw(st.booleans())
     t = draw(st.integers(min_value=0 if faults else 2, max_value=4))
     blocks = [draw(digraph_lines(faults, plain, max_n=4, min_n=1)) for _ in range(t + 1)]
@@ -266,21 +266,6 @@ def test_valid_digraph_texts_parse(text):
 
 
 @SETTINGS
-@given(digraph_texts())
-def test_fast_loop_reads_only_what_the_reference_reads(text):
-    # the fast loop either declines, or gives the reference's digraph
-    got = _plain(text.splitlines())
-    assert got is None or outcome(reference_read_digraph, text) == ("ok", got)
-
-
-@SETTINGS
-@given(digraph_texts(faults=False, plain=True))
-def test_fast_loop_reads_every_plain_text(text):
-    # as ``write_digraph`` writes: no filler, every field as ``str`` spells it
-    assert _plain(text.splitlines()) == reference_read_digraph(text)
-
-
-@SETTINGS
 @given(composition_texts())
 def test_read_composition_matches_the_reference(text):
     assert outcome(sp.read_composition, text) == outcome(reference_read_composition, text)
@@ -325,6 +310,16 @@ def test_valid_packing_texts_parse(case):
     ("3 2\n0 1\n1 -1\n", ("error", "arc (1, -1) out of range for n=3", None)),
     ("3 0\n0 1\n", ("error", "header promises 0 arcs, found 1", None)),
     ("", ("error", "empty digraph file", None)),
+    # lines that the tight loop hands to its except arm
+    ("3 2\n0 1\n# 0 1\n1 0\n", ("ok", sp.Digraph(3, [(0, 1), (1, 0)]))),
+    ("3 2\n0 1\n#0 1\n1 0\n", ("ok", sp.Digraph(3, [(0, 1), (1, 0)]))),
+    ("3 2\n0 1\n0 1 # c\n", ("error", "line 3: expected arc line 'u v'", 3)),
+    ("# c\n\n  # d\n3 1\n0 1\n", ("ok", sp.Digraph(3, [(0, 1)]))),
+    ("# c\n\n3 1\n0 1 2\n", ("error", "line 4: expected arc line 'u v'", 4)),
+    ("# c\n3 x\n", ("error", "line 2: header fields must be integers", 2)),
+    ("3 3\n0 1\n1 0\n0 0\n", ("error", "loop arc (0, 0) not allowed", None)),
+    ("3 3\n0 0\n1 0\n0 5\n", ("error", "loop arc (0, 0) not allowed", None)),
+    ("3 3\n0 1\n0 5\n1 1\n", ("error", "arc (0, 5) out of range for n=3", None)),
 ])
 def test_hand_picked_digraph_texts(text, expected):
     assert outcome(sp.read_digraph, text) == outcome(reference_read_digraph, text) == expected
@@ -341,6 +336,15 @@ def test_hand_picked_digraph_texts(text, expected):
     ("2\n2 0\n---\n---\n1 0\n", ("error", "empty digraph file", None)),
     ("1\n1 0\n---\n1 0\n", ("refused", "outer digraph needs at least 2 vertices")),
     ("x\n", ("error", "line 1: first line must be the outer order t", 1)),
+    # comments and blanks before, between and inside the blocks
+    ("# c\n2\n2 2\n0 1\n# 0 1\n1 0\n# c\n---\n\n1 0\n---\n# c\n2 0\n",
+     ("ok", sp.CompositionSpec(sp.directed_cycle(2), (sp.Digraph(1), sp.Digraph(2))))),
+    ("2\n2 2\n0 1\n1 0\n# c\n---\n1 0\n---\n# c\n2 1\n0 x\n",
+     ("error", "line 11: arc endpoints must be integers", 11)),
+    ("2\n# ---\n2 0\n---\n1 0\n---\n1 0\n",
+     ("ok", sp.CompositionSpec(sp.Digraph(2), (sp.Digraph(1), sp.Digraph(1))))),
+    ("2\n2 0\n---\n1 0\n---\n1 0\n---\nx\n",
+     ("error", "expected 2 inner digraphs, found 3", None)),  # the block after t is not read
 ])
 def test_hand_picked_composition_texts(text, expected):
     assert outcome(sp.read_composition, text) == \
