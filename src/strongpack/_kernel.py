@@ -15,8 +15,6 @@ split arc, since it is v's only way on or back, so two classes never share
 v; contracting the split arcs turns each class back into a strong subgraph
 of the host.  The split arcs come first, so the search settles which
 class, if any, owns each non-terminal before it looks at the other arcs.
-Hosts above ``MAX_VERTICES`` are refused with ``SizeLimitError``; the cap
-applies to the caller's host, so a split host may go above it.
 
 The search prunes a class as soon as its targets (the terminals plus every
 vertex the class already touches) can no longer sit inside one strongly
@@ -62,10 +60,6 @@ Python ints of any width.
 
 from __future__ import annotations
 
-from .errors import SizeLimitError
-
-MAX_VERTICES = 64
-
 
 def kernel_backend() -> str:
     """Name of the search kernel recorded in benchmark results; always
@@ -92,12 +86,6 @@ def _closure(adj_a, adj_b, frontier, seen=0, stop=0):
     return seen
 
 
-def _check_size(n):
-    if n > MAX_VERTICES:
-        raise SizeLimitError(f"{n} vertices exceeds the exact search's limit "
-                             f"of {MAX_VERTICES}")
-
-
 def _record(counters, nodes, degree, feasibility, dominated):
     if counters is not None:
         for key, value in (("nodes", nodes), ("degree", degree),
@@ -113,7 +101,6 @@ def search_arc_disjoint(n, arcs, s_mask, ell, counters=None):
     order (never opening class c+1 before class c has an arc), "unused"
     last.
     """
-    _check_size(n)
     return _search(n, arcs, s_mask, ell, counters)
 
 
@@ -122,7 +109,6 @@ def search_internally_disjoint(n, arcs, s_mask, ell, counters=None):
     in the terminal set: the arc-disjoint search on the split host (see
     the module docstring).  Returns ``ell`` sorted lists of arc indices, or
     None.  Deterministic."""
-    _check_size(n)
     inner = [v for v in range(n) if not s_mask >> v & 1]
     k = len(inner)
     exit_of = list(range(n))

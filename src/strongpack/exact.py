@@ -5,8 +5,9 @@ gives the arc-disjoint and internally disjoint packing numbers and decides a
 strong arc decomposition: lambda >= 2 with every vertex a terminal.  The
 verifier is imported only inside it and the kernel only when a search runs,
 so a certified answer never compiles the kernel and a cut compiles neither.
-One terminal scan gives its bound and both cut quantities.  Instances
-above the limits are refused.
+One terminal scan gives its bound and both cut quantities.  The size
+limits guard only the search: a host above them is refused when, and only
+when, a search must run on it.
 """
 
 from __future__ import annotations
@@ -21,20 +22,17 @@ from .flows import min_arc_cut, vertex_capacitated_connectivity
 
 
 class SolverLimits(NamedTuple):
-    """Upper bounds on instances the exhaustive solvers will accept."""
+    """Upper bounds on the hosts the kernel search will run on."""
 
     max_vertices: int = 10
     max_arcs: int = 26
 
     def check(self, d: Digraph) -> None:
-        if d.n > self.max_vertices:
-            raise SizeLimitError(
-                f"{d.n} vertices exceeds limit {self.max_vertices}; "
-                f"raise the limit explicitly to proceed")
-        if d.m > self.max_arcs:
-            raise SizeLimitError(
-                f"{d.m} arcs exceeds limit {self.max_arcs}; "
-                f"raise the limit explicitly to proceed")
+        for size, limit, what in ((d.n, self.max_vertices, "vertices"),
+                                  (d.m, self.max_arcs, "arcs")):
+            if size > limit:
+                raise SizeLimitError(f"{size} {what} exceeds limit {limit}; "
+                                     f"raise the limit explicitly to proceed")
 
 
 DEFAULT_LIMITS = SolverLimits()
@@ -153,8 +151,8 @@ def _pack_upward(d: Digraph, terminals, limits: SolverLimits, internal=False,
     greedy's parts, when two or more, are the packing to beat; the mode's
     kernel search then runs at sizes greedy + 1, ... (else 2, 3, ...) up
     to the bound, and the first size it refutes proves the optimum.  A
-    greedy that reaches the bound leaves nothing to search, so the kernel
-    is imported, and its vertex limit refuses, only when a search must run.
+    greedy that reaches the bound leaves nothing to search, so the limits
+    are checked, and the kernel imported, only when a search must run.
     ``stop`` (arc mode, every vertex a terminal) caps the size: a greedy
     run first that reaches it skips the bound, a flow below it ends the
     bound, and part 1 of a packing of that size takes every arc the others
@@ -162,7 +160,6 @@ def _pack_upward(d: Digraph, terminals, limits: SolverLimits, internal=False,
     it.  One verify covers every returned packing."""
     from .verify import MODE_ARC, MODE_INTERNAL, Packing, verify_packing
 
-    limits.check(d)
     ts = as_terminals(d, terminals)
     mode = MODE_INTERNAL if internal else MODE_ARC
     part1 = _single_part(d, ts)
@@ -178,6 +175,7 @@ def _pack_upward(d: Digraph, terminals, limits: SolverLimits, internal=False,
     best_parts = parts if len(parts) >= 2 else (part1,)
     ell = len(best_parts) + 1
     if ell <= bound:
+        limits.check(d)
         from . import _kernel
 
         search = _kernel.search_internally_disjoint if internal \
@@ -228,7 +226,6 @@ def has_strong_arc_decomposition(d: Digraph, limits: SolverLimits = DEFAULT_LIMI
     at 2.  Returns (flag, witness), the witness a verified pair of spanning
     strong arc sets that partition the arcs (two empty ones when n <= 1)."""
     if d.n <= 1:
-        limits.check(d)
         return True, (frozenset(), frozenset())
     value, packing = _pack_upward(d, range(d.n), limits, stop=2)
     return (True, packing.parts) if value == 2 else (False, None)

@@ -6,6 +6,12 @@ digraph, a terminal set and a target packing size, such that the source
 instance is positive exactly when the packing number reaches the target.
 The brute-force oracles for the source problems, which turn those
 equivalences into executable tests, live in ``tests/oracles.py``.
+
+Each generator sizes its table of vertex roles before any loop over the
+vertices, so a count no list can hold (a huge header, ``--ell`` or ``--k``)
+fails there at once with ``MemoryError`` or ``OverflowError``, which the
+CLI refuses with exit 4, and no loop first grows a set until memory runs
+out.
 """
 
 from __future__ import annotations
@@ -75,28 +81,26 @@ def hypergraph_gadget(h: Hypergraph, ell: int) -> ReductionOutput:
     if not h.edges:
         raise PreconditionError("need at least one hyperedge")
     e = len(h.edges)
-    edge_id = {k: h.n + k for k in range(e)}
-    hub_id = {k: h.n + e + k for k in range(ell - 2)}
     root = h.n + e + (ell - 2)
+    roles = [""] * (root + 1)
+    roles[root] = "root"
 
     pairs: set[tuple[int, int]] = set()
-    for k, edge in enumerate(h.edges):
-        for x in edge:
-            pairs.add((x, edge_id[k]))
-    for k in range(ell - 2):
-        pairs.add((root, hub_id[k]))
-        for j in range(e):
-            pairs.add((hub_id[k], edge_id[j]))
     for x in range(h.n):
+        roles[x] = f"source:{x}"
         pairs.add((root, x))
+    for k, edge in enumerate(h.edges):
+        roles[h.n + k] = f"edge:{k}"
+        pairs.update((x, h.n + k) for x in edge)
+    for k in range(ell - 2):
+        hub = h.n + e + k
+        roles[hub] = f"hub:{k}"
+        pairs.add((root, hub))
+        pairs.update((hub, h.n + j) for j in range(e))
 
     d = biorientation(root + 1, pairs)
-    provenance = {x: f"source:{x}" for x in range(h.n)}
-    provenance.update({edge_id[k]: f"edge:{k}" for k in range(e)})
-    provenance.update({hub_id[k]: f"hub:{k}" for k in range(ell - 2)})
-    provenance[root] = "root"
-    terminals = frozenset(edge_id.values()) | {root}
-    return ReductionOutput(d, terminals, ell, provenance)
+    terminals = frozenset(range(h.n, h.n + e)) | {root}
+    return ReductionOutput(d, terminals, ell, dict(enumerate(roles)))
 
 
 # -- disjoint-paths gadget -------------------------------------------------------
@@ -130,38 +134,38 @@ def linkage_gadget(d: Digraph, s1: int, t1: int, s2: int, t2: int,
 
     n = d.n
     x, y, r1, r2 = n, n + 1, n + 2, n + 3
+    roles = [""] * (n + 4 + 2 * (ell - 2) + (k - 2) * (2 * ell + 1))
+    roles[n:n + 4] = "x", "y", "r1", "r2"
     arcs: set[Arc] = set(d.arcs)
     arcs.update([(t1, x), (x, s1), (t2, y), (y, s2), (x, s2), (s2, x),
                  (y, t1), (t1, y), (s1, r1), (r1, t2), (s2, r2), (r2, t1)])
-    provenance = {v: f"source:{v}" for v in range(n)}
-    provenance.update({x: "x", y: "y", r1: "r1", r2: "r2"})
+    for v in range(n):
+        roles[v] = f"source:{v}"
 
     nxt = n + 4
     for i in range(ell - 2):
         z, zp = nxt, nxt + 1
         nxt += 2
         arcs.update([(x, z), (z, y), (y, zp), (zp, x)])
-        provenance[z] = f"z:{i}"
-        provenance[zp] = f"z':{i}"
+        roles[z], roles[zp] = f"z:{i}", f"z':{i}"
 
     extra_terminals = []
     for i in range(k - 2):
         xi = nxt
         nxt += 1
-        provenance[xi] = f"x_{i}"
+        roles[xi] = f"x_{i}"
         extra_terminals.append(xi)
         for j in range(ell):
             a, b = nxt, nxt + 1
             nxt += 2
             arcs.update([(x, a), (a, xi), (xi, b), (b, x)])
-            provenance[a] = f"x_{i}[{j}]"
-            provenance[b] = f"x'_{i}[{j}]"
+            roles[a], roles[b] = f"x_{i}[{j}]", f"x'_{i}[{j}]"
 
     out = Digraph(nxt, arcs)
     if not is_eulerian(out):
         raise PreconditionError("construction lost the Eulerian property")
     terminals = frozenset({x, y, *extra_terminals})
-    return ReductionOutput(out, terminals, ell, provenance)
+    return ReductionOutput(out, terminals, ell, dict(enumerate(roles)))
 
 
 # -- set-cover-packing gadgets ----------------------------------------------------
@@ -177,14 +181,17 @@ def cover_packing_gadget_internal(g: BipartiteGraph) -> ReductionOutput:
     if g.b < 1:
         raise PreconditionError("element side must be nonempty")
     hub = g.c + g.b
+    roles = [""] * (hub + 1)
+    roles[hub] = "hub"
     pairs = {(x, g.c + y) for (x, y) in g.edges}
-    pairs |= {(hub, x) for x in range(g.c)}
+    for x in range(g.c):
+        roles[x] = f"cover:{x}"
+        pairs.add((hub, x))
+    for y in range(g.b):
+        roles[g.c + y] = f"element:{y}"
     d = biorientation(hub + 1, pairs)
-    provenance = {x: f"cover:{x}" for x in range(g.c)}
-    provenance.update({g.c + y: f"element:{y}" for y in range(g.b)})
-    provenance[hub] = "hub"
     terminals = frozenset(range(g.c, g.c + g.b)) | {hub}
-    return ReductionOutput(d, terminals, 0, provenance)
+    return ReductionOutput(d, terminals, 0, dict(enumerate(roles)))
 
 
 def cover_packing_gadget_arc(g: BipartiteGraph) -> ReductionOutput:
@@ -197,26 +204,22 @@ def cover_packing_gadget_arc(g: BipartiteGraph) -> ReductionOutput:
     """
     if g.b < 1:
         raise PreconditionError("element side must be nonempty")
-    # ids: elements 0..b-1, then (u-, u+) pairs, then the hub
-    minus = {u: g.b + 2 * u for u in range(g.c)}
-    plus = {u: g.b + 2 * u + 1 for u in range(g.c)}
+    # ids: elements 0..b-1, then u- = b + 2u and u+ = u- + 1, then the hub
     hub = g.b + 2 * g.c
+    roles = [""] * (hub + 1)
+    roles[hub] = "hub"
+    for y in range(g.b):
+        roles[y] = f"element:{y}"
     arcs: set[Arc] = set()
     for u in range(g.c):
-        arcs.add((minus[u], plus[u]))
-        arcs.add((hub, minus[u]))
-        arcs.add((plus[u], hub))
+        minus = g.b + 2 * u
+        roles[minus], roles[minus + 1] = f"cover-:{u}", f"cover+:{u}"
+        arcs.update([(minus, minus + 1), (hub, minus), (minus + 1, hub)])
     for u, y in g.edges:
-        arcs.add((y, minus[u]))
-        arcs.add((plus[u], y))
+        arcs.update([(y, g.b + 2 * u), (g.b + 2 * u + 1, y)])
     d = Digraph(hub + 1, arcs)
-    provenance = {y: f"element:{y}" for y in range(g.b)}
-    for u in range(g.c):
-        provenance[minus[u]] = f"cover-:{u}"
-        provenance[plus[u]] = f"cover+:{u}"
-    provenance[hub] = "hub"
     terminals = frozenset(range(g.b)) | {hub}
-    return ReductionOutput(d, terminals, 0, provenance)
+    return ReductionOutput(d, terminals, 0, dict(enumerate(roles)))
 
 
 # -- text formats -----------------------------------------------------------------

@@ -5,6 +5,7 @@ import io
 import json
 import os
 import random
+import resource
 import subprocess
 import sys
 import tempfile
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import strongpack as sp
-from strongpack import _core, exact, flows
+from strongpack import _core, _kernel, exact, flows
 from strongpack import generators as gen
 from strongpack.cli import main
 
@@ -306,6 +307,29 @@ def test_graph_packs_the_co_component_composition(t, max_inner, symmetric, rng):
                 or "not a composition" in err and not composition), err
 
 
+# H9: 9 vertices and 37 arcs, whose strong arc decomposition needs a
+# search (the greedy finds 1 part against a cut bound of 2) of about 7
+# million nodes, so it is only ever refused here
+H9 = sp.Digraph(9, [(int(a), int(b)) for a, b in (
+    "03 05 06 07 10 12 14 16 18 21 23 24 25 26 27 28 30 32 34 35 36 43 45 52 53 54 57 60 "
+    "64 65 67 72 73 75 78 81 85").split()])
+
+
+def complete_with_tail(k, tail, chords=()):
+    """The complete digraph on 0..k-1, a bioriented path of ``tail`` more
+    vertices hanging from 0, and ``chords``.  With terminals 0..k-1 the
+    greedy falls short of the cut bound for k = 4 (2 parts against 3) and
+    k = 7 (3 against 6), so lambda needs a search."""
+    path = [0, *range(k, k + tail)]
+    arcs = [(u, v) for u in range(k) for v in range(k) if u != v]
+    arcs += [arc for a, b in zip(path, path[1:]) for arc in ((a, b), (b, a))]
+    return sp.Digraph(k + tail, [*arcs, *chords])
+
+
+def refused(what):
+    return f"size limit: {what}; raise the limit explicitly to proceed\n"
+
+
 class TestExact:
     def test_lambda_mode(self, workdir, capsys):
         g = write(workdir / "k.dg", sp.write_digraph(sp.complete_bipartite_digraph(2, 3)))
@@ -342,24 +366,26 @@ class TestExact:
                      "--terminals", "0,2"]) == 0
         assert "size=1" in capsys.readouterr().out
 
-    def test_size_limit_exit_4(self, workdir):
-        g = write(workdir / "big.dg", sp.write_digraph(sp.empty_digraph(30)))
-        assert main(["exact", "--mode", "lambda", "--graph", g,
-                     "--terminals", "0,1"]) == 4
+    def test_size_limit_exit_4(self, workdir, capsys):
+        g = write(workdir / "h9.dg", sp.write_digraph(H9))
+        assert main(["exact", "--mode", "sad", "--graph", g]) == 4
+        assert capsys.readouterr().err == refused("37 arcs exceeds limit 26")
 
     @pytest.mark.parametrize("mode", ["kappa", "sad"])
     def test_search_above_64_vertices_exits_4(self, workdir, capsys, mode):
-        # the bioriented cycle through 0, 2, ..., 64, 65, 63, ..., 1: the
-        # ascending greedy finds 1 part against a bound of 2, so the search
-        # must run
+        # the bioriented cycle through 0, 2, ..., 64, 65, 63, ..., 1: kappa's
+        # cut bound is 2, and sad's ascending greedy finds 1 part against it,
+        # so a search must run; the default limits refuse it, and limits at
+        # the host's size let it answer, as nothing caps the search at 64
         order = [*range(0, 66, 2), *range(65, 0, -2)]
         cycle = list(zip(order, order[1:] + order[:1]))
         g = write(workdir / "cyc66.dg", sp.write_digraph(sp.biorientation(66, cycle)))
-        assert main(["exact", "--mode", mode, "--graph", g, "--terminals", "0,5",
-                     "--limit-n", "100", "--limit-m", "200"]) == 4
-        err = capsys.readouterr().err
-        assert err.startswith("size limit: ") and err.count("\n") == 1
-        assert "Traceback" not in err
+        argv = ["exact", "--mode", mode, "--graph", g, "--terminals", "0,5"]
+        assert main(argv) == 4
+        assert capsys.readouterr().err == refused("66 vertices exceeds limit 10")
+        assert main([*argv, "--limit-n", "66", "--limit-m", "132"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("value=2\n" if mode == "kappa" else "strong_arc_decomposition=True\n")
 
     def test_certified_sad_above_64_vertices_answers(self, workdir, capsys):
         # the greedy splits the plain bioriented 66-cycle into its two
@@ -385,14 +411,10 @@ class TestExact:
     def test_uncertified_lambda_above_64_vertices_exits_4(self, workdir, capsys):
         # K7 with terminals 1-6 and a bioriented tail from vertex 0: the
         # greedy finds 3 parts against a bound of 6, so the search must run
-        arcs = [(u, v) for u in range(7) for v in range(7) if u != v]
-        path = [0, *range(7, 66)]
-        tail = [arc for a, b in zip(path, path[1:]) for arc in ((a, b), (b, a))]
-        g = write(workdir / "k7tail.dg", sp.write_digraph(sp.Digraph(66, arcs + tail)))
-        assert main(["exact", "--mode", "lambda", "--graph", g, "--terminals", "1,2,3,4,5,6",
-                     "--limit-n", "100", "--limit-m", "200"]) == 4
-        assert capsys.readouterr().err == \
-            "size limit: 66 vertices exceeds the exact search's limit of 64\n"
+        g = write(workdir / "k7tail.dg", sp.write_digraph(complete_with_tail(7, 59)))
+        assert main(["exact", "--mode", "lambda", "--graph", g,
+                     "--terminals", "1,2,3,4,5,6"]) == 4
+        assert capsys.readouterr().err == refused("66 vertices exceeds limit 10")
 
     def test_value_one_above_64_vertices_answers(self, workdir, capsys):
         # the bioriented path has terminal cut 1, so no search would run and
@@ -403,13 +425,20 @@ class TestExact:
                      "--limit-n", "100", "--limit-m", "200"]) == 0
         assert "value=1" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("flag", ["--limit-n", "--limit-m"])
-    def test_zero_limit_refuses(self, workdir, capsys, flag):
-        g = write(workdir / "c3.dg", sp.write_digraph(sp.directed_cycle(3)))
-        assert main(["exact", "--mode", "lambda", "--graph", g,
-                     "--terminals", "0,1", flag, "0"]) == 4
-        err = capsys.readouterr().err
-        assert err.startswith("size limit: ") and err.count("\n") == 1
+    @pytest.mark.parametrize("flag, what", [("--limit-n", "4 vertices exceeds limit 0"),
+                                            ("--limit-m", "12 arcs exceeds limit 0")],
+                             ids=["--limit-n", "--limit-m"])
+    def test_zero_limit_refuses(self, workdir, capsys, flag, what):
+        # a zero limit refuses every search: K*_4 with terminals 0-3 needs
+        # one; C3's cut bound of 1 needs none, so it is answered
+        k4 = write(workdir / "k4.dg", sp.write_digraph(complete_with_tail(4, 0)))
+        assert main(["exact", "--mode", "lambda", "--graph", k4,
+                     "--terminals", "0,1,2,3", flag, "0"]) == 4
+        assert capsys.readouterr().err == refused(what)
+        c3 = write(workdir / "c3.dg", sp.write_digraph(sp.directed_cycle(3)))
+        assert main(["exact", "--mode", "lambda", "--graph", c3,
+                     "--terminals", "0,1", flag, "0"]) == 0
+        assert capsys.readouterr().out.startswith("value=1\n")
 
     def test_limit_override(self, workdir, capsys):
         g = write(workdir / "k44.dg", sp.write_digraph(sp.complete_bipartite_digraph(4, 4)))
@@ -418,14 +447,23 @@ class TestExact:
         assert "value=4" in capsys.readouterr().out
 
     def test_default_limits(self, workdir, capsys):
-        # without --limit-n/--limit-m the solver limits are 10 vertices, 26 arcs
-        c11 = write(workdir / "c11.dg", sp.write_digraph(sp.directed_cycle(11)))
-        arcs = [(u, v) for u in range(10) for v in range(10) if u != v][:27]
-        d10 = write(workdir / "d10.dg", sp.write_digraph(sp.Digraph(10, arcs)))
-        for g, what in ((c11, "11 vertices exceeds limit 10"), (d10, "27 arcs exceeds limit 26")):
-            assert main(["exact", "--mode", "lambda", "--graph", g, "--terminals", "0,1"]) == 4
-            assert capsys.readouterr().err == \
-                f"size limit: {what}; raise the limit explicitly to proceed\n"
+        # without --limit-n/--limit-m a search runs on at most 10 vertices
+        # and 26 arcs: K*_4 with terminals 0-3 needs one, and its tail (with
+        # chords) sets the size; C11 needs none, so it is answered
+        hosts = [(complete_with_tail(4, 7), refused("11 vertices exceeds limit 10")),
+                 (complete_with_tail(4, 6, [(4, 6), (5, 7), (6, 8)]),
+                  refused("27 arcs exceeds limit 26")),
+                 (complete_with_tail(4, 6, [(4, 6), (5, 7)]), "value=2\n"),
+                 (sp.directed_cycle(11), "value=1\n")]
+        for d, expected in hosts:
+            g = write(workdir / "host.dg", sp.write_digraph(d))
+            code = main(["exact", "--mode", "lambda", "--graph", g,
+                         "--terminals", "0,1,2,3"])
+            out, err = capsys.readouterr()
+            if expected.startswith("size limit: "):
+                assert (code, err) == (4, expected)
+            else:
+                assert code == 0 and out.startswith(expected)
 
     def test_k40_strong_arc_decomposition(self, workdir, capsys):
         # 1,560 arcs, one search level each
@@ -532,14 +570,20 @@ class TestGenAndSurvey:
             assert lam <= c2 <= 2 * c1
 
     def test_survey_marks_oversize_rows(self, workdir):
+        # of seed 2's eight hosts only row 2's lambda needs a search, and its
+        # 5 vertices are above the limit of 4; rows above it that need no
+        # search are answered
         out = str(workdir / "sk.csv")
-        assert main(["survey", "--family", "symmetric", "--seed", "42",
+        assert main(["survey", "--family", "symmetric", "--seed", "2",
                      "--trials", "8", "--limit-n", "4", "--out", out]) == 0
         lines = (workdir / "sk.csv").read_text().splitlines()
         header = lines[1].split(",")
         rows = [dict(zip(header, ln.split(","))) for ln in lines[2:]]
         assert len(rows) == 8  # nothing silently dropped
-        assert any(r["status"] == "skipped" for r in rows)
+        assert [r["instance"] for r in rows if r["status"] == "skipped"] == ["2"]
+        assert rows[2]["n"] == "5" and rows[2]["lambda_S"] == ""
+        assert [r["instance"] for r in rows if r["status"] == "ok" and int(r["n"]) > 4] == \
+            ["1", "3", "5", "6"]
 
     def test_survey_composition_family(self, workdir):
         out = str(workdir / "sc.csv")
@@ -555,12 +599,16 @@ class TestGenAndSurvey:
             assert row["c1"] == ""  # undirected cut only defined on symmetric hosts
 
     def test_survey_default_limits(self, workdir):
-        argv = ["survey", "--family", "semi-comp", "--seed", "1", "--trials", "6", "--out"]
+        # seed 9's rows 2 and 4 need searches on 32 and 27 arcs; row 11's
+        # 37 arcs need none
+        argv = ["survey", "--family", "semi-comp", "--seed", "9", "--trials", "12", "--out"]
         assert main(argv + [str(workdir / "default.csv")]) == 0
         assert main(argv + [str(workdir / "given.csv"), "--limit-n", "10",
                             "--limit-m", "26"]) == 0
         text = (workdir / "default.csv").read_text()
-        assert "skipped" in text and ",ok" in text
+        rows = list(csv.DictReader(text.splitlines()[1:]))
+        assert [r["instance"] for r in rows if r["status"] == "skipped"] == ["2", "4"]
+        assert (rows[11]["m"], rows[11]["status"]) == ("37", "ok")
         assert text == (workdir / "given.csv").read_text()
 
     # SHA-256 of the survey CSVs, recorded before exact_lambda tried a
@@ -588,14 +636,24 @@ class TestGenAndSurvey:
         row = list(csv.DictReader(out.read_text().splitlines()[1:]))[0]
         assert row["status"] == "ok" and len(flows_run) == int(row["k"]) - 1
 
-    def test_survey_zero_limit_skips_every_row(self, workdir):
-        out = str(workdir / "z.csv")
-        assert main(["survey", "--trials", "3", "--limit-m", "0", "--out", out]) == 0
-        lines = (workdir / "z.csv").read_text().splitlines()
-        header = lines[1].split(",")
-        rows = [dict(zip(header, ln.split(","))) for ln in lines[2:]]
-        assert len(rows) == 3
-        assert all(r["status"] == "skipped" for r in rows)
+    def test_survey_zero_limit_skips_every_searched_row(self, workdir, monkeypatch):
+        # a zero limit skips exactly the rows whose lambda needs a search,
+        # and every other row is the one wide limits give
+        searched = []
+        search = _kernel.search_arc_disjoint
+        monkeypatch.setattr(_kernel, "search_arc_disjoint",
+                            lambda *args: searched.append(args) or search(*args))
+        tables = {}
+        for limit in ("0", "1000"):
+            out = workdir / f"z{limit}.csv"
+            searched.clear()
+            assert main(["survey", "--seed", "2", "--trials", "3", "--limit-m", limit,
+                         "--out", str(out)]) == 0
+            tables[limit] = list(csv.DictReader(out.read_text().splitlines()[1:]))
+        assert [args[3] for args in searched] == [2]  # row 2, at size 2
+        assert [r["status"] for r in tables["0"]] == ["ok", "ok", "skipped"]
+        assert tables["0"][:2] == tables["1000"][:2]
+        assert tables["1000"][2]["status"] == "ok"
 
 
 def refusal(argv, capsys):
@@ -913,7 +971,7 @@ class TestLinesLoaded:
     compiles every line it imports, so a change that makes an op load more
     code fails here rather than only in the benchmark.  Each ceiling is at
     or a little above the count measured: 243 lines for ``--version``,
-    1,113 for a certified lambda, 957 for a cut, 1,558 for ``pack`` and
+    1,110 for a certified lambda, 954 for a cut, 1,558 for ``pack`` and
     722 for ``verify`` (541, 1,868, 1,868, 1,788 and 1,068 while ``cli``
     held every handler and ``exact`` imported the kernel up front; 300,
     1,290, 1,135, 1,614 and 850 while the solvers and the verifier loaded
@@ -929,7 +987,9 @@ class TestLinesLoaded:
     and 724 while the digraph reader had only its row scanner and ``entry``
     printed the broken-pipe refusal itself; 243, 1,115, 959, 1,576 and
     724 while the digraph and composition readers each had a tight loop and
-    a row-scanner path beside it; now 243, 1,113, 957, 1,558 and 722)."""
+    a row-scanner path beside it; 243, 1,113, 957, 1,558 and 722 while
+    ``SolverLimits.check`` held two raises; now 243, 1,110, 954, 1,558 and
+    722)."""
 
     @staticmethod
     def lines(argv, workdir):
@@ -954,12 +1014,12 @@ class TestLinesLoaded:
     def test_certified_lambda(self, workdir):
         write(workdir / "k.dg", sp.write_digraph(sp.complete_bipartite_digraph(2, 3)))
         assert self.lines(["exact", "--mode", "lambda", "--graph", "k.dg",
-                           "--terminals", "0,2"], workdir) <= 1113
+                           "--terminals", "0,2"], workdir) <= 1110
 
     def test_cut(self, workdir):
         write(workdir / "k.dg", sp.write_digraph(sp.complete_bipartite_digraph(2, 3)))
         assert self.lines(["exact", "--mode", "cut", "--graph", "k.dg",
-                           "--terminals", "0,2"], workdir) <= 957
+                           "--terminals", "0,2"], workdir) <= 954
 
     def test_pack_composition(self, workdir, strong_tournament4):
         spec = sp.CompositionSpec(strong_tournament4, tuple(sp.empty_digraph(3) for _ in range(4)))
@@ -1010,7 +1070,7 @@ class TestProcessEntry:
         write(workdir / "q0.comp", sp.write_composition(sp.CompositionSpec(
             sp.directed_cycle(3), tuple(sp.empty_digraph(2) for _ in range(3)))))
         write(workdir / "bad.dg", "gibberish\n")
-        write(workdir / "e30.dg", sp.write_digraph(sp.empty_digraph(30)))
+        write(workdir / "h9.dg", sp.write_digraph(H9))
         write(workdir / "c3.dg", sp.write_digraph(sp.directed_cycle(3)))
         write(workdir / "k.dg", sp.write_digraph(sp.complete_bipartite_digraph(2, 3)))
         write(workdir / "k.pack", sp.write_packing(sp.pack_bipartite(2, 3, [0, 2])))
@@ -1021,7 +1081,7 @@ class TestProcessEntry:
         (["pack", "--composition", "q0.comp", "--terminals", "0,1"], 2,
          "precondition violated: "),
         (["analyze", "--graph", "bad.dg"], 3, "parse error: "),
-        (["exact", "--mode", "lambda", "--graph", "e30.dg", "--terminals", "0,1"], 4,
+        (["exact", "--mode", "sad", "--graph", "h9.dg"], 4,
          "size limit: "),
         (["--version"], 0, None),
         (["--help"], 0, None),
@@ -1055,6 +1115,33 @@ class TestProcessEntry:
         code, out, err = self.launch(PROGRAMS[0], argv, workdir)
         assert (code, out) == (4, "") and err.count("\n") == 1
         assert err.startswith("size limit: ") and (n != 10**15 or err.endswith("out of memory\n"))
+
+    @pytest.mark.parametrize("source, text, flags", [
+        ("hypergraph", f"{10**15} 1\n0\n", []),
+        ("hypergraph", "2 1\n0 1\n", ["--ell", str(10**15)]),
+        ("linkage", "4 4\n0 1\n1 2\n2 3\n3 0\n", ["--endpoints", "0,1,2,3", "--k", str(10**15)]),
+        ("setcover-issp", f"{10**15} 1 1\n0 0\n", []),
+        ("setcover-issp", f"1 {10**15} 1\n0 0\n", []),
+        ("setcover-assp", f"{10**15} 1 1\n0 0\n", []),
+    ], ids=["hypergraph-n", "hypergraph-ell", "linkage-k", "issp-c", "issp-b", "assp-c"])
+    def test_huge_gadget_exits_4_at_once(self, source, text, flags, workdir):
+        # every gadget sizes its role table before any loop over its vertices,
+        # so a count no list can hold fails there with nothing taken; under a
+        # 256 MB address-space limit a loop that grew a set first would end
+        # near that limit instead
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))
+
+        write(workdir / "in.txt", text)
+        with open(workdir / "out.txt", "w") as out, open(workdir / "err.txt", "w") as err:
+            proc = subprocess.Popen([sys.executable, *PROGRAMS[0], "reduce", "--from", source,
+                                     "--input", "in.txt", *flags], cwd=workdir, env=ENV,
+                                    stdout=out, stderr=err, preexec_fn=limit)
+            _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        assert proc.returncode == 4 and (workdir / "out.txt").read_text() == ""
+        assert (workdir / "err.txt").read_text() == "size limit: out of memory\n"
+        assert usage.ru_maxrss < 100 * 1024  # kilobytes
 
     @pytest.mark.parametrize("program", PROGRAMS, ids=["cli", "package"])
     def test_large_stdout_equals_out_file(self, program, workdir, inputs,

@@ -65,10 +65,17 @@ class TestExactLambda:
         assert all(sp.verify_packing(packing).ok for _, packing in results)
 
     def test_refuses_oversize(self):
-        with pytest.raises(SizeLimitError):
-            sp.exact_lambda(sp.empty_digraph(11), [0, 1])
-        with pytest.raises(SizeLimitError):
-            sp.exact_lambda(sp.complete_bipartite_digraph(4, 4), [0, 4])
+        # the limits refuse a search, not a host: K*_4 with terminals 0-3
+        # needs one (the greedy finds 2 parts against a cut bound of 3)
+        k4 = sp.Digraph(4, itertools.permutations(range(4), 2))
+        with pytest.raises(SizeLimitError, match="^4 vertices exceeds limit 3; "):
+            sp.exact_lambda(k4, range(4), SolverLimits(3, 12))
+        with pytest.raises(SizeLimitError, match="^12 arcs exceeds limit 11; "):
+            sp.exact_lambda(k4, range(4), SolverLimits(4, 11))
+        assert sp.exact_lambda(k4, range(4), SolverLimits(4, 12))[0] == 2
+        # the empty digraph and K_{4,4} need none, so the defaults answer them
+        assert sp.exact_lambda(sp.empty_digraph(11), [0, 1])[0] == 0
+        assert sp.exact_lambda(sp.complete_bipartite_digraph(4, 4), [0, 4])[0] == 4
 
     def test_limit_override(self):
         host = sp.complete_bipartite_digraph(4, 4)  # 32 arcs

@@ -9,8 +9,9 @@ tests or its benchmark (the ``__init__`` export table does not count);
 no ``assert`` statement, since ``python -O`` strips it, so a check must
 raise instead; one function that decides which lines are data; one function
 that calls the kernel directly, and ``exact`` imports it only where its
-driver searches; one place outside ``_core`` pairs a forward and a
-backward closure; one spine construction and one place that builds a
+driver searches, right after the one size guard; one place outside
+``_core`` pairs a forward and a backward closure; one spine
+construction and one place that builds a
 packing in ``packing``; only ``analyze`` asks whether a digraph is
 quasi-transitive; no package module imports ``cli``; and what lets
 ``cli.entry`` skip interpreter teardown holds: every ``open`` is a ``with``
@@ -244,6 +245,38 @@ def test_one_kernel_caller():
     assert "strongpack._kernel" not in _imports_of("exact.py", ast.Module(
         [fn for fn in TREES["exact.py"].body if fn is not driver], []))
     assert "strongpack._kernel" in _imports_of("exact.py", driver)
+
+
+def test_one_size_guard():
+    """``SolverLimits.check`` is the one size guard: it holds the package's
+    only ``raise SizeLimitError`` and has one caller, ``_pack_upward``,
+    whose first step where a search must run checks the limits and then
+    imports the kernel.  ``_kernel`` imports nothing from ``errors``, and
+    no command, ``survey`` included, calls a ``check``: a survey row is
+    skipped when ``exact_lambda`` refuses it."""
+    def named(node, name):
+        return getattr(node, "id", None) == name or getattr(node, "attr", None) == name
+
+    raises = [(module, node) for module, tree in TREES.items() for node in ast.walk(tree)
+              if isinstance(node, ast.Raise) and named(getattr(node.exc, "func", node.exc),
+                                                       "SizeLimitError")]
+    limits = next(cls for cls in TREES["exact.py"].body
+                  if isinstance(cls, ast.ClassDef) and cls.name == "SolverLimits")
+    check = next(fn for fn in limits.body if isinstance(fn, ast.FunctionDef) and fn.name == "check")
+    assert len(raises) == 1 and raises[0][1] in list(ast.walk(check))
+    calls = [(module, node) for module, tree in TREES.items()
+             if module == "exact.py" or module.startswith("commands/")
+             for node in ast.walk(tree) if isinstance(node, ast.Call) and named(node.func, "check")]
+    driver = next(fn for fn in TREES["exact.py"].body
+                  if isinstance(fn, ast.FunctionDef) and fn.name == "_pack_upward")
+    search = [node.body[:2] for node in ast.walk(driver) if isinstance(node, ast.If)
+              and any(isinstance(stmt, ast.ImportFrom) for stmt in node.body)]
+    assert len(calls) == 1 and len(search) == 1
+    guard, kernel_import = search[0]
+    assert guard.value is calls[0][1]
+    assert [a.name for a in kernel_import.names] == ["_kernel"]
+    assert not [name for name in _imports_of("_kernel.py", TREES["_kernel.py"])
+                if name.startswith("strongpack.errors")]
 
 
 def test_verify_only_in_the_driver():

@@ -1,4 +1,4 @@
-"""The search kernel's own contract: its size cap, its recorded name, its
+"""The search kernel's own contract: no size cap, its recorded name, its
 node counts, found parts and counters, and its depth."""
 
 import hashlib
@@ -10,15 +10,25 @@ import pytest
 import strongpack as sp
 from strongpack import _kernel
 from strongpack import generators as gen
-from strongpack.errors import SizeLimitError
+from strongpack.digraph import mask_of
+from strongpack.verify import MODE_ARC, MODE_INTERNAL
 
 
 @pytest.mark.parametrize("search", [_kernel.search_arc_disjoint,
                                     _kernel.search_internally_disjoint])
-def test_refuses_65_vertices_with_size_limit_error(search):
-    assert _kernel.MAX_VERTICES == 64
-    with pytest.raises(SizeLimitError, match="65 vertices"):
-        search(65, [(0, 1), (1, 0)], 0b11, 2)
+def test_searches_a_66_vertex_host(search):
+    # the bioriented cycle through 0, 2, ..., 64, 65, 63, ..., 1 holds two
+    # internally disjoint cycles through 0 and 5 and no third part; the
+    # kernel has no vertex cap, as the solvers' limits guard its callers
+    order = [*range(0, 66, 2), *range(65, 0, -2)]
+    d = sp.biorientation(66, zip(order, order[1:] + order[:1]))
+    arcs, ts = sorted(d.arcs), frozenset({0, 5})
+    mode = (MODE_ARC if search is _kernel.search_arc_disjoint
+            else MODE_INTERNAL)
+    found = search(66, arcs, mask_of(ts), 2)
+    parts = tuple(frozenset(arcs[i] for i in part) for part in found)
+    assert sp.verify_packing(sp.Packing(d, ts, mode, parts)).ok
+    assert search(66, arcs, mask_of(ts), 3) is None
 
 
 @pytest.mark.parametrize("search", [_kernel.search_arc_disjoint,

@@ -12,6 +12,7 @@ import strongpack as sp
 from strongpack import _kernel, exact
 from strongpack import generators as gen
 from strongpack.digraph import induced, mask_of, strong_component
+from strongpack.errors import SizeLimitError
 from strongpack.flows import min_arc_cut, vertex_capacitated_connectivity
 from strongpack.verify import MODE_ARC
 
@@ -273,6 +274,38 @@ def test_strong_arc_decomposition_matches_the_kernel(d):
         first, second = witness
         assert first | second == d.arcs and not first & second
         assert sp.verify_packing(sp.Packing(d, frozenset(range(d.n)), MODE_ARC, witness)).ok
+
+
+def _sad_packing(d, terminals, limits):
+    """``has_strong_arc_decomposition`` as (flag, witness packing or None)."""
+    flag, witness = sp.has_strong_arc_decomposition(d, limits)
+    return flag, witness and sp.Packing(d, frozenset(range(d.n)), MODE_ARC, witness)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.one_of(strong_hosts_with_terminals(), digraphs_with_terminals()))
+def test_limits_decide_whether_an_answer_is_given_never_its_value(pair):
+    """Under zero limits each solver refuses exactly when, under limits at
+    the host's size, it runs the kernel; otherwise it gives the same value
+    with a packing that verifies."""
+    d, terminals = pair
+    searches = []
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("search_arc_disjoint", "search_internally_disjoint"):
+            search = getattr(_kernel, name)
+            mp.setattr(_kernel, name,
+                       lambda *args, search=search: searches.append(args) or search(*args))
+        for solve in (sp.exact_lambda, sp.exact_kappa, _sad_packing):
+            searches.clear()
+            value = solve(d, terminals, exact.SolverLimits(d.n, d.m))[0]
+            searched = bool(searches)
+            try:
+                narrow, packing = solve(d, terminals, exact.SolverLimits(0, 0))
+            except SizeLimitError:
+                assert searched
+            else:
+                assert not searched and narrow == value
+                assert packing is None or sp.verify_packing(packing).ok
 
 
 def test_strong_arc_decomposition_of_k40_needs_no_search(monkeypatch):
