@@ -20,16 +20,12 @@ def run(args) -> int:
     terminals = _terminals(args.terminals)
     if args.composition:
         spec = cp.read_composition(_read(args.composition))
-        strategy = args.strategy
-        if strategy == "auto":
-            strategy = "symmetric" if dg.is_symmetric(spec.outer) else "semicomplete"
-        if strategy == "symmetric":
-            packing = pk.pack_symmetric_composition(spec, terminals)
-        elif strategy == "semicomplete":
-            packing = pk.pack_semicomplete_composition(spec, terminals)
-        else:
+        packer = {"auto": pk._pack, "symmetric": pk.pack_symmetric_composition,
+                  "semicomplete": pk.pack_semicomplete_composition}.get(args.strategy)
+        if packer is None:
             raise PreconditionError(
-                f"strategy {strategy!r} needs a plain graph input")
+                f"strategy {args.strategy!r} needs a plain graph input")
+        packing = packer(spec, terminals)
     else:
         d = dg.read_digraph(_read(args.graph))
         if args.strategy in ("symmetric", "semicomplete"):

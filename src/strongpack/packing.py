@@ -7,9 +7,9 @@ vertices joined to every part.  A packer only chooses the cycles; the
 construction decomposes them, from the shift rows of
 ``decompose_cycle_blowup`` written straight into host ids (so no blow-up
 digraph or vertex order is built), and derives every join.
-``pack_quasi_transitive`` packs a digraph as the composition its
-co-components form.  Each packer self-checks its result once, in
-``_checked``.
+The composition packers, ``pack_quasi_transitive`` included, call one
+dispatcher, ``_pack``: the exceptional refusal, the n0 = 1 rule, the
+symmetric or semicomplete choice and the one self-check, ``_checked``.
 """
 
 from __future__ import annotations
@@ -115,24 +115,46 @@ def pack_symmetric_composition(spec: CompositionSpec, terminals) -> Packing:
     bipartite digraph across its two layers, so each pair is one spine
     cycle: the 2-cycle through its smaller layer (the lower index on a tie)
     and its larger one, blown up by the smaller layer's order.  Part s
-    collects colour s of every pair.
+    collects colour s of every pair.  n0 = 1 takes the whole host.
     """
+    return _pack(spec, terminals, True)
+
+
+def _pack(spec: CompositionSpec, terminals, symmetric: Optional[bool] = None,
+          host: Optional[Digraph] = None) -> Packing:
+    """The composition packer behind the public ones.  ``symmetric`` picks
+    the outer class, ``None`` meaning symmetric when the outer digraph is;
+    ``host`` defaults to ``compose(spec)``, and a given host gets the parts
+    mapped back through ``spec.original_ids``."""
     outer = spec.outer
-    if not is_symmetric(outer):
+    if symmetric is None:
+        symmetric = is_symmetric(outer)
+    elif symmetric and not is_symmetric(outer):
         raise PreconditionError("outer digraph is not symmetric")
+    if not symmetric and not is_semicomplete(outer):
+        raise PreconditionError("outer digraph is not semicomplete")
     if not is_strong(outer):
         raise PreconditionError("outer digraph is not strong")
-    host = compose(spec)
+    back, host = (None, compose(spec)) if host is None else (spec.original_ids, host)
+    verdict = is_in_exceptional(host)
+    if verdict.member:
+        raise InfeasibleError(
+            f"host is the exceptional composition '{verdict.name}' (vertex "
+            f"mapping {verdict.witness}), which has no pair of arc-disjoint "
+            f"strong spanning subgraphs")
     ts = as_terminals(host, terminals)
-    return _checked(host, ts, _symmetric_parts(spec))
-
-
-def _symmetric_parts(spec: CompositionSpec) -> list[set[Arc]]:
-    """The parts of ``pack_symmetric_composition`` in flat ids, unchecked;
-    the outer digraph must be strong and symmetric."""
-    size = [h.n for h in spec.inners]
-    orders = [sorted(arc, key=size.__getitem__) for arc in spec.outer.arcs if arc[0] < arc[1]]
-    return _spine_parts(spec, [(o, size[o[0]]) for o in orders])
+    if spec.n0 == 1:
+        parts = [host.arcs]
+    else:
+        if symmetric:
+            size = [h.n for h in spec.inners]
+            orders = [sorted(arc, key=size.__getitem__) for arc in outer.arcs if arc[0] < arc[1]]
+            parts = _spine_parts(spec, [(o, size[o[0]]) for o in orders])
+        else:
+            parts = _semicomplete_parts(spec)
+        if back is not None and back != tuple(range(host.n)):  # ids not yet layer-major
+            parts = [{(back[u], back[v]) for u, v in part} for part in parts]
+    return _checked(host, ts, parts)
 
 
 def _spine_parts(spec: CompositionSpec,
@@ -209,20 +231,7 @@ def pack_semicomplete_composition(spec: CompositionSpec, terminals) -> Packing:
     Every other vertex of a spine layer joins part j through vertex j of
     its predecessor and successor layers on the spine.
     """
-    outer = spec.outer
-    if not is_semicomplete(outer):
-        raise PreconditionError("outer digraph is not semicomplete")
-    if not is_strong(outer):
-        raise PreconditionError("outer digraph is not strong")
-    host = compose(spec)
-    verdict = is_in_exceptional(host)
-    if verdict.member:
-        raise InfeasibleError(
-            f"host is the exceptional composition '{verdict.name}' (vertex "
-            f"mapping {verdict.witness}), which has no pair of arc-disjoint "
-            f"strong spanning subgraphs")
-    ts = as_terminals(host, terminals)
-    return _checked(host, ts, [host.arcs] if spec.n0 == 1 else _semicomplete_parts(spec))
+    return _pack(spec, terminals, False)
 
 
 def _semicomplete_parts(spec: CompositionSpec) -> list[set[Arc]]:
@@ -282,20 +291,6 @@ def pack_quasi_transitive(d: Digraph, terminals) -> Packing:
     """Packing for a strong digraph whose co-components are modules, such as
     a strong quasi-transitive or a complete bipartite digraph, through the
     composition they form (``canonical_decomposition_strong_qt``); the part
-    count is its n0.  The parts are those of the symmetric packer when the
-    outer digraph is symmetric and of the semicomplete packer otherwise,
-    and the whole digraph when n0 = 1."""
-    verdict = is_in_exceptional(d)
-    if verdict.member:
-        raise InfeasibleError(
-            f"digraph is the exceptional composition '{verdict.name}' "
-            f"(vertex mapping {verdict.witness})")
-    spec = canonical_decomposition_strong_qt(d)
-    ts = as_terminals(d, terminals)
-    if spec.n0 == 1:
-        return _checked(d, ts, [d.arcs])
-    parts = (_symmetric_parts if is_symmetric(spec.outer) else _semicomplete_parts)(spec)
-    back = spec.original_ids
-    if back != tuple(range(d.n)):  # the host's ids are not already layer-major
-        parts = [{(back[u], back[v]) for u, v in part} for part in parts]
-    return _checked(d, ts, parts)
+    count is its n0.  It packs that composition the way ``pack
+    --composition`` with strategy ``auto`` does, on the digraph's own ids."""
+    return _pack(canonical_decomposition_strong_qt(d), terminals, host=d)

@@ -285,6 +285,18 @@ class TestPackGraph:
         assert (code, err) == (2, "precondition violated: digraph is not a composition: "
                                   "the complement of its underlying graph is connected\n")
 
+    @pytest.mark.parametrize("name", [name for name, _ in sp.EXCEPTIONAL_COMPOSITIONS])
+    def test_exceptional_member_refused_in_one_line(self, name):
+        member = dict(sp.EXCEPTIONAL_COMPOSITIONS)[name]
+        perm = list(range(member.n))
+        random.Random(name).shuffle(perm)
+        code, err, _ = pack_graph(sp.relabel(member, perm), [0, 1])
+        assert code == 2 and err.count("\n") == 1, err
+        assert err.startswith(f"precondition violated: host is the exceptional "
+                              f"composition '{name}' (vertex mapping "), err
+        assert err.endswith("), which has no pair of arc-disjoint strong spanning "
+                            "subgraphs\n"), err
+
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(st.integers(2, 6), st.sampled_from([3, 5, 8]), st.booleans(), st.randoms())
@@ -971,7 +983,7 @@ class TestLinesLoaded:
     compiles every line it imports, so a change that makes an op load more
     code fails here rather than only in the benchmark.  Each ceiling is at
     or a little above the count measured: 243 lines for ``--version``,
-    1,110 for a certified lambda, 954 for a cut, 1,558 for ``pack`` and
+    1,110 for a certified lambda, 954 for a cut, 1,549 for ``pack`` and
     722 for ``verify`` (541, 1,868, 1,868, 1,788 and 1,068 while ``cli``
     held every handler and ``exact`` imported the kernel up front; 300,
     1,290, 1,135, 1,614 and 850 while the solvers and the verifier loaded
@@ -988,7 +1000,9 @@ class TestLinesLoaded:
     printed the broken-pipe refusal itself; 243, 1,115, 959, 1,576 and
     724 while the digraph and composition readers each had a tight loop and
     a row-scanner path beside it; 243, 1,113, 957, 1,558 and 722 while
-    ``SolverLimits.check`` held two raises; now 243, 1,110, 954, 1,558 and
+    ``SolverLimits.check`` held two raises; 243, 1,110, 954, 1,558 and 722
+    while each composition packer decided the exceptional refusal, the
+    n0 = 1 rule and the outer class itself; now 243, 1,110, 954, 1,549 and
     722)."""
 
     @staticmethod
@@ -1025,7 +1039,7 @@ class TestLinesLoaded:
         spec = sp.CompositionSpec(strong_tournament4, tuple(sp.empty_digraph(3) for _ in range(4)))
         write(workdir / "t.comp", sp.write_composition(spec))
         assert self.lines(["pack", "--composition", "t.comp", "--terminals", "0,4",
-                           "--out", "t.pack"], workdir) <= 1558
+                           "--out", "t.pack"], workdir) <= 1549
 
     def test_verify(self, workdir):
         write(workdir / "k.dg", sp.write_digraph(sp.complete_bipartite_digraph(2, 3)))

@@ -11,7 +11,7 @@ raise instead; one function that decides which lines are data; one function
 that calls the kernel directly, and ``exact`` imports it only where its
 driver searches, right after the one size guard; one place outside
 ``_core`` pairs a forward and a backward closure; one spine
-construction and one place that builds a
+construction, one composition dispatcher and one place that builds a
 packing in ``packing``; only ``analyze`` asks whether a digraph is
 quasi-transitive; no package module imports ``cli``; and what lets
 ``cli.entry`` skip interpreter teardown holds: every ``open`` is a ``with``
@@ -277,6 +277,35 @@ def test_one_size_guard():
     assert [a.name for a in kernel_import.names] == ["_kernel"]
     assert not [name for name in _imports_of("_kernel.py", TREES["_kernel.py"])
                 if name.startswith("strongpack.errors")]
+
+
+def test_one_composition_dispatcher():
+    """``packing._pack`` is the one composition packer: it holds the
+    package's only ``raise InfeasibleError``, its only call of
+    ``is_in_exceptional`` and its only ``n0 == 1`` test, and every public
+    composition packer calls it; ``pack --composition`` leaves the outer
+    class to it, so ``commands/pack.py`` asks no ``is_symmetric``."""
+    def named(node, name):
+        return getattr(node, "id", None) == name or getattr(node, "attr", None) == name
+
+    tree = TREES["packing.py"]
+    dispatcher = next(fn for fn in tree.body
+                      if isinstance(fn, ast.FunctionDef) and fn.name == "_pack")
+    inside = set(map(id, ast.walk(dispatcher)))
+    raises = [node for node in ast.walk(tree) if isinstance(node, ast.Raise)
+              and named(getattr(node.exc, "func", node.exc), "InfeasibleError")]
+    checks = [node for node in ast.walk(tree)
+              if isinstance(node, ast.Call) and named(node.func, "is_in_exceptional")]
+    n0_one = [node for node in ast.walk(tree) if isinstance(node, ast.Compare)
+              and named(node.left, "n0") and isinstance(node.ops[0], ast.Eq)
+              and getattr(node.comparators[0], "value", None) == 1]
+    for found in (raises, checks, n0_one):
+        assert len(found) == 1 and id(found[0]) in inside
+    assert sorted(_callers_in("packing.py", "_pack")) == [
+        "pack_quasi_transitive", "pack_semicomplete_composition", "pack_symmetric_composition"]
+    assert _callers_in("packing.py", "_checked") == ["_pack"]
+    assert not [node for node in ast.walk(TREES["commands/pack.py"])
+                if isinstance(node, ast.Call) and named(node.func, "is_symmetric")]
 
 
 def test_verify_only_in_the_driver():

@@ -152,6 +152,11 @@ class TestPackSymmetricComposition:
                                   (sp.empty_digraph(1), sp.empty_digraph(1)))
         p = sp.pack_symmetric_composition(spec, [0, 1])
         assert p.parts == (frozenset({(0, 1), (1, 0)}),)
+        # a one-vertex layer anywhere: the whole host, as every packer gives it
+        spec = sp.CompositionSpec(sp.biorientation(3, [(0, 1), (1, 2)]),
+                                  (sp.empty_digraph(1), sp.empty_digraph(3), sp.empty_digraph(3)))
+        p = sp.pack_symmetric_composition(spec, [0, 4])
+        assert p.parts == (sp.compose(spec).arcs,) and len(p.parts[0]) == 24
 
     def test_parts_span_even_with_inner_arcs(self):
         spec = sp.CompositionSpec(sp.biorientation(2, [(0, 1)]),

@@ -1,7 +1,11 @@
 """Property-based checks over random small digraphs."""
 
+import contextlib
+import io
 import random
+import tempfile
 from itertools import combinations, permutations
+from pathlib import Path
 
 import networkx as nx
 import pytest
@@ -11,6 +15,7 @@ from hypothesis.strategies import composite
 import strongpack as sp
 from strongpack import _kernel, exact
 from strongpack import generators as gen
+from strongpack.cli import main
 from strongpack.digraph import induced, mask_of, strong_component
 from strongpack.errors import SizeLimitError
 from strongpack.flows import min_arc_cut, vertex_capacitated_connectivity
@@ -424,3 +429,33 @@ def test_induced_matches_networkx(d, data):
     sub = nx.relabel_nodes(_networkx(d).subgraph(keep), {v: i for i, v in enumerate(keep)})
     h = induced(d, keep)
     assert h.n == len(keep) and h.arcs == set(sub.edges)
+
+
+def _pack_cli(flag, text, terminals):
+    """``pack`` on one input file in a fresh directory: exit code, stderr
+    and the packing file's bytes (None unless the exit is 0)."""
+    with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
+        Path("in.txt").write_text(text)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["pack", flag, "in.txt", "--terminals", ",".join(map(str, terminals)),
+                         "--out", "out.pack"])
+        return code, err.getvalue(), Path("out.pack").read_bytes() if code == 0 else None
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.lists(st.integers(1, 4), min_size=2, max_size=5), st.booleans(), st.randoms())
+def test_one_packing_per_composition_host(sizes, complete, rng):
+    """With arcless layers and a strong semicomplete outer digraph the
+    layers are exactly the host's co-components, so ``pack --graph`` on the
+    composed host and ``pack --composition`` with ``auto`` pack one
+    composition: the same bytes, or the same refusal."""
+    t = len(sizes)
+    outer = (sp.biorientation(t, combinations(range(t), 2)) if complete
+             else gen.random_strong_semicomplete(t, rng))
+    spec = sp.CompositionSpec(outer, [sp.empty_digraph(k) for k in sizes])
+    host = sp.compose(spec)
+    terminals = sorted(rng.sample(range(host.n), min(host.n, 3)))
+    composition = _pack_cli("--composition", sp.write_composition(spec), terminals)
+    assert _pack_cli("--graph", sp.write_digraph(host), terminals) == composition
+    assert composition[0] in (0, 2)
