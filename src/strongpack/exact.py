@@ -1,8 +1,9 @@
 """Exhaustive ground-truth solvers for small instances.
 
-One driver, ``_pack_upward`` (flow bound, greedy, kernel search, one verify),
-gives the arc-disjoint and internally disjoint packing numbers and decides a
-strong arc decomposition: lambda >= 2 with every vertex a terminal.  The
+One driver, ``_pack_upward`` (in arc mode the greedy, then the flow bound,
+kernel search and one verify), gives the arc-disjoint and internally
+disjoint packing numbers, capped or not, and decides a strong arc
+decomposition: lambda capped at 2 with every vertex a terminal.  The
 verifier is imported only inside it and the kernel only when a search runs,
 so a certified answer never compiles the kernel and a cut compiles neither.
 One terminal scan gives its bound and both cut quantities.  The size
@@ -93,7 +94,7 @@ def _terminal_scan(d: Digraph, ts: frozenset[int], internal: bool, below: int):
             value, cut = min_arc_cut(d, u, w)
         if best is None or value < best[0]:
             best = value, (u, w), cut
-            if value < below:  # no later flow can raise a minimum
+            if value < below:  # below=2 only where every flow is >= 1
                 break
     return best
 
@@ -143,35 +144,29 @@ def _greedy_parts(d: Digraph, ts: frozenset[int]) -> tuple[frozenset[Arc], ...]:
 
 
 def _pack_upward(d: Digraph, terminals, limits: SolverLimits, internal=False,
-                 stop=None):
+                 cap=None):
     """Optimal arc-disjoint (``internal``: internally disjoint) packing by
-    upward search: size 1 is the terminals' strong component, and the
-    mode's terminal flow bound caps every size (every part holds a u->w
-    path for each pair).  In arc mode with a bound of at least 2 the
-    greedy's parts, when two or more, are the packing to beat; the mode's
-    kernel search then runs at sizes greedy + 1, ... (else 2, 3, ...) up
-    to the bound, and the first size it refutes proves the optimum.  A
-    greedy that reaches the bound leaves nothing to search, so the limits
-    are checked, and the kernel imported, only when a search must run.
-    ``stop`` (arc mode, every vertex a terminal) caps the size: a greedy
-    run first that reaches it skips the bound, a flow below it ends the
-    bound, and part 1 of a packing of that size takes every arc the others
-    leave; a size below it is returned with None, as nothing is built for
-    it.  One verify covers every returned packing."""
+    upward search; with ``cap``, one of size min(optimum, cap).  Size 1 is
+    the terminals' strong component.  In arc mode the greedy runs first, cut
+    to the cap: two or more parts are the packing to beat, and the cap
+    reached answers with no flow.  Else the mode's terminal flow bound, cut
+    to the cap, caps every size (every part holds a u->w path for each
+    pair); the kernel search runs at sizes greedy + 1, ... (else 2, 3, ...)
+    up to it, checking the limits and importing the kernel first, and the
+    first size it refutes proves the optimum.  Below its cap a capped answer
+    comes with None, as nothing is built for it; at the cap with every
+    vertex a terminal, part 1 takes every arc the others leave, so the parts
+    partition the arcs.  One verify covers every returned packing."""
     from .verify import MODE_ARC, MODE_INTERNAL, Packing, verify_packing
 
     ts = as_terminals(d, terminals)
     mode = MODE_INTERNAL if internal else MODE_ARC
     part1 = _single_part(d, ts)
     if part1 is None:
-        return 0, None if stop else Packing(d, ts, mode, ())
-    parts = _greedy_parts(d, ts)[:stop] if stop else ()
-    bound = stop if stop and len(parts) == stop else \
-        _terminal_scan(d, ts, internal, stop or 0)[0]
-    if stop:
-        bound = min(bound, stop)
-    elif not internal and bound >= 2:
-        parts = _greedy_parts(d, ts)
+        return 0, None if cap else Packing(d, ts, mode, ())
+    parts = () if internal else _greedy_parts(d, ts)[:cap]
+    bound = cap if len(parts) == cap else min(  # no flow exceeds m
+        _terminal_scan(d, ts, internal, 2 if cap else 0)[0], cap or d.m)
     best_parts = parts if len(parts) >= 2 else (part1,)
     ell = len(best_parts) + 1
     if ell <= bound:
@@ -187,9 +182,9 @@ def _pack_upward(d: Digraph, terminals, limits: SolverLimits, internal=False,
             break
         best_parts = tuple(frozenset(arcs[i] for i in part) for part in found)
         ell += 1
-    if stop:
-        if len(best_parts) < stop:
-            return len(best_parts), None
+    if cap and len(best_parts) < cap:
+        return len(best_parts), None
+    if len(best_parts) == cap and len(ts) == d.n:
         best_parts = (part1.difference(*best_parts[1:]), *best_parts[1:])
     packing = Packing(d, ts, mode, best_parts)
     if not verify_packing(packing):
@@ -201,8 +196,8 @@ def exact_lambda(d: Digraph, terminals, limits: SolverLimits = DEFAULT_LIMITS):
     """Maximum number of pairwise arc-disjoint strong subgraphs containing
     all terminals, with an optimal packing.
 
-    The minimum terminal arc cut bounds the value from above, and a greedy
-    packing (``_greedy_parts``) from below; a greedy that meets the cut is
+    A greedy packing (``_greedy_parts``) bounds the value from below, then
+    the minimum terminal arc cut from above; a greedy that meets the cut is
     returned with no search.  Otherwise candidate sizes run upward from
     greedy + 1 (from 2 when the greedy finds one part); each size is
     certified by a found packing, and the search at a failing size proves
@@ -222,12 +217,15 @@ def exact_kappa(d: Digraph, terminals, limits: SolverLimits = DEFAULT_LIMITS):
 def has_strong_arc_decomposition(d: Digraph, limits: SolverLimits = DEFAULT_LIMITS):
     """Whether the arc set splits into two disjoint spanning strong sets:
     lambda >= 2 with every vertex a terminal, as unused arcs can join either
-    part, so ``exact_lambda``'s bound, greedy and search answer it, stopped
+    part, so ``exact_lambda``'s greedy, bound and search answer it, capped
     at 2.  Returns (flag, witness), the witness a verified pair of spanning
-    strong arc sets that partition the arcs (two empty ones when n <= 1)."""
+    strong arc sets that partition the arcs (two empty ones when n == 1;
+    n == 0 is refused, as no terminal list names its vertices)."""
     if d.n <= 1:
+        if not d.n:
+            raise PreconditionError("strong arc decomposition needs at least one vertex")
         return True, (frozenset(), frozenset())
-    value, packing = _pack_upward(d, range(d.n), limits, stop=2)
+    value, packing = _pack_upward(d, range(d.n), limits, cap=2)
     return (True, packing.parts) if value == 2 else (False, None)
 
 

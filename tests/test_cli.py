@@ -372,6 +372,14 @@ class TestExact:
         assert main(["verify", "--graph", g, "--terminals", "0", str(out)]) == 0
         assert capsys.readouterr().out == "ok parts=2 mode=arc\n"
 
+    def test_sad_mode_on_zero_vertices_exits_2(self, workdir, capsys):
+        # no terminal list names a vertex of the 0-vertex digraph, so no
+        # witness written for it could be verified: it is refused
+        g = write(workdir / "k0.dg", "0 0\n")
+        assert main(["exact", "--mode", "sad", "--graph", g]) == 2
+        assert capsys.readouterr() == ("", "precondition violated: strong arc "
+                                           "decomposition needs at least one vertex\n")
+
     def test_cut_mode(self, workdir, capsys):
         g = write(workdir / "c3.dg", sp.write_digraph(sp.directed_cycle(3)))
         assert main(["exact", "--mode", "cut", "--graph", g,
@@ -983,7 +991,7 @@ class TestLinesLoaded:
     compiles every line it imports, so a change that makes an op load more
     code fails here rather than only in the benchmark.  Each ceiling is at
     or a little above the count measured: 243 lines for ``--version``,
-    1,110 for a certified lambda, 954 for a cut, 1,549 for ``pack`` and
+    1,108 for a certified lambda, 952 for a cut, 1,549 for ``pack`` and
     722 for ``verify`` (541, 1,868, 1,868, 1,788 and 1,068 while ``cli``
     held every handler and ``exact`` imported the kernel up front; 300,
     1,290, 1,135, 1,614 and 850 while the solvers and the verifier loaded
@@ -1002,8 +1010,9 @@ class TestLinesLoaded:
     a row-scanner path beside it; 243, 1,113, 957, 1,558 and 722 while
     ``SolverLimits.check`` held two raises; 243, 1,110, 954, 1,558 and 722
     while each composition packer decided the exceptional refusal, the
-    n0 = 1 rule and the outer class itself; now 243, 1,110, 954, 1,549 and
-    722)."""
+    n0 = 1 rule and the outer class itself; 243, 1,110, 954, 1,549 and 722
+    while the exact driver had two step orders and a ``stop`` that widened
+    part 1 for any terminal set; now 243, 1,108, 952, 1,549 and 722)."""
 
     @staticmethod
     def lines(argv, workdir):
@@ -1028,12 +1037,12 @@ class TestLinesLoaded:
     def test_certified_lambda(self, workdir):
         write(workdir / "k.dg", sp.write_digraph(sp.complete_bipartite_digraph(2, 3)))
         assert self.lines(["exact", "--mode", "lambda", "--graph", "k.dg",
-                           "--terminals", "0,2"], workdir) <= 1110
+                           "--terminals", "0,2"], workdir) <= 1108
 
     def test_cut(self, workdir):
         write(workdir / "k.dg", sp.write_digraph(sp.complete_bipartite_digraph(2, 3)))
         assert self.lines(["exact", "--mode", "cut", "--graph", "k.dg",
-                           "--terminals", "0,2"], workdir) <= 954
+                           "--terminals", "0,2"], workdir) <= 952
 
     def test_pack_composition(self, workdir, strong_tournament4):
         spec = sp.CompositionSpec(strong_tournament4, tuple(sp.empty_digraph(3) for _ in range(4)))

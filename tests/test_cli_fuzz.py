@@ -22,7 +22,7 @@ pytestmark = pytest.mark.filterwarnings("ignore::hypothesis.errors.NonInteractiv
 
 # texts no reader accepts, or accepts only to refuse what they hold
 GARBAGE = ["", "gibberish\n", "3 1\n0 5\n", "2 2\n0 1\n0 1\n", "-1 0\n", "2 1\n0 x\n",
-           "parts=1 mode=arc\n0>1\n", "parts=2 mode=glue\n-\n-\n", "1 0\n"]
+           "parts=1 mode=arc\n0>1\n", "parts=2 mode=glue\n-\n-\n", "1 0\n", "0 0\n"]
 SMALL = st.integers(min_value=-1, max_value=6)
 
 

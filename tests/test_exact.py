@@ -125,6 +125,12 @@ class TestStrongArcDecomposition:
         host = sp.complete_bipartite_digraph(2, 2)
         assert a | b == host.arcs and not (a & b)
 
+    def test_zero_vertices_are_refused_and_one_is_decomposed(self):
+        with pytest.raises(PreconditionError, match="at least one vertex"):
+            sp.has_strong_arc_decomposition(sp.Digraph(0, []))
+        assert sp.has_strong_arc_decomposition(sp.Digraph(1, [])) == (
+            True, (frozenset(), frozenset()))
+
     def test_cycle_has_none(self, c3):
         assert sp.has_strong_arc_decomposition(c3)[0] is False
 

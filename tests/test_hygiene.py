@@ -9,7 +9,9 @@ tests or its benchmark (the ``__init__`` export table does not count);
 no ``assert`` statement, since ``python -O`` strips it, so a check must
 raise instead; one function that decides which lines are data; one function
 that calls the kernel directly, and ``exact`` imports it only where its
-driver searches, right after the one size guard; one place outside
+driver searches, right after the one size guard; one certify order in
+that driver, its one greedy call ahead of its one terminal scan, with no
+``stop`` name left in ``exact``; one place outside
 ``_core`` pairs a forward and a backward closure; one spine
 construction, one composition dispatcher and one place that builds a
 packing in ``packing``; only ``analyze`` asks whether a digraph is
@@ -306,6 +308,27 @@ def test_one_composition_dispatcher():
     assert _callers_in("packing.py", "_checked") == ["_pack"]
     assert not [node for node in ast.walk(TREES["commands/pack.py"])
                 if isinstance(node, ast.Call) and named(node.func, "is_symmetric")]
+
+
+def test_one_certify_order():
+    """``exact`` has one certify order: ``_greedy_parts`` is called once,
+    inside ``_pack_upward`` and ahead of the driver's one ``_terminal_scan``
+    call, so capped and uncapped calls run the greedy, the bound and the
+    search in the same order.  The cap is ``cap``; no ``stop`` name is
+    left in the module."""
+    tree = TREES["exact.py"]
+    driver = next(fn for fn in tree.body
+                  if isinstance(fn, ast.FunctionDef) and fn.name == "_pack_upward")
+
+    def calls(node, name):
+        return [(call.lineno, call.col_offset) for call in ast.walk(node)
+                if isinstance(call, ast.Call) and getattr(call.func, "id", None) == name]
+
+    assert _callers_in("exact.py", "_greedy_parts") == ["_pack_upward"]
+    (greedy,), (scan,) = calls(driver, "_greedy_parts"), calls(driver, "_terminal_scan")
+    assert greedy < scan
+    assert not [node for node in ast.walk(tree)
+                if "stop" in (getattr(node, "id", None), getattr(node, "arg", None))]
 
 
 def test_verify_only_in_the_driver():

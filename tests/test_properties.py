@@ -9,7 +9,7 @@ from pathlib import Path
 
 import networkx as nx
 import pytest
-from hypothesis import HealthCheck, assume, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 from hypothesis.strategies import composite
 
 import strongpack as sp
@@ -279,6 +279,35 @@ def test_strong_arc_decomposition_matches_the_kernel(d):
         first, second = witness
         assert first | second == d.arcs and not first & second
         assert sp.verify_packing(sp.Packing(d, frozenset(range(d.n)), MODE_ARC, witness)).ok
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.one_of(digraphs_with_terminals(), digraphs().flatmap(lambda d: st.tuples(
+           st.just(d), st.lists(st.sampled_from(range(d.n)), min_size=2, unique=True)))),
+       st.booleans(), st.booleans(), st.sampled_from([1, 2, 3]))
+@example((sp.Digraph(4, [(0, 1), (0, 2), (0, 3), (1, 0), (2, 0), (2, 1), (3, 1), (3, 2)]),
+          [0, 2]), False, False, 2)
+@example((sp.biorientation(4, combinations(range(4), 2)), [0, 1]), False, True, 2)
+def test_a_capped_answer_is_the_optimum_cut_to_the_cap(pair, every, internal, cap):
+    """The driver capped at 1, 2 or 3 answers min(uncapped value, cap) for
+    any terminal set, in either mode: with a packing that verifies when it
+    reaches the cap, else with None.  With every vertex a terminal the
+    parts at the cap partition the arcs.  The two examples pin hosts where
+    part 1, widened with every arc the others leave, would not verify, as
+    not every vertex is a terminal: in arc mode it is not strong, and in
+    the internal mode it meets part 2 at a non-terminal vertex.  Random
+    draws find such hosts about once in a hundred."""
+    d, terminals = pair
+    ts = frozenset(range(d.n) if every else terminals)
+    value = exact._pack_upward(d, ts, exact.DEFAULT_LIMITS, internal)[0]
+    capped, packing = exact._pack_upward(d, ts, exact.DEFAULT_LIMITS, internal, cap)
+    assert capped == min(value, cap)
+    if capped < cap:
+        assert packing is None
+        return
+    assert len(packing.parts) == cap and sp.verify_packing(packing).ok
+    if len(ts) == d.n:
+        assert sum(map(len, packing.parts)) == d.m and frozenset().union(*packing.parts) == d.arcs
 
 
 def _sad_packing(d, terminals, limits):
