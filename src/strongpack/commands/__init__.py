@@ -55,11 +55,3 @@ def _terminals(arg: str) -> list[int]:
     except ValueError:
         raise PreconditionError(f"bad terminal list {arg!r}")
 
-
-def _limits(args):
-    """The solver limits the flags ask for, each unset flag at its default."""
-    from ..exact import DEFAULT_LIMITS, SolverLimits
-
-    return SolverLimits(
-        DEFAULT_LIMITS.max_vertices if args.limit_n is None else args.limit_n,
-        DEFAULT_LIMITS.max_arcs if args.limit_m is None else args.limit_m)

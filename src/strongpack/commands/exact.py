@@ -1,19 +1,20 @@
 """``strongpack exact``: the exhaustive solvers (lambda, kappa, strong arc
 decomposition) and the minimum strong cut."""
 
-from . import EXIT_OK, _limits, _read, _terminals, _write_out
+from .. import exact as ex
+from . import EXIT_OK, _read, _terminals, _write_out
 
 OPTIONS = {"--mode": {"required": True, "choices": ["lambda", "kappa", "sad", "cut"]},
            "--graph": {"required": True}, "--terminals": {"default": ""},
-           "--limit-n": {"type": int}, "--limit-m": {"type": int}, "--out": {}}
+           "--limit-n": {"type": int, "default": ex.DEFAULT_LIMITS.max_vertices},
+           "--limit-m": {"type": int, "default": ex.DEFAULT_LIMITS.max_arcs}, "--out": {}}
 
 
 def run(args) -> int:
     from .. import _core
-    from .. import exact as ex
 
     d = _core.read_digraph(_read(args.graph))
-    limits = _limits(args)
+    limits = ex.SolverLimits(args.limit_n, args.limit_m)
     if args.mode in ("lambda", "kappa"):
         from .. import verify as vf
 

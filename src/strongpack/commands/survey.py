@@ -2,14 +2,16 @@
 on seeded random hosts.  A row is ``skipped`` when its packing number needs
 a search on a host above the limits."""
 
+from .. import exact as ex
 from ..errors import PreconditionError, SizeLimitError
-from . import EXIT_OK, _limits, _write_out
+from . import EXIT_OK, _write_out
 
 SURVEY_COLUMNS = ["instance", "n", "m", "k", "lambda_S", "c2", "c1", "status"]
 
 OPTIONS = {"--family": {"default": "symmetric", "choices": ["symmetric", "semi-comp"]},
            "--seed": {"type": int, "default": 0}, "--trials": {"type": int, "default": 10},
-           "--limit-n": {"type": int}, "--limit-m": {"type": int}, "--out": {}}
+           "--limit-n": {"type": int, "default": ex.DEFAULT_LIMITS.max_vertices},
+           "--limit-m": {"type": int, "default": ex.DEFAULT_LIMITS.max_arcs}, "--out": {}}
 
 
 def run(args) -> int:
@@ -17,13 +19,12 @@ def run(args) -> int:
     import io
     import random
 
-    from .. import exact as ex
     from .. import generators as gen
 
     if args.trials < 0:
         raise PreconditionError("--trials must be nonnegative")
     rng = random.Random(args.seed)
-    limits = _limits(args)
+    limits = ex.SolverLimits(args.limit_n, args.limit_m)
     symmetric = args.family == "symmetric"
     buf = io.StringIO()
     buf.write("# strongpack survey v1: lambda_S <= c2 and, on symmetric hosts, c2 <= 2*c1\n")

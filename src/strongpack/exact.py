@@ -1,8 +1,8 @@
 """Exhaustive ground-truth solvers for small instances.
 
-One driver, ``_pack_upward`` (in arc mode the greedy, then the flow bound,
-kernel search and one verify), gives the arc-disjoint and internally
-disjoint packing numbers, capped or not, and decides a strong arc
+One driver, ``_pack_upward`` (the greedy, the flow bound, the kernel search
+and one verify, in that order in every mode), gives the arc-disjoint and
+internally disjoint packing numbers, capped or not, and decides a strong arc
 decomposition: lambda capped at 2 with every vertex a terminal.  The
 verifier is imported only inside it and the kernel only when a search runs,
 so a certified answer never compiles the kernel and a cut compiles neither.
@@ -16,7 +16,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import NamedTuple
 
-from ._core import Arc, Digraph, _lowest, _step, as_terminals, bits, \
+from ._core import Arc, Digraph, _lowest, _step, as_terminals, \
     is_strong, is_symmetric, mask_of, strong_component, underlying_connected
 from .errors import PreconditionError, SizeLimitError, StrongpackError
 from .flows import min_arc_cut, vertex_capacitated_connectivity
@@ -49,15 +49,6 @@ class CutCertificate(NamedTuple):
     @property
     def size(self) -> int:
         return len(self.arcs)
-
-
-def _single_part(d: Digraph, ts: frozenset[int]):
-    """The unique maximal part for packing size 1: all arcs inside the
-    strong component holding the terminals, or None."""
-    comp = strong_component(d.out, d.in_masks(), min(ts))
-    if mask_of(ts) & ~comp:
-        return None
-    return frozenset((u, v) for u in bits(comp) for v in bits(d.out[u] & comp))
 
 
 @lru_cache(maxsize=1)
@@ -119,18 +110,20 @@ def _shortest_path(out: list[int], inn: list[int], a: int, b: int):
     return path
 
 
-def _greedy_parts(d: Digraph, ts: frozenset[int]) -> tuple[frozenset[Arc], ...]:
-    """Arc-disjoint strong parts holding every terminal, found greedily.
-
-    A part is the union of shortest paths between cyclically consecutive
-    terminals in ascending order, each on the arcs earlier parts left: a
-    closed walk through every terminal, hence strong.  Its paths may share
-    arcs, so the part's arcs leave the host only once all of them are
-    found.  Stops at the first missing path."""
+def _greedy_parts(d: Digraph, ts: frozenset[int], internal=False,
+                  most=None) -> tuple[frozenset[Arc], ...]:
+    """Arc-disjoint strong parts holding every terminal, found greedily;
+    with ``internal`` they meet only at terminals.  A part is the union of
+    shortest paths between cyclically consecutive terminals in ascending
+    order, each on the arcs earlier parts left: a closed walk through every
+    terminal, hence strong.  Its paths may share arcs, so its arcs (with
+    ``internal``, every arc at its non-terminal vertices) leave the host
+    only once all of them are found.  Stops at the first missing path, or
+    after ``most`` parts."""
     out, inn = list(d.out), d.in_masks()
     order = sorted(ts)
     parts = []
-    while True:
+    while len(parts) != most:
         part = set()
         for a, b in zip(order, order[1:] + order[:1]):
             path = _shortest_path(out, inn, a, b)
@@ -140,35 +133,37 @@ def _greedy_parts(d: Digraph, ts: frozenset[int]) -> tuple[frozenset[Arc], ...]:
         for u, v in part:
             out[u] &= ~(1 << v)
             inn[v] &= ~(1 << u)
+        if internal:  # no later path enters or leaves these vertices
+            inner = mask_of({u for u, _ in part} - ts)
+            out, inn = [row & ~inner for row in out], [row & ~inner for row in inn]
         parts.append(frozenset(part))
+    return tuple(parts)
 
 
 def _pack_upward(d: Digraph, terminals, limits: SolverLimits, internal=False,
                  cap=None):
     """Optimal arc-disjoint (``internal``: internally disjoint) packing by
-    upward search; with ``cap``, one of size min(optimum, cap).  Size 1 is
-    the terminals' strong component.  In arc mode the greedy runs first, cut
-    to the cap: two or more parts are the packing to beat, and the cap
-    reached answers with no flow.  Else the mode's terminal flow bound, cut
-    to the cap, caps every size (every part holds a u->w path for each
-    pair); the kernel search runs at sizes greedy + 1, ... (else 2, 3, ...)
-    up to it, checking the limits and importing the kernel first, and the
-    first size it refutes proves the optimum.  Below its cap a capped answer
-    comes with None, as nothing is built for it; at the cap with every
-    vertex a terminal, part 1 takes every arc the others leave, so the parts
+    upward search; with ``cap``, one of size min(optimum, cap).  Every mode
+    runs one order.  The mode's greedy, stopped at the cap, gives the
+    packing to beat: no part means no strong subgraph holds the terminals,
+    so the answer is 0, and a greedy at the cap answers with no flow.  Else
+    the mode's terminal flow bound, cut to the cap, caps every size (every
+    part holds a u->w path for each pair); the kernel search runs at sizes
+    greedy + 1, ... up to it, checking the limits and importing the kernel
+    first, and the first size it refutes proves the optimum.  Below its cap
+    a capped answer comes with None; at the cap with every vertex a
+    terminal, part 1 takes every arc the others leave, so the parts
     partition the arcs.  One verify covers every returned packing."""
     from .verify import MODE_ARC, MODE_INTERNAL, Packing, verify_packing
 
     ts = as_terminals(d, terminals)
     mode = MODE_INTERNAL if internal else MODE_ARC
-    part1 = _single_part(d, ts)
-    if part1 is None:
+    best = _greedy_parts(d, ts, internal, cap)
+    if not best:
         return 0, None if cap else Packing(d, ts, mode, ())
-    parts = () if internal else _greedy_parts(d, ts)[:cap]
-    bound = cap if len(parts) == cap else min(  # no flow exceeds m
+    bound = cap if len(best) == cap else min(  # no flow exceeds m
         _terminal_scan(d, ts, internal, 2 if cap else 0)[0], cap or d.m)
-    best_parts = parts if len(parts) >= 2 else (part1,)
-    ell = len(best_parts) + 1
+    ell = len(best) + 1
     if ell <= bound:
         limits.check(d)
         from . import _kernel
@@ -180,16 +175,16 @@ def _pack_upward(d: Digraph, terminals, limits: SolverLimits, internal=False,
         found = search(d.n, arcs, mask_of(ts), ell)
         if found is None:
             break
-        best_parts = tuple(frozenset(arcs[i] for i in part) for part in found)
+        best = tuple(frozenset(arcs[i] for i in part) for part in found)
         ell += 1
-    if cap and len(best_parts) < cap:
-        return len(best_parts), None
-    if len(best_parts) == cap and len(ts) == d.n:
-        best_parts = (part1.difference(*best_parts[1:]), *best_parts[1:])
-    packing = Packing(d, ts, mode, best_parts)
+    if cap and len(best) < cap:
+        return len(best), None
+    if len(best) == cap and len(ts) == d.n:
+        best = (d.arcs.difference(*best[1:]), *best[1:])
+    packing = Packing(d, ts, mode, best)
     if not verify_packing(packing):
         raise StrongpackError("solver produced an invalid packing")
-    return len(best_parts), packing
+    return len(best), packing
 
 
 def exact_lambda(d: Digraph, terminals, limits: SolverLimits = DEFAULT_LIMITS):
@@ -199,18 +194,17 @@ def exact_lambda(d: Digraph, terminals, limits: SolverLimits = DEFAULT_LIMITS):
     A greedy packing (``_greedy_parts``) bounds the value from below, then
     the minimum terminal arc cut from above; a greedy that meets the cut is
     returned with no search.  Otherwise candidate sizes run upward from
-    greedy + 1 (from 2 when the greedy finds one part); each size is
-    certified by a found packing, and the search at a failing size proves
-    the optimum.
+    greedy + 1; each size is certified by a found packing, and the search
+    at a failing size proves the optimum.
     """
     return _pack_upward(d, terminals, limits)
 
 
 def exact_kappa(d: Digraph, terminals, limits: SolverLimits = DEFAULT_LIMITS):
-    """Maximum number of arc-disjoint strong subgraphs containing all
-    terminals whose pairwise vertex intersections are exactly the
-    terminal set, with an optimal packing.  The size bound gives every
-    non-terminal vertex capacity one, so it is at most the arc flow bound."""
+    """Maximum number of arc-disjoint strong subgraphs holding all terminals
+    whose pairwise vertex intersections are exactly the terminal set, with
+    an optimal packing, found as by ``exact_lambda``.  The size bound gives
+    every non-terminal vertex capacity one, so it is at most lambda's."""
     return _pack_upward(d, terminals, limits, internal=True)
 
 

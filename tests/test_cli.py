@@ -391,21 +391,49 @@ class TestExact:
         assert main(["exact", "--mode", "sad", "--graph", g]) == 4
         assert capsys.readouterr().err == refused("37 arcs exceeds limit 26")
 
-    @pytest.mark.parametrize("mode", ["kappa", "sad"])
-    def test_search_above_64_vertices_exits_4(self, workdir, capsys, mode):
-        # the bioriented cycle through 0, 2, ..., 64, 65, 63, ..., 1: kappa's
-        # cut bound is 2, and sad's ascending greedy finds 1 part against it,
-        # so a search must run; the default limits refuse it, and limits at
-        # the host's size let it answer, as nothing caps the search at 64
+    @staticmethod
+    def _cycle66(workdir):
+        """The bioriented cycle through 0, 2, ..., 64, 65, 63, ..., 1."""
         order = [*range(0, 66, 2), *range(65, 0, -2)]
         cycle = list(zip(order, order[1:] + order[:1]))
-        g = write(workdir / "cyc66.dg", sp.write_digraph(sp.biorientation(66, cycle)))
-        argv = ["exact", "--mode", mode, "--graph", g, "--terminals", "0,5"]
+        return write(workdir / "cyc66.dg", sp.write_digraph(sp.biorientation(66, cycle)))
+
+    def test_search_above_64_vertices_exits_4(self, workdir, capsys):
+        # sad's ascending greedy finds 1 part on the 66-cycle against a cut
+        # bound of 2, so a search must run; the default limits refuse it,
+        # and limits at the host's size let it answer, as nothing caps the
+        # search at 64
+        argv = ["exact", "--mode", "sad", "--graph", self._cycle66(workdir)]
         assert main(argv) == 4
         assert capsys.readouterr().err == refused("66 vertices exceeds limit 10")
         assert main([*argv, "--limit-n", "66", "--limit-m", "132"]) == 0
-        out = capsys.readouterr().out
-        assert out.startswith("value=2\n" if mode == "kappa" else "strong_arc_decomposition=True\n")
+        assert capsys.readouterr().out.startswith("strong_arc_decomposition=True\n")
+
+    def test_certified_kappa_above_64_vertices_answers(self, workdir, capsys):
+        # with terminals 0 and 5 kappa's greedy takes the short side of the
+        # 66-cycle, then the long side, and meets the cut bound of 2; the
+        # default limits refuse every search on 66 vertices, and they are
+        # checked before the kernel is imported, so none was
+        argv = ["exact", "--mode", "kappa", "--graph", self._cycle66(workdir),
+                "--terminals", "0,5"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out.startswith("value=2\n")
+
+    def test_uncertified_kappa_exits_4(self, workdir, capsys):
+        # a random symmetric host (n = 11, m = 28, terminals 2 and 6) where
+        # kappa's greedy finds 1 part against a bound of 2: the search must
+        # run, so the default limits refuse it, and limits at the host's size
+        # let it answer kappa = 2
+        rng = random.Random(128)
+        n = rng.randint(11, 13)
+        d = gen.random_strong_symmetric(n, rng.randint(1, 4), rng)
+        ts = sorted(rng.sample(range(n), 2))
+        g = write(workdir / "sym11.dg", sp.write_digraph(d))
+        argv = ["exact", "--mode", "kappa", "--graph", g, "--terminals", ",".join(map(str, ts))]
+        assert main(argv) == 4
+        assert capsys.readouterr().err == refused("11 vertices exceeds limit 10")
+        assert main([*argv, "--limit-n", "11", "--limit-m", "28"]) == 0
+        assert capsys.readouterr().out.startswith("value=2\n")
 
     def test_certified_sad_above_64_vertices_answers(self, workdir, capsys):
         # the greedy splits the plain bioriented 66-cycle into its two
@@ -965,9 +993,9 @@ class TestImportFootprint:
         # the solvers run on the digraph core, without the class predicates
         assert "_core" in loaded and "digraph" not in loaded
         assert not loaded & {"packing", "hamilton", "composition"}
-        # the kernel loads only for a search: the greedy meets lambda's cut
-        # bound 2 here, while kappa has no greedy and sad's finds one part
-        assert ("_kernel" in loaded) == (mode in ("kappa", "sad"))
+        # the kernel loads only for a search: the greedy meets the cut bound
+        # 2 of lambda and kappa here, while sad's finds one part
+        assert ("_kernel" in loaded) == (mode == "sad")
 
     def test_verify_loads_no_construction(self, workdir):
         d = sp.complete_bipartite_digraph(2, 3)
@@ -991,8 +1019,8 @@ class TestLinesLoaded:
     compiles every line it imports, so a change that makes an op load more
     code fails here rather than only in the benchmark.  Each ceiling is at
     or a little above the count measured: 243 lines for ``--version``,
-    1,108 for a certified lambda, 952 for a cut, 1,549 for ``pack`` and
-    722 for ``verify`` (541, 1,868, 1,868, 1,788 and 1,068 while ``cli``
+    1,095 for a certified lambda, 939 for a cut, 1,541 for ``pack`` and
+    714 for ``verify`` (541, 1,868, 1,868, 1,788 and 1,068 while ``cli``
     held every handler and ``exact`` imported the kernel up front; 300,
     1,290, 1,135, 1,614 and 850 while the solvers and the verifier loaded
     all of ``digraph`` and ``exact`` held the test oracles; 296, 1,124,
@@ -1012,7 +1040,9 @@ class TestLinesLoaded:
     while each composition packer decided the exceptional refusal, the
     n0 = 1 rule and the outer class itself; 243, 1,110, 954, 1,549 and 722
     while the exact driver had two step orders and a ``stop`` that widened
-    part 1 for any terminal set; now 243, 1,108, 952, 1,549 and 722)."""
+    part 1 for any terminal set; 243, 1,108, 952, 1,549 and 722 while kappa
+    had its own size-1 rule and no greedy, and ``commands`` filled in the
+    unset limit flags itself; now 243, 1,095, 939, 1,541 and 714)."""
 
     @staticmethod
     def lines(argv, workdir):
@@ -1037,24 +1067,24 @@ class TestLinesLoaded:
     def test_certified_lambda(self, workdir):
         write(workdir / "k.dg", sp.write_digraph(sp.complete_bipartite_digraph(2, 3)))
         assert self.lines(["exact", "--mode", "lambda", "--graph", "k.dg",
-                           "--terminals", "0,2"], workdir) <= 1108
+                           "--terminals", "0,2"], workdir) <= 1095
 
     def test_cut(self, workdir):
         write(workdir / "k.dg", sp.write_digraph(sp.complete_bipartite_digraph(2, 3)))
         assert self.lines(["exact", "--mode", "cut", "--graph", "k.dg",
-                           "--terminals", "0,2"], workdir) <= 952
+                           "--terminals", "0,2"], workdir) <= 939
 
     def test_pack_composition(self, workdir, strong_tournament4):
         spec = sp.CompositionSpec(strong_tournament4, tuple(sp.empty_digraph(3) for _ in range(4)))
         write(workdir / "t.comp", sp.write_composition(spec))
         assert self.lines(["pack", "--composition", "t.comp", "--terminals", "0,4",
-                           "--out", "t.pack"], workdir) <= 1549
+                           "--out", "t.pack"], workdir) <= 1541
 
     def test_verify(self, workdir):
         write(workdir / "k.dg", sp.write_digraph(sp.complete_bipartite_digraph(2, 3)))
         write(workdir / "k.pack", sp.write_packing(sp.pack_bipartite(2, 3, [0, 2])))
         assert self.lines(["verify", "--graph", "k.dg", "--terminals", "0,2", "k.pack"],
-                          workdir) <= 722
+                          workdir) <= 714
 
 
 SRC = str(Path(sp.__file__).resolve().parents[1])

@@ -178,7 +178,8 @@ class TestStrongArcDecomposition:
     def test_witness_is_verified(self, monkeypatch):
         # a greedy "pair" that is no decomposition: the part {(0, 2)} is not
         # strong, so the driver's one verify refuses it
-        monkeypatch.setattr(exact, "_greedy_parts", lambda d, ts: ({(0, 1)}, {(0, 2)}))
+        monkeypatch.setattr(exact, "_greedy_parts",
+                            lambda d, ts, internal=False, most=None: ({(0, 1)}, {(0, 2)}))
         with pytest.raises(StrongpackError, match="invalid packing"):
             sp.has_strong_arc_decomposition(sp.biorientation(3, [(0, 1), (1, 2), (2, 0)]))
 

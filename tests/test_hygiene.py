@@ -10,8 +10,9 @@ no ``assert`` statement, since ``python -O`` strips it, so a check must
 raise instead; one function that decides which lines are data; one function
 that calls the kernel directly, and ``exact`` imports it only where its
 driver searches, right after the one size guard; one certify order in
-that driver, its one greedy call ahead of its one terminal scan, with no
-``stop`` name left in ``exact``; one place outside
+that driver for every mode, its one greedy call, in no branch on the
+mode, ahead of its one terminal scan, with no ``stop``, ``part1`` or
+``_single_part`` name left in ``exact``; one place outside
 ``_core`` pairs a forward and a backward closure; one spine
 construction, one composition dispatcher and one place that builds a
 packing in ``packing``; only ``analyze`` asks whether a digraph is
@@ -311,24 +312,30 @@ def test_one_composition_dispatcher():
 
 
 def test_one_certify_order():
-    """``exact`` has one certify order: ``_greedy_parts`` is called once,
-    inside ``_pack_upward`` and ahead of the driver's one ``_terminal_scan``
-    call, so capped and uncapped calls run the greedy, the bound and the
-    search in the same order.  The cap is ``cap``; no ``stop`` name is
-    left in the module."""
+    """``exact`` has one certify order for every mode: ``_greedy_parts`` is
+    called once, inside ``_pack_upward``, under no test of ``internal`` and
+    with the mode and the cap, and ahead of the driver's one
+    ``_terminal_scan`` call, so capped and uncapped calls of lambda, kappa
+    and sad run the greedy, the bound and the search in the same order.  No
+    second size-1 rule (``_single_part``, ``part1``) and no ``stop`` name
+    is left in the module."""
     tree = TREES["exact.py"]
     driver = next(fn for fn in tree.body
                   if isinstance(fn, ast.FunctionDef) and fn.name == "_pack_upward")
 
     def calls(node, name):
-        return [(call.lineno, call.col_offset) for call in ast.walk(node)
+        return [call for call in ast.walk(node)
                 if isinstance(call, ast.Call) and getattr(call.func, "id", None) == name]
 
     assert _callers_in("exact.py", "_greedy_parts") == ["_pack_upward"]
     (greedy,), (scan,) = calls(driver, "_greedy_parts"), calls(driver, "_terminal_scan")
-    assert greedy < scan
-    assert not [node for node in ast.walk(tree)
-                if "stop" in (getattr(node, "id", None), getattr(node, "arg", None))]
+    assert (greedy.lineno, greedy.col_offset) < (scan.lineno, scan.col_offset)
+    assert [getattr(arg, "id", None) for arg in greedy.args[2:]] == ["internal", "cap"]
+    mode_tests = [node for node in ast.walk(driver) if isinstance(node, (ast.If, ast.IfExp))
+                  and "internal" in {getattr(name, "id", None) for name in ast.walk(node.test)}]
+    assert not [node for node in mode_tests if greedy in ast.walk(node)]
+    assert not [node for node in ast.walk(tree) if {"stop", "part1", "_single_part"} & {
+        getattr(node, "id", None), getattr(node, "arg", None), getattr(node, "name", None)}]
 
 
 def test_verify_only_in_the_driver():

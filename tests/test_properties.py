@@ -19,7 +19,7 @@ from strongpack.cli import main
 from strongpack.digraph import induced, mask_of, strong_component
 from strongpack.errors import SizeLimitError
 from strongpack.flows import min_arc_cut, vertex_capacitated_connectivity
-from strongpack.verify import MODE_ARC
+from strongpack.verify import MODE_ARC, MODE_INTERNAL
 
 from oracles import check_cut_relation, out_masks, reverse
 
@@ -239,12 +239,14 @@ def test_packing_numbers_monotone_under_adding_an_arc(pair, data):
         assert fn(bigger, terminals)[0] >= fn(d, terminals)[0]
 
 
-def _kernel_lambda(d, ts):
-    """The arc-disjoint packing number by the search alone, ell = 2, 3, ...
-    up to the first refuted size (these hosts are strong, so it is >= 1)."""
+def _kernel_value(d, ts, internal):
+    """The arc-disjoint (``internal``: internally disjoint) packing number by
+    the search alone, ell = 2, 3, ... up to the first refuted size (these
+    hosts are strong, so it is >= 1)."""
+    search = _kernel.search_internally_disjoint if internal else _kernel.search_arc_disjoint
     arcs, s_mask = sorted(d.arcs), mask_of(ts)
     ell = 2
-    while _kernel.search_arc_disjoint(d.n, arcs, s_mask, ell) is not None:
+    while search(d.n, arcs, s_mask, ell) is not None:
         ell += 1
     return ell - 1
 
@@ -252,18 +254,21 @@ def _kernel_lambda(d, ts):
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(st.one_of(strong_hosts_with_terminals(), digraphs_with_terminals()))
 def test_greedy_and_kernel_bracket_exact_lambda(pair):
-    """exact_lambda seldom reaches the kernel, since a greedy packing that
-    meets the cut bound ends it, so the kernel is checked against it here
-    on its own.  The greedy falls short of the value on about 1% of
-    ``strong_hosts_with_terminals`` draws and 4% of the denser
-    ``digraphs_with_terminals`` ones, so both are drawn."""
+    """exact_lambda and exact_kappa seldom reach the kernel, since a greedy
+    packing that meets the cut bound ends them, so in both modes the
+    greedy's parts are verified and the kernel is checked against the value
+    on its own.  The greedy falls short of the value on about 1% (kappa:
+    2%) of ``strong_hosts_with_terminals`` draws and 4% (kappa: 9%) of the
+    denser ``digraphs_with_terminals`` ones, so both are drawn."""
     d, terminals = pair
     ts = frozenset(terminals)
-    greedy = exact._greedy_parts(d, ts)
-    assert sp.verify_packing(sp.Packing(d, ts, MODE_ARC, greedy)).ok
-    value = exact.exact_lambda(d, terminals)[0]
-    assert len(greedy) <= value <= exact._terminal_scan(d, ts, False, 0)[0]
-    assert value == _kernel_lambda(d, ts)
+    for internal, mode, solve in ((False, MODE_ARC, exact.exact_lambda),
+                                  (True, MODE_INTERNAL, exact.exact_kappa)):
+        greedy = exact._greedy_parts(d, ts, internal)
+        assert sp.verify_packing(sp.Packing(d, ts, mode, greedy)).ok
+        value = solve(d, terminals)[0]
+        assert len(greedy) <= value <= exact._terminal_scan(d, ts, internal, 0)[0]
+        assert value == _kernel_value(d, ts, internal)
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
