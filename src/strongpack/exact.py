@@ -3,7 +3,8 @@
 One driver, ``_pack_upward`` (the greedy, the flow bound, the kernel search
 and one verify, in that order in every mode), gives the arc-disjoint and
 internally disjoint packing numbers, capped or not, and decides a strong arc
-decomposition: lambda capped at 2 with every vertex a terminal.  The
+decomposition: lambda capped at 2 with every vertex a terminal.  Every
+answer leaves it through the verify, with a packing of that many parts.  The
 verifier is imported only inside it and the kernel only when a search runs,
 so a certified answer never compiles the kernel and a cut compiles neither.
 One terminal scan gives its bound and both cut quantities.  The size
@@ -145,23 +146,21 @@ def _pack_upward(d: Digraph, terminals, limits: SolverLimits, internal=False,
     """Optimal arc-disjoint (``internal``: internally disjoint) packing by
     upward search; with ``cap``, one of size min(optimum, cap).  Every mode
     runs one order.  The mode's greedy, stopped at the cap, gives the
-    packing to beat: no part means no strong subgraph holds the terminals,
-    so the answer is 0, and a greedy at the cap answers with no flow.  Else
-    the mode's terminal flow bound, cut to the cap, caps every size (every
-    part holds a u->w path for each pair); the kernel search runs at sizes
-    greedy + 1, ... up to it, checking the limits and importing the kernel
-    first, and the first size it refutes proves the optimum.  Below its cap
-    a capped answer comes with None; at the cap with every vertex a
-    terminal, part 1 takes every arc the others leave, so the parts
-    partition the arcs.  One verify covers every returned packing."""
+    packing to beat, and it answers with no flow when it reaches the cap or
+    finds no part: it stopped at a terminal pair with no path, whose flow
+    is 0.  Else the mode's terminal flow bound, cut to the cap, caps every
+    size (every part holds a u->w path for each pair); the kernel search
+    runs at sizes greedy + 1, ... up to it, checking the limits and
+    importing the kernel first, and the first size it refutes proves the
+    optimum.  At the cap with every vertex a terminal, part 1 takes every
+    arc the others leave, so the parts partition the arcs.  There is one
+    exit: every answer, capped or not, is (value, packing) with the packing
+    of ``value`` parts that has passed the one verify."""
     from .verify import MODE_ARC, MODE_INTERNAL, Packing, verify_packing
 
     ts = as_terminals(d, terminals)
-    mode = MODE_INTERNAL if internal else MODE_ARC
     best = _greedy_parts(d, ts, internal, cap)
-    if not best:
-        return 0, None if cap else Packing(d, ts, mode, ())
-    bound = cap if len(best) == cap else min(  # no flow exceeds m
+    bound = len(best) if len(best) in (0, cap) else min(  # no flow exceeds m
         _terminal_scan(d, ts, internal, 2 if cap else 0)[0], cap or d.m)
     ell = len(best) + 1
     if ell <= bound:
@@ -177,11 +176,9 @@ def _pack_upward(d: Digraph, terminals, limits: SolverLimits, internal=False,
             break
         best = tuple(frozenset(arcs[i] for i in part) for part in found)
         ell += 1
-    if cap and len(best) < cap:
-        return len(best), None
     if len(best) == cap and len(ts) == d.n:
         best = (d.arcs.difference(*best[1:]), *best[1:])
-    packing = Packing(d, ts, mode, best)
+    packing = Packing(d, ts, MODE_INTERNAL if internal else MODE_ARC, best)
     if not verify_packing(packing):
         raise StrongpackError("solver produced an invalid packing")
     return len(best), packing

@@ -148,7 +148,8 @@ class TestStrongArcDecomposition:
 
     @staticmethod
     def _count_calls(monkeypatch):
-        """Count the max flows and the verifies that ``exact`` runs."""
+        """Count the max flows, of either capacity, and the verifies that
+        ``exact`` runs."""
         calls = {"flow": 0, "verify": 0}
 
         def counted(key, fn):
@@ -157,18 +158,35 @@ class TestStrongArcDecomposition:
                 return fn(*args)
             return wrapper
 
-        monkeypatch.setattr(exact, "min_arc_cut", counted("flow", exact.min_arc_cut))
+        for flow in ("min_arc_cut", "vertex_capacitated_connectivity"):
+            monkeypatch.setattr(exact, flow, counted("flow", getattr(exact, flow)))
         monkeypatch.setattr(verify, "verify_packing", counted("verify", verify.verify_packing))
         return calls
 
     def test_a_false_host_stops_at_its_first_flow_below_two(self, monkeypatch):
         # the bioriented path 0-1-2-3: the greedy finds one part, and the
-        # first flow, 0 -> 1, is already 1; the other five flows and a
-        # verify of the one-part packing that is not returned are skipped
+        # first flow, 0 -> 1, is already 1, so the other five flows are
+        # skipped; the one-part packing leaves the driver through its verify
         calls = self._count_calls(monkeypatch)
         host = sp.biorientation(4, [(0, 1), (1, 2), (2, 3)])
         assert sp.has_strong_arc_decomposition(host) == (False, None)
-        assert calls == {"flow": 1, "verify": 0}
+        assert calls == {"flow": 1, "verify": 1}
+
+    @pytest.mark.parametrize("solve", [sp.exact_lambda, sp.exact_kappa])
+    def test_a_zero_answer_is_verified_and_runs_no_flow(self, monkeypatch, solve):
+        # the directed path 0 -> 1 -> 2 has no 2 -> 0 path: the greedy finds
+        # no part, which answers 0 with no flow, through the one verify
+        calls = self._count_calls(monkeypatch)
+        value, packing = solve(sp.Digraph(3, [(0, 1), (1, 2)]), [0, 2])
+        assert (value, packing.parts) == (0, ())
+        assert calls == {"flow": 0, "verify": 1}
+
+    def test_a_host_with_no_spanning_strong_part_runs_no_flow(self, monkeypatch):
+        # two disjoint 2-cycles: no 0 -> 2 path, so the greedy finds no part
+        calls = self._count_calls(monkeypatch)
+        host = sp.Digraph(4, [(0, 1), (1, 0), (2, 3), (3, 2)])
+        assert sp.has_strong_arc_decomposition(host) == (False, None)
+        assert calls == {"flow": 0, "verify": 1}
 
     def test_a_true_host_is_verified_once(self, monkeypatch):
         calls = self._count_calls(monkeypatch)

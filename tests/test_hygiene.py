@@ -318,7 +318,10 @@ def test_one_certify_order():
     ``_terminal_scan`` call, so capped and uncapped calls of lambda, kappa
     and sad run the greedy, the bound and the search in the same order.  No
     second size-1 rule (``_single_part``, ``part1``) and no ``stop`` name
-    is left in the module."""
+    is left in the module.  The driver has one exit: its one ``return``
+    comes after its one ``verify_packing`` call and hands back the object
+    that call checked, a name bound once, so no answer, capped, uncapped
+    or 0, leaves unverified."""
     tree = TREES["exact.py"]
     driver = next(fn for fn in tree.body
                   if isinstance(fn, ast.FunctionDef) and fn.name == "_pack_upward")
@@ -336,6 +339,14 @@ def test_one_certify_order():
     assert not [node for node in mode_tests if greedy in ast.walk(node)]
     assert not [node for node in ast.walk(tree) if {"stop", "part1", "_single_part"} & {
         getattr(node, "id", None), getattr(node, "arg", None), getattr(node, "name", None)}]
+    (answer,) = [node for node in ast.walk(driver) if isinstance(node, ast.Return)]
+    (check,) = calls(driver, "verify_packing")
+    assert check.lineno < answer.lineno
+    (checked,), (_, returned) = check.args, answer.value.elts
+    assert isinstance(checked, ast.Name) and isinstance(returned, ast.Name)
+    assert checked.id == returned.id
+    assert len([node for node in ast.walk(driver) if isinstance(node, ast.Name)
+                and node.id == checked.id and isinstance(node.ctx, ast.Store)]) == 1
 
 
 def test_verify_only_in_the_driver():

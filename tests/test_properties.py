@@ -295,23 +295,21 @@ def test_strong_arc_decomposition_matches_the_kernel(d):
 @example((sp.biorientation(4, combinations(range(4), 2)), [0, 1]), False, True, 2)
 def test_a_capped_answer_is_the_optimum_cut_to_the_cap(pair, every, internal, cap):
     """The driver capped at 1, 2 or 3 answers min(uncapped value, cap) for
-    any terminal set, in either mode: with a packing that verifies when it
-    reaches the cap, else with None.  With every vertex a terminal the
-    parts at the cap partition the arcs.  The two examples pin hosts where
-    part 1, widened with every arc the others leave, would not verify, as
-    not every vertex is a terminal: in arc mode it is not strong, and in
-    the internal mode it meets part 2 at a non-terminal vertex.  Random
-    draws find such hosts about once in a hundred."""
+    any terminal set, in either mode, with a packing of that many parts
+    that verifies in its mode, below the cap as at it.  With every vertex
+    a terminal the parts at the cap partition the arcs.  The two examples
+    pin hosts where part 1, widened with every arc the others leave, would
+    not verify, as not every vertex is a terminal: in arc mode it is not
+    strong, and in the internal mode it meets part 2 at a non-terminal
+    vertex.  Random draws find such hosts about once in a hundred."""
     d, terminals = pair
     ts = frozenset(range(d.n) if every else terminals)
     value = exact._pack_upward(d, ts, exact.DEFAULT_LIMITS, internal)[0]
     capped, packing = exact._pack_upward(d, ts, exact.DEFAULT_LIMITS, internal, cap)
     assert capped == min(value, cap)
-    if capped < cap:
-        assert packing is None
-        return
-    assert len(packing.parts) == cap and sp.verify_packing(packing).ok
-    if len(ts) == d.n:
+    assert len(packing.parts) == capped and sp.verify_packing(packing).ok
+    assert packing.mode == (MODE_INTERNAL if internal else MODE_ARC)
+    if capped == cap and len(ts) == d.n:
         assert sum(map(len, packing.parts)) == d.m and frozenset().union(*packing.parts) == d.arcs
 
 
