@@ -19,6 +19,7 @@ Arc = tuple[int, int]
 Row = tuple[int, list[str]]  # (physical line number, fields) of a data line
 
 _BIT_OF_CHAR = bytes.maketrans(b"01", b"\x00\x01")
+_SLICE = 1 << 16  # characters of text whose lines ``_digraph`` holds at once
 
 
 def bits(mask: int) -> list[int]:
@@ -208,56 +209,72 @@ def _header(rows: Iterator[Row], kind: str) -> Row:
 
 def read_digraph(text: str) -> Digraph:
     """Parse the text format."""
-    return _digraph(text.splitlines())
+    return _digraph(text)
 
 
-def _digraph(lines: list[str], start: int = 1) -> Digraph:
-    """The digraph whose text is ``lines``, the first of them line ``start``.
+def _slices(text: str) -> Iterator[list[str]]:
+    """The lines of ``text``, about ``_SLICE`` characters of them at a time: each
+    slice ends just after a "\\n", where ``splitlines`` cuts too ("\\r\\n" ends in one)."""
+    end = 0
+    while end < len(text):
+        begin, end = end, text.find("\n", end + _SLICE) + 1 or len(text)
+        yield text[begin:end].splitlines()
+
+
+def _digraph(text: str | list[str], start: int = 1) -> Digraph:
+    """The digraph whose text is ``text``, the first line numbered ``start``: a
+    str is read one slice of lines at a time (``_slices``), a list of lines as one.
     ``out[tail[a]] |= head[b]`` reads each arc line whose two fields it has
     seen, each parsed and range-checked once; its except arm adds a new pair
     of ids and reads any other line by ``_fields``.  Every line is checked
     for syntax first (with its line number); then the arc count, the vertex
     count and the first loop or out-of-range arc are reported, in that order."""
-    rows, end = iter(lines), start + len(lines) - 1  # the line last taken: end - length_hint
-    lineno, fields = _header(_rows(rows, start), "digraph")
-    if len(fields) != 2:
-        raise GraphFormatError("expected header 'n m'", lineno)
-    try:
-        n, m = int(fields[0]), int(fields[1])
-    except ValueError:
-        raise GraphFormatError("header fields must be integers", lineno)
-    first, skipped, bad = lineno + 1 - start, 0, False
-    out, tail, head, arcs = [0] * max(n, 0), {}, {}, map(str.split, rows)
-    while True:
-        try:
-            for a, b in arcs:
-                out[tail[a]] |= head[b]
+    n, at, out, tail, head, skipped, bad = None, start, [], {}, {}, 0, False
+    for lines in _slices(text) if isinstance(text, str) else [text]:  # lines[0] is line ``at``
+        rows = iter(lines)
+        for first, fields in _rows(rows, at) if n is None else ():  # the header, if still unread
+            try:
+                n, m = map(int, fields)
+            except ValueError:
+                raise GraphFormatError("header fields must be integers" if len(fields) == 2
+                                       else "expected header 'n m'", first)
+            out = [0] * max(n, 0)
             break
-        except KeyError:  # two fields, one of them new
-            pass
-        except ValueError:  # another field count, so no pair of ids
-            a = b = ""
-        try:  # reached only by an exception: a new arc, if its two fields are ids
-            u, v = int(a), int(b)
-        except ValueError:  # no arc: a blank or comment line, else a syntax error
-            lineno = end - length_hint(rows)
-            fields = _fields(lines[lineno - start])
-            if fields:
-                raise GraphFormatError("arc endpoints must be integers" if len(fields) == 2
-                                       else "expected arc line 'u v'", lineno)
-            skipped += 1
-            continue
-        if 0 <= u < n and 0 <= v < n:  # a loop is found on the finished masks
-            tail[a], head[b] = u, 1 << v
-            out[u] |= 1 << v
-        else:
-            bad = True
-    count = len(lines) - first - skipped
+        arcs = map(str.split, rows)
+        while True:
+            try:
+                for a, b in arcs:
+                    out[tail[a]] |= head[b]
+                break
+            except KeyError:  # two fields, one of them new
+                pass
+            except ValueError:  # another field count, so no pair of ids
+                a = b = ""
+            try:  # reached only by an exception: a new arc, if its two fields are ids
+                u, v = int(a), int(b)
+            except ValueError:  # no arc: a blank or comment line, else a syntax error
+                i = len(lines) - 1 - length_hint(rows)  # the line last taken
+                fields = _fields(lines[i])
+                if fields:
+                    raise GraphFormatError("arc endpoints must be integers" if len(fields) == 2
+                                           else "expected arc line 'u v'", at + i)
+                skipped += 1
+                continue
+            if 0 <= u < n and 0 <= v < n:  # a loop is found on the finished masks
+                tail[a], head[b] = u, 1 << v
+                out[u] |= 1 << v
+            else:
+                bad = True
+        at += len(lines)
+    if n is None:
+        raise GraphFormatError("empty digraph file")
+    count = at - 1 - first - skipped
     if count != m:
         raise GraphFormatError(f"header promises {m} arcs, found {count}")
     if n < 0 or bad or any(x >> u & 1 for u, x in enumerate(out)):
         try:  # ``Digraph`` words it: a negative n, else the first bad arc in file order
-            Digraph(n, filter(None, map(_fields, islice(lines, first, None))))
+            lines = text.splitlines() if isinstance(text, str) else text
+            Digraph(n, filter(None, map(_fields, islice(lines, first + 1 - start, None))))
         except PreconditionError as exc:
             raise GraphFormatError(str(exc)) from None
     return Digraph.from_masks(n, out)

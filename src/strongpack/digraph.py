@@ -3,10 +3,11 @@ in ``_core``: each of its names is re-exported here as the same object."""
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Iterable
 
-from ._core import (Arc as Arc, Digraph as Digraph, Row as Row, _header as _header,
-                    _lowest as _lowest, _rows as _rows, _step as _step,
+from ._core import (_BIT_OF_CHAR, Arc as Arc, Digraph as Digraph, Row as Row,
+                    _header as _header, _lowest as _lowest, _rows as _rows, _step as _step,
                     as_terminals as as_terminals, bits as bits, is_strong as is_strong,
                     is_symmetric as is_symmetric, mask_of as mask_of, reachable as reachable,
                     read_digraph as read_digraph, strong_component as strong_component,
@@ -100,9 +101,10 @@ def complete_bipartite_digraph(a: int, b: int) -> Digraph:
 
 
 def write_digraph(d: Digraph) -> str:
-    names = [str(v) for v in range(d.n)]
-    lines = [f"{d.n} {d.m}"]
+    """The text format: the header, then one string per tail holding its arc lines."""
+    heads = [f"{v}\n" for v in range(d.n)]
+    rows = [f"{d.n} {d.m}\n"]
     for u, x in enumerate(d.out):
-        head = names[u] + " "
-        lines.extend([head + names[v] for v in bits(x)])
-    return "\n".join(lines) + "\n"
+        flags = bin(x)[:1:-1].encode().translate(_BIT_OF_CHAR)  # byte v is bit v, as in ``bits``
+        rows.append(f"{u} ".join(["", *compress(heads, flags)]))
+    return "".join(rows)

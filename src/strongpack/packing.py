@@ -10,6 +10,8 @@ digraph or vertex order is built), and derives every join.
 The composition packers, ``pack_quasi_transitive`` included, call one
 dispatcher, ``_pack``: the exceptional refusal, the n0 = 1 rule, the
 symmetric or semicomplete choice and the one self-check, ``_checked``.
+Each part is held once, its set frozen in place, and its arcs name shared
+int objects taken from a ``list(range(n))``, not a fresh int per endpoint.
 """
 
 from __future__ import annotations
@@ -29,10 +31,13 @@ from .verify import (MODE_ARC, MODE_INTERNAL as MODE_INTERNAL, Packing, verify_p
                      read_packing as read_packing, write_packing as write_packing)
 
 
-def _checked(host: Digraph, ts: frozenset[int], parts: Iterable[Iterable[Arc]]) -> Packing:
+def _checked(host: Digraph, ts: frozenset[int], parts: list[Iterable[Arc]]) -> Packing:
     """The packing of ``parts`` on ``host``, or StrongpackError unless it
-    verifies."""
-    p = Packing(host, ts, MODE_ARC, tuple(frozenset(part) for part in parts))
+    verifies.  Each part is frozen in place, so the set it was built in is
+    freed as its copy is made and every part is held once."""
+    for i in range(len(parts)):
+        parts[i] = frozenset(parts[i])
+    p = Packing(host, ts, MODE_ARC, tuple(parts))
     verdict = verify_packing(p)
     if not verdict:
         raise StrongpackError(f"constructed packing failed self-check: "
@@ -153,7 +158,8 @@ def _pack(spec: CompositionSpec, terminals, symmetric: Optional[bool] = None,
         else:
             parts = _semicomplete_parts(spec)
         if back is not None and back != tuple(range(host.n)):  # ids not yet layer-major
-            parts = [{(back[u], back[v]) for u, v in part} for part in parts]
+            for i in range(len(parts)):  # one part at a time, each id one of ``back``'s
+                parts[i] = frozenset((back[u], back[v]) for u, v in parts[i])
     return _checked(host, ts, parts)
 
 
@@ -169,6 +175,7 @@ def _spine_parts(spec: CompositionSpec,
     that cycle, and one of a layer on no cycle through vertex j of its
     lowest in- and out-neighbour layers on a cycle."""
     outer, offs = spec.outer, spec.offsets()
+    ids = list(range(spec.n))  # one int per vertex, shared by every arc that names it
     parts: list[set[Arc]] = [set() for _ in range(spec.n0)]
     decs: dict[tuple[int, int], BlowupDecomposition] = {}
     joins, on = [], 0
@@ -176,11 +183,11 @@ def _spine_parts(spec: CompositionSpec,
         k = len(order)
         if (k, r) not in decs:
             decs[k, r] = decompose_cycle_blowup(k, r)
-        starts = [offs[layer] for layer in order]
+        heads = [ids[offs[layer]:offs[layer] + r] for layer in order]
+        steps = list(zip(heads, heads[1:] + heads[:1], decs[k, r].rows))
         for j, arcs in enumerate(parts):
             # a whole-set merge sizes the part's table to fit; arc by arc it can grow 2x
-            arcs |= {(starts[i] + x, starts[(i + 1) % k] + (x + row[j]) % r)
-                     for i, row in enumerate(decs[k, r].rows) for x in range(r)}
+            arcs |= {arc for a, b, row in steps for arc in zip(a, b[row[j]:] + b[:row[j]])}
         joins += [(x, r, order[i - 1], order[(i + 1) % k]) for i, x in enumerate(order)]
         on |= mask_of(order)
     inn = outer.in_masks()
@@ -195,11 +202,13 @@ def _join(parts: list[set[Arc]], offs: list[int],
     """Each join (layer, first, a, b) adds every vertex of ``layer`` from
     index ``first`` onward to part j, through an arc from vertex j of
     layer a and an arc to vertex j of layer b."""
+    ids = list(range(offs[-1]))  # one int per vertex, shared by every arc that names it
     for layer, first, a, b in joins:
-        for v in range(offs[layer] + first, offs[layer + 1]):
-            for j, arcs in enumerate(parts):
-                arcs.add((offs[a] + j, v))
-                arcs.add((v, offs[b] + j))
+        ends = list(zip(parts, ids[offs[a]:], ids[offs[b]:]))
+        for v in ids[offs[layer] + first:offs[layer + 1]]:
+            for arcs, x, y in ends:
+                arcs.add((x, v))
+                arcs.add((v, y))
 
 
 def pack_semicomplete_composition(spec: CompositionSpec, terminals) -> Packing:

@@ -99,13 +99,13 @@ def verify_packing(p: Packing) -> Verdict:
                 shared = p.parts[i] & p.parts[j]
                 if shared:
                     return Verdict(False, "arc-disjoint", (i, j), sorted(shared)[0])
-    if p.mode == MODE_INTERNAL:
-        for i in range(len(p.parts)):
-            vi = p.part_vertices(i)
-            for j in range(i + 1, len(p.parts)):
-                extra = (vi & p.part_vertices(j)) - p.terminals
-                if extra:
-                    return Verdict(False, "internal disjointness", (i, j), min(extra))
+    if p.mode == MODE_INTERNAL:  # each part's inner vertices once; a pair only if two meet
+        inner = [p.part_vertices(i) - p.terminals for i in range(len(p.parts))]
+        if sum(map(len, inner)) > len(frozenset().union(*inner)):
+            owner: dict[int, int] = {}  # each inner vertex's first part
+            pairs = [(owner.setdefault(v, j), j) for j, vs in enumerate(inner) for v in vs]
+            i, j = min(pair for pair in pairs if pair[0] != pair[1])
+            return Verdict(False, "internal disjointness", (i, j), min(inner[i] & inner[j]))
     return Verdict(True)
 
 

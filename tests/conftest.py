@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import pytest
 
@@ -67,3 +68,13 @@ def check_decomposes_host(dec):
 
 def exceptional_member(i):
     return sp.EXCEPTIONAL_COMPOSITIONS[i][1]
+
+
+def traced_peak(call):
+    """``call()``'s result and the peak of its traced allocations, in bytes."""
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

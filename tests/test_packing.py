@@ -10,7 +10,7 @@ from strongpack.errors import (GraphFormatError, InfeasibleError, PreconditionEr
                                StrongpackError, UnsupportedCaseError)
 from strongpack.verify import MODE_ARC, MODE_INTERNAL
 
-from conftest import exceptional_member
+from conftest import exceptional_member, traced_peak
 from oracles import min_semi_degree, reverse
 
 
@@ -168,6 +168,20 @@ class TestPackSymmetricComposition:
         # inner arcs never enter the parts
         used = set().union(*p.parts)
         assert (0, 1) not in used
+
+    def test_parts_are_held_once_with_shared_ids(self):
+        """The 40 parts of a 20-layer symmetric composition with 40-vertex
+        layers (800 vertices, 64,000 part arcs) are built, frozen and checked
+        within 7.5 MB of traced allocations, and their arcs name one int
+        object per vertex.  Holding each part both as a set and as its frozen
+        copy, with two fresh ints in every arc, took about 11 MB."""
+        rng = random.Random(3)
+        spec = sp.CompositionSpec(gen.random_strong_symmetric(20, 1, rng),
+                                  [gen.random_inner(40, 0.15, rng) for _ in range(20)])
+        p, peak = traced_peak(lambda: sp.pack_symmetric_composition(spec, [0, 400, 799]))
+        assert len(p.parts) == 40 and sum(map(len, p.parts)) == 64_000
+        assert peak <= 7.5 * 2**20
+        assert len({id(v) for part in p.parts for arc in part for v in arc}) == 800
 
     def test_rejects_asymmetric_outer(self):
         spec = sp.CompositionSpec(sp.directed_cycle(3),

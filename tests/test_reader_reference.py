@@ -10,13 +10,19 @@ both give an equal result, or a ``GraphFormatError`` (or a
 same line number.  The drawn texts sit at the tight loop's edge: tabs, runs
 of spaces, leading and trailing blanks, "\r\n" and "\r" line ends, ids
 spelt "+3", "007" or "1_0", negative and out-of-range ids, loops, duplicate
-arcs, comment and blank lines between arcs, and header counts one off."""
+arcs, comment and blank lines between arcs, and header counts one off.
+The digraph reader takes a text's lines one slice at a time, so the digraph
+texts are also read with slices of a few characters, whose cuts fall
+everywhere a line can end."""
+
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 from hypothesis.strategies import composite
 
 import strongpack as sp
+from strongpack import _core
 from strongpack.errors import GraphFormatError, PreconditionError
 
 pytestmark = pytest.mark.filterwarnings("ignore::hypothesis.errors.NonInteractiveExampleWarning")
@@ -258,6 +264,14 @@ def test_read_digraph_matches_the_reference(text):
     assert outcome(sp.read_digraph, text) == outcome(reference_read_digraph, text)
 
 
+@pytest.mark.parametrize("size", [1, 2, 3, 5, 64])
+@settings(SETTINGS, max_examples=100)
+@given(digraph_texts())
+def test_read_digraph_matches_the_reference_in_small_slices(size, text):
+    with mock.patch.object(_core, "_SLICE", size):
+        assert outcome(sp.read_digraph, text) == outcome(reference_read_digraph, text)
+
+
 @SETTINGS
 @given(digraph_texts(faults=False))
 def test_valid_digraph_texts_parse(text):
@@ -323,6 +337,31 @@ def test_valid_packing_texts_parse(case):
 ])
 def test_hand_picked_digraph_texts(text, expected):
     assert outcome(sp.read_digraph, text) == outcome(reference_read_digraph, text) == expected
+
+
+@pytest.mark.parametrize("size, text, opens, expected", [
+    # a "\r\n" whose "\r" ends the first ``size`` characters
+    (3, "3 2\r\n0 1\r\n1 0\r\n", "0 1", ("ok", sp.Digraph(3, [(0, 1), (1, 0)]))),
+    (4, "3 2\r\n0 1\r\n1 0\r\n", "0 1", ("ok", sp.Digraph(3, [(0, 1), (1, 0)]))),
+    (6, "3 2\r\n0 1\r\r\n1 0\r\n", "1 0", ("ok", sp.Digraph(3, [(0, 1), (1, 0)]))),
+    # a slice that opens with a comment, a blank line or a syntax error
+    (5, "3 2\n0 1\n# c\n1 0\n", "# c", ("ok", sp.Digraph(3, [(0, 1), (1, 0)]))),
+    (5, "3 2\n0 1\n\n1 0\n", "", ("ok", sp.Digraph(3, [(0, 1), (1, 0)]))),
+    (5, "3 2\n0 1\n0 x\n", "0 x", ("error", "line 3: arc endpoints must be integers", 3)),
+    (5, "3 2\n0 1\n1 0 2\n", "1 0 2", ("error", "line 3: expected arc line 'u v'", 3)),
+    # the header past the first slice, and header counts one off past it
+    (2, "# c\n3 1\n\n0 1\n", "3 1", ("ok", sp.Digraph(3, [(0, 1)]))),
+    (2, "# c\n3 x\n", "3 x", ("error", "line 2: header fields must be integers", 2)),
+    (2, "3 3\n0 1\n1 2\n", "1 2", ("error", "header promises 3 arcs, found 2", None)),
+    (2, "3 1\n0 1\n1 2\n", "1 2", ("error", "header promises 1 arcs, found 2", None)),
+    # the first bad arc in file order, found after the last slice
+    (2, "3 3\n0 1\n1 1\n0 5\n", "0 5", ("error", "loop arc (1, 1) not allowed", None)),
+    (2, "3 3\n0 1\n1 0\n1 1\n", "1 1", ("error", "loop arc (1, 1) not allowed", None)),
+])
+def test_hand_picked_slice_boundaries(size, text, opens, expected):
+    with mock.patch.object(_core, "_SLICE", size):
+        assert opens in [lines[0] for lines in _core._slices(text)][1:]
+        assert outcome(sp.read_digraph, text) == outcome(reference_read_digraph, text) == expected
 
 
 @pytest.mark.parametrize("text, expected", [

@@ -8,7 +8,6 @@ share no vertex outside the terminal set.  It reports the first violated
 clause the way ``Verdict`` does: reason, part indices and witness."""
 
 import random
-import tracemalloc
 from itertools import combinations
 
 import networkx as nx
@@ -18,6 +17,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import strongpack as sp
 from strongpack import exact, generators as gen
 from strongpack.verify import MODE_ARC, MODE_INTERNAL, Verdict
+
+from conftest import traced_peak
 
 pytestmark = pytest.mark.filterwarnings("ignore::hypothesis.errors.NonInteractiveExampleWarning")
 
@@ -155,6 +156,24 @@ def test_internal_mode_overlap_matches_the_reference():
         Verdict(False, "internal disjointness", (0, 1), 2)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 7), st.integers(0, 6), st.data())
+def test_internal_disjointness_matches_the_pairwise_definition(k, spare, data):
+    """Parts 0 -> x -> 1 -> y -> 0 with every x distinct and every y
+    distinct share no arc, but a part's x can be another part's y: the
+    one-pass check names the pair and witness that the reference's pairwise
+    definition does."""
+    pool = range(2, 2 + k + spare)
+    xs = data.draw(st.permutations(pool))[:k]
+    ys = data.draw(st.permutations(pool))[:k]
+    parts = tuple(frozenset({(0, x), (x, 1), (1, y), (y, 0)}) for x, y in zip(xs, ys))
+    common = sorted(set(pool).intersection(*({x, y} for x, y in zip(xs, ys))))
+    extra = data.draw(st.sets(st.sampled_from(common))) if common else set()  # in every part
+    host = sp.Digraph(2 + k + spare, set().union(*parts))
+    p = sp.Packing(host, frozenset({0, 1} | extra), MODE_INTERNAL, parts)
+    assert sp.verify_packing(p) == reference_verify(p)
+
+
 def test_verify_peak_memory_on_a_large_symmetric_composition():
     """The 40 parts of a 20-layer symmetric composition with 40-vertex
     layers (800 vertices, 64,000 part arcs) verify within 1 MB of traced
@@ -163,12 +182,7 @@ def test_verify_peak_memory_on_a_large_symmetric_composition():
     spec = sp.CompositionSpec(outer, [sp.empty_digraph(40)] * 20)
     p = sp.pack_symmetric_composition(spec, [0, 400, 799])
     assert len(p.parts) == 40
-    tracemalloc.start()
-    try:
-        verdict = sp.verify_packing(p)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    verdict, peak = traced_peak(lambda: sp.verify_packing(p))
     assert verdict.ok
     assert peak < 1 << 20
 
