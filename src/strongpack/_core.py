@@ -9,7 +9,7 @@ digraphs the package builds, does not.  All functions here are pure."""
 
 from __future__ import annotations
 
-from itertools import compress, islice
+from itertools import compress
 from operator import length_hint
 from typing import Iterable, Iterator, Sequence
 
@@ -221,16 +221,16 @@ def _slices(text: str) -> Iterator[list[str]]:
         yield text[begin:end].splitlines()
 
 
-def _digraph(text: str | list[str], start: int = 1) -> Digraph:
-    """The digraph whose text is ``text``, the first line numbered ``start``: a
-    str is read one slice of lines at a time (``_slices``), a list of lines as one.
-    ``out[tail[a]] |= head[b]`` reads each arc line whose two fields it has
-    seen, each parsed and range-checked once; its except arm adds a new pair
-    of ids and reads any other line by ``_fields``.  Every line is checked
-    for syntax first (with its line number); then the arc count, the vertex
-    count and the first loop or out-of-range arc are reported, in that order."""
+def _digraph(text: str, start: int = 1) -> Digraph:
+    """The digraph whose text is ``text``, the first line numbered ``start``,
+    read one slice of lines at a time (``_slices``): ``out[tail[a]] |=
+    head[b]`` reads each arc line whose two fields it has seen, each parsed
+    and range-checked once; its except arm adds a new pair of ids and reads
+    any other line by ``_fields``.  Every line is checked for syntax first
+    (with its line number); then the arc count, the vertex count and the
+    first loop or out-of-range arc are reported, in that order."""
     n, at, out, tail, head, skipped, bad = None, start, [], {}, {}, 0, False
-    for lines in _slices(text) if isinstance(text, str) else [text]:  # lines[0] is line ``at``
+    for lines in _slices(text):  # lines[0] is line ``at``
         rows = iter(lines)
         for first, fields in _rows(rows, at) if n is None else ():  # the header, if still unread
             try:
@@ -273,8 +273,7 @@ def _digraph(text: str | list[str], start: int = 1) -> Digraph:
         raise GraphFormatError(f"header promises {m} arcs, found {count}")
     if n < 0 or bad or any(x >> u & 1 for u, x in enumerate(out)):
         try:  # ``Digraph`` words it: a negative n, else the first bad arc in file order
-            lines = text.splitlines() if isinstance(text, str) else text
-            Digraph(n, filter(None, map(_fields, islice(lines, first + 1 - start, None))))
+            Digraph(n, filter(None, map(_fields, text.splitlines()[first + 1 - start:])))
         except PreconditionError as exc:
             raise GraphFormatError(str(exc)) from None
     return Digraph.from_masks(n, out)

@@ -149,9 +149,9 @@ def write_composition(spec: CompositionSpec) -> str:
 
 
 def read_composition(text: str) -> CompositionSpec:
-    """Parse the text format: ``_digraph`` reads the blocks between the
-    separators in file order, then the inner blocks are counted."""
-    lines = text.splitlines()
+    """Parse the text format: ``_digraph`` reads each block between the
+    separators as its own text, in file order, then the inner blocks are counted."""
+    lines = text.splitlines(keepends=True)
     lineno, fields = _header(_rows(lines), "composition")
     try:
         [t] = map(int, fields)
@@ -159,7 +159,8 @@ def read_composition(text: str) -> CompositionSpec:
         raise GraphFormatError("first line must be the outer order t", lineno)
     cuts = [i for i, line in enumerate(islice(lines, lineno, None), lineno)
             if line.strip() == "---"]  # the separators' line indices
-    blocks = ((lines[i + 1:j], i + 2) for i, j in zip([lineno - 1, *cuts], [*cuts, len(lines)]))
+    blocks = (("".join(lines[i + 1:j]), i + 2)
+              for i, j in zip([lineno - 1, *cuts], [*cuts, len(lines)]))
     outer = _digraph(*next(blocks))
     if outer.n != t:
         raise GraphFormatError(f"outer digraph has {outer.n} vertices, expected {t}")

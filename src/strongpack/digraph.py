@@ -16,8 +16,8 @@ from .errors import PreconditionError
 
 
 def induced(d: Digraph, keep: list[int]) -> Digraph:
-    """The subdigraph induced by the ascending ids ``keep``, with keep[i]
-    renamed i."""
+    """The subdigraph induced by the distinct ids ``keep``, in any order,
+    with keep[i] renamed i."""
     pos = {v: i for i, v in enumerate(keep)}
     within = mask_of(keep)
     return Digraph.from_masks(

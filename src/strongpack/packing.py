@@ -10,8 +10,9 @@ digraph or vertex order is built), and derives every join.
 The composition packers, ``pack_quasi_transitive`` included, call one
 dispatcher, ``_pack``: the exceptional refusal, the n0 = 1 rule, the
 symmetric or semicomplete choice and the one self-check, ``_checked``.
-Each part is held once, its set frozen in place, and its arcs name shared
-int objects taken from a ``list(range(n))``, not a fresh int per endpoint.
+It names each layer vertex once by its host id (``spec.original_ids`` on a
+given host, else layer-major), so every part is built in host ids with one
+int object per vertex, and is held once, its set frozen in place.
 """
 
 from __future__ import annotations
@@ -129,8 +130,8 @@ def _pack(spec: CompositionSpec, terminals, symmetric: Optional[bool] = None,
           host: Optional[Digraph] = None) -> Packing:
     """The composition packer behind the public ones.  ``symmetric`` picks
     the outer class, ``None`` meaning symmetric when the outer digraph is;
-    ``host`` defaults to ``compose(spec)``, and a given host gets the parts
-    mapped back through ``spec.original_ids``."""
+    ``host`` defaults to ``compose(spec)``, and a given host's layer vertices
+    are named by ``spec.original_ids`` (layer-major ids when it has none)."""
     outer = spec.outer
     if symmetric is None:
         symmetric = is_symmetric(outer)
@@ -140,7 +141,7 @@ def _pack(spec: CompositionSpec, terminals, symmetric: Optional[bool] = None,
         raise PreconditionError("outer digraph is not semicomplete")
     if not is_strong(outer):
         raise PreconditionError("outer digraph is not strong")
-    back, host = (None, compose(spec)) if host is None else (spec.original_ids, host)
+    ids, host = (None, compose(spec)) if host is None else (spec.original_ids, host)
     verdict = is_in_exceptional(host)
     if verdict.member:
         raise InfeasibleError(
@@ -151,31 +152,29 @@ def _pack(spec: CompositionSpec, terminals, symmetric: Optional[bool] = None,
     if spec.n0 == 1:
         parts = [host.arcs]
     else:
+        ids, offs = list(ids or range(spec.n)), spec.offsets()  # one int object per vertex
+        layers = [ids[a:b] for a, b in zip(offs, offs[1:])]  # each layer's host ids, in order
         if symmetric:
             size = [h.n for h in spec.inners]
             orders = [sorted(arc, key=size.__getitem__) for arc in outer.arcs if arc[0] < arc[1]]
-            parts = _spine_parts(spec, [(o, size[o[0]]) for o in orders])
+            parts = _spine_parts(spec, layers, [(o, size[o[0]]) for o in orders])
         else:
-            parts = _semicomplete_parts(spec)
-        if back is not None and back != tuple(range(host.n)):  # ids not yet layer-major
-            for i in range(len(parts)):  # one part at a time, each id one of ``back``'s
-                parts[i] = frozenset((back[u], back[v]) for u, v in parts[i])
+            parts = _semicomplete_parts(spec, layers, host)
     return _checked(host, ts, parts)
 
 
-def _spine_parts(spec: CompositionSpec,
+def _spine_parts(spec: CompositionSpec, layers: list[list[int]],
                  cycles: list[tuple[list[int], int]]) -> list[set[Arc]]:
-    """The n0 parts of the spine construction, in host ids.  Each cycle
-    (order, r) is the cycle of layers ``order`` blown up by r on the first
-    r vertices of each of its layers, decomposed once per (length, r):
-    part j gets its Hamiltonian cycle j, read straight off the shift rows
-    as the arcs from vertex x of each layer to vertex x + rows[i][j]
+    """The n0 parts of the spine construction, in the host ids of ``layers``.
+    Each cycle (order, r) is the cycle of layers ``order`` blown up by r on
+    the first r vertices of each of its layers, decomposed once per (length,
+    r): part j gets its Hamiltonian cycle j, read straight off the shift
+    rows as the arcs from vertex x of each layer to vertex x + rows[i][j]
     (mod r) of the next.  ``_join`` then attaches every other vertex: one of
     a cycle layer through vertex j of the layers before and after it on
     that cycle, and one of a layer on no cycle through vertex j of its
     lowest in- and out-neighbour layers on a cycle."""
-    outer, offs = spec.outer, spec.offsets()
-    ids = list(range(spec.n))  # one int per vertex, shared by every arc that names it
+    outer = spec.outer
     parts: list[set[Arc]] = [set() for _ in range(spec.n0)]
     decs: dict[tuple[int, int], BlowupDecomposition] = {}
     joins, on = [], 0
@@ -183,7 +182,7 @@ def _spine_parts(spec: CompositionSpec,
         k = len(order)
         if (k, r) not in decs:
             decs[k, r] = decompose_cycle_blowup(k, r)
-        heads = [ids[offs[layer]:offs[layer] + r] for layer in order]
+        heads = [layers[x][:r] for x in order]
         steps = list(zip(heads, heads[1:] + heads[:1], decs[k, r].rows))
         for j, arcs in enumerate(parts):
             # a whole-set merge sizes the part's table to fit; arc by arc it can grow 2x
@@ -193,19 +192,18 @@ def _spine_parts(spec: CompositionSpec,
     inn = outer.in_masks()
     joins += [(x, 0, _lowest(inn[x] & on), _lowest(outer.out[x] & on))
               for x in range(spec.t) if not on >> x & 1]
-    _join(parts, offs, joins)
+    _join(parts, layers, joins)
     return parts
 
 
-def _join(parts: list[set[Arc]], offs: list[int],
+def _join(parts: list[set[Arc]], layers: list[list[int]],
           joins: list[tuple[int, int, int, int]]) -> None:
     """Each join (layer, first, a, b) adds every vertex of ``layer`` from
     index ``first`` onward to part j, through an arc from vertex j of
     layer a and an arc to vertex j of layer b."""
-    ids = list(range(offs[-1]))  # one int per vertex, shared by every arc that names it
     for layer, first, a, b in joins:
-        ends = list(zip(parts, ids[offs[a]:], ids[offs[b]:]))
-        for v in ids[offs[layer] + first:offs[layer + 1]]:
+        ends = list(zip(parts, layers[a], layers[b]))
+        for v in layers[layer][first:]:
             for arcs, x, y in ends:
                 arcs.add((x, v))
                 arcs.add((v, y))
@@ -243,21 +241,22 @@ def pack_semicomplete_composition(spec: CompositionSpec, terminals) -> Packing:
     return _pack(spec, terminals, False)
 
 
-def _semicomplete_parts(spec: CompositionSpec) -> list[set[Arc]]:
-    """The n0 >= 2 parts of ``pack_semicomplete_composition`` in flat ids,
-    unchecked; the outer digraph must be strong semicomplete and the host
-    not exceptional."""
+def _semicomplete_parts(spec: CompositionSpec, layers: list[list[int]],
+                        host: Digraph) -> list[set[Arc]]:
+    """The n0 >= 2 parts of ``pack_semicomplete_composition`` in the host ids
+    of ``layers``, unchecked; the outer digraph must be strong semicomplete
+    and the host not exceptional."""
     outer, t, n0 = spec.outer, spec.t, spec.n0
     dropped = _droppable_layer(outer) if t % 2 and n0 % 4 == 2 else None
     spine = [i for i in range(t) if i != dropped]
     order = [spine[i] for i in hamilton_semicomplete(induced(outer, spine))]
     if dropped is None and t % 2 and n0 == 2:
         # no layer can go, so t = 3 and the outer digraph is C3
-        parts, core = _c3_core_parts(spec)
+        parts, core = _c3_core_parts(spec, layers, host)
         joins = [(x, core[x], order[i - 1], order[(i + 1) % 3]) for i, x in enumerate(order)]
-        _join(parts, spec.offsets(), joins)
+        _join(parts, layers, joins)
         return parts
-    return _spine_parts(spec, [(order, n0)])
+    return _spine_parts(spec, layers, [(order, n0)])
 
 
 def _droppable_layer(outer: Digraph) -> Optional[int]:
@@ -272,21 +271,20 @@ def _droppable_layer(outer: Digraph) -> Optional[int]:
     return None
 
 
-def _c3_core_parts(spec: CompositionSpec) -> tuple[list[set[Arc]], list[int]]:
-    """Two arc-disjoint strong spanning subgraphs of the composition of the
-    first min(|H_i|, 3) vertices of each layer, or 4 of the 3-layer when
-    those are the exceptional 2-2-3 (sizes 2, 2, 3, no inner arc), found by
+def _c3_core_parts(spec: CompositionSpec, layers: list[list[int]],
+                   host: Digraph) -> tuple[list[set[Arc]], list[int]]:
+    """Two arc-disjoint strong spanning subgraphs of the host induced on the
+    first min(|H_i|, 3) vertices of each of ``layers`` (4 of the 3-layer when
+    those are the exceptional 2-2-3: sizes 2, 2, 3, no inner arc), found by
     exact search; returned in host ids with the core size of every layer."""
     from . import _kernel
 
-    offs = spec.offsets()
     core = [min(h.n, 3) for h in spec.inners]
     if sorted(core) == [2, 2, 3] and not any(
             x & (1 << k) - 1 for h, k in zip(spec.inners, core) for x in h.out[:k]):
         core = [4 if k == 3 else k for k in core]
-    sub = compose(CompositionSpec(
-        spec.outer, [induced(h, list(range(k))) for h, k in zip(spec.inners, core)]))
-    keep = [offs[i] + k for i, size in enumerate(core) for k in range(size)]
+    keep = [v for layer, k in zip(layers, core) for v in layer[:k]]
+    sub = induced(host, keep)
     arcs = sorted(sub.arcs)
     found = _kernel.search_arc_disjoint(sub.n, arcs, (1 << sub.n) - 1, 2)
     if found is None:

@@ -7,14 +7,14 @@ an arc, and in "internal" mode the vertex sets of two parts meet exactly
 in the terminal set.  A part is checked on successor and predecessor
 lists: an iterative DFS from one arc's tail must flag the same vertices
 both ways, as many as have out-arcs (every arc end, then), and each
-terminal.  Per-vertex arc masks then show whether two parts share an arc.
+terminal.  Each part ORs its arcs into one set of per-vertex masks, so two
+parts share an arc exactly when the masks hold fewer arcs than the parts.
 In text: "parts=<count> mode=<arc|internal>", then one line per part, its
 arcs as "u>v" tokens, or "-" for an empty part.
 """
 
 from __future__ import annotations
 
-from operator import and_, or_
 from typing import NamedTuple, Optional
 
 from ._core import Arc, Digraph, _header, _rows, as_terminals
@@ -60,40 +60,38 @@ def _reached(adj: list[list[int]], root: int) -> bytearray:
     return seen
 
 
-def _check_part(host: Digraph, arcs: frozenset[Arc], terminals):
-    """(out-masks, stray arcs, strong) of one part, checked as the module
-    says; with no arcs, only the lone vertex of a 1-vertex host is strong."""
+def _check_part(host: Digraph, arcs: frozenset[Arc], terminals, used: list[int]):
+    """(stray arcs, strong) of one part, checked as the module says, with
+    each host arc ORed into the out-masks ``used``; with no arcs, only the
+    lone vertex of a 1-vertex host is strong."""
     n, host_out = host.n, host.out
-    out, stray, succ, pred = [0] * n, [], [[] for _ in range(n)], [[] for _ in range(n)]
+    stray, succ, pred = [], [[] for _ in range(n)], [[] for _ in range(n)]
     for u, v in arcs:
         if 0 <= u < n and 0 <= v < n and host_out[u] >> v & 1:
-            out[u] |= 1 << v
+            used[u] |= 1 << v
             succ[u].append(v)
             pred[v].append(u)
         else:
             stray.append((u, v))
     if stray or not arcs:
-        return out, stray, n == 1 and all(t == 0 for t in terminals)
+        return stray, n == 1 and all(t == 0 for t in terminals)
     root = next(iter(arcs))[0]
     fwd = _reached(succ, root)
-    return out, stray, (fwd == _reached(pred, root) and fwd.count(1) == n - succ.count([])
-                        and all(0 <= t < n and fwd[t] for t in terminals))
+    return stray, (fwd == _reached(pred, root) and fwd.count(1) == n - succ.count([])
+                   and all(0 <= t < n and fwd[t] for t in terminals))
 
 
 def verify_packing(p: Packing) -> Verdict:
     if p.mode not in (MODE_ARC, MODE_INTERNAL):
         return Verdict(False, "unknown mode", witness=p.mode)
-    used = [0] * p.host.n
-    overlap = False  # arcs shared between parts; located pair by pair below
+    used = [0] * p.host.n  # every part's arcs
     for i, part in enumerate(p.parts):
-        out, stray, strong = _check_part(p.host, part, p.terminals)
+        stray, strong = _check_part(p.host, part, p.terminals, used)
         if stray:
             return Verdict(False, "arc not in host", (i,), min(stray))
         if not strong:
             return Verdict(False, "part is not a terminal-covering strong subgraph", (i,))
-        overlap = overlap or any(map(and_, used, out))
-        used = list(map(or_, used, out))
-    if overlap:
+    if sum(map(int.bit_count, used)) < sum(map(len, p.parts)):  # a shared arc; find its pair
         for i in range(len(p.parts)):
             for j in range(i + 1, len(p.parts)):
                 shared = p.parts[i] & p.parts[j]

@@ -1019,8 +1019,8 @@ class TestLinesLoaded:
     compiles every line it imports, so a change that makes an op load more
     code fails here rather than only in the benchmark.  Each ceiling is at
     or a little above the count measured: 243 lines for ``--version``,
-    1,109 for a certified lambda, 953 for a cut, 1,569 for ``pack`` and
-    731 for ``verify`` (541, 1,868, 1,868, 1,788 and 1,068 while ``cli``
+    1,106 for a certified lambda, 952 for a cut, 1,565 for ``pack`` and
+    728 for ``verify`` (541, 1,868, 1,868, 1,788 and 1,068 while ``cli``
     held every handler and ``exact`` imported the kernel up front; 300,
     1,290, 1,135, 1,614 and 850 while the solvers and the verifier loaded
     all of ``digraph`` and ``exact`` held the test oracles; 296, 1,124,
@@ -1045,8 +1045,11 @@ class TestLinesLoaded:
     unset limit flags itself; 243, 1,095, 939, 1,541 and 714 while the
     exact driver had three exits, two of them past its verify; 243, 1,092,
     936, 1,541 and 714 while the digraph reader held every line of its text
-    at once and the packers held each part twice; now 243, 1,109, 953,
-    1,569 and 731)."""
+    at once and the packers held each part twice; 243, 1,109, 953, 1,569
+    and 731 while the packers worked out layer ids from the offsets and
+    relabelled a given host's parts, the verifier built a mask table per
+    part and the digraph reader also took a list of lines; now 243, 1,106,
+    952, 1,565 and 728)."""
 
     @staticmethod
     def lines(argv, workdir):
@@ -1071,24 +1074,24 @@ class TestLinesLoaded:
     def test_certified_lambda(self, workdir):
         write(workdir / "k.dg", sp.write_digraph(sp.complete_bipartite_digraph(2, 3)))
         assert self.lines(["exact", "--mode", "lambda", "--graph", "k.dg",
-                           "--terminals", "0,2"], workdir) <= 1109
+                           "--terminals", "0,2"], workdir) <= 1106
 
     def test_cut(self, workdir):
         write(workdir / "k.dg", sp.write_digraph(sp.complete_bipartite_digraph(2, 3)))
         assert self.lines(["exact", "--mode", "cut", "--graph", "k.dg",
-                           "--terminals", "0,2"], workdir) <= 953
+                           "--terminals", "0,2"], workdir) <= 952
 
     def test_pack_composition(self, workdir, strong_tournament4):
         spec = sp.CompositionSpec(strong_tournament4, tuple(sp.empty_digraph(3) for _ in range(4)))
         write(workdir / "t.comp", sp.write_composition(spec))
         assert self.lines(["pack", "--composition", "t.comp", "--terminals", "0,4",
-                           "--out", "t.pack"], workdir) <= 1569
+                           "--out", "t.pack"], workdir) <= 1565
 
     def test_verify(self, workdir):
         write(workdir / "k.dg", sp.write_digraph(sp.complete_bipartite_digraph(2, 3)))
         write(workdir / "k.pack", sp.write_packing(sp.pack_bipartite(2, 3, [0, 2])))
         assert self.lines(["verify", "--graph", "k.dg", "--terminals", "0,2", "k.pack"],
-                          workdir) <= 731
+                          workdir) <= 728
 
 
 SRC = str(Path(sp.__file__).resolve().parents[1])

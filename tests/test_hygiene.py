@@ -14,8 +14,8 @@ that driver for every mode, its one greedy call, in no branch on the
 mode, ahead of its one terminal scan, with no ``stop``, ``part1`` or
 ``_single_part`` name left in ``exact``; one place outside
 ``_core`` pairs a forward and a backward closure; one spine
-construction, one composition dispatcher and one place that builds a
-packing in ``packing``; only ``analyze`` asks whether a digraph is
+construction, one composition dispatcher, one id map and one place that
+builds a packing in ``packing``; only ``analyze`` asks whether a digraph is
 quasi-transitive; no package module imports ``cli``; and what lets
 ``cli.entry`` skip interpreter teardown holds: every ``open`` is a ``with``
 item, only ``entry`` calls ``os._exit`` or ``gc.disable``, and no module
@@ -423,6 +423,19 @@ def test_one_spine_construction():
     result is verified on its way out."""
     assert _callers_in("packing.py", "decompose_cycle_blowup") == ["_spine_parts"]
     assert _callers_in("packing.py", "Packing") == ["_checked"]
+
+
+def test_one_id_map():
+    """Within ``packing`` only ``_pack`` reads ``original_ids`` or calls
+    ``offsets()``: it decides once which host id each layer vertex gets, and
+    every builder reads ids from the layer lists it is handed."""
+    tree = TREES["packing.py"]
+    dispatcher = next(fn for fn in tree.body
+                      if isinstance(fn, ast.FunctionDef) and fn.name == "_pack")
+    inside = set(map(id, ast.walk(dispatcher)))
+    reads = [node for node in ast.walk(tree)
+             if getattr(node, "attr", None) in ("original_ids", "offsets")]
+    assert reads and all(id(node) in inside for node in reads)
 
 
 def test_only_analyze_asks_quasi_transitivity():

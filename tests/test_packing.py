@@ -213,6 +213,24 @@ class TestPackSemicompleteComposition:
             sp.pack_semicomplete_composition(spec, [0, 1])
         assert "exceptional" in str(err.value)
 
+    def test_joins_and_relabelled_hosts_share_one_int_per_vertex(self):
+        """Beside the symmetric case of ``test_parts_are_held_once_with_shared_ids``:
+        layers larger than n0 = 5 are joined through spine vertices whose ids
+        pass 256, and the parts of the 405-vertex host still name one int
+        object per vertex (410 while the spine and the joins each built their
+        own id list), as do those of the same host relabelled and packed
+        through its co-components."""
+        rng = random.Random(4)
+        spec = sp.CompositionSpec(gen.random_strong_semicomplete(6, rng), [
+            gen.random_inner(s, 0.15, rng) for s in (5, 60, 70, 80, 90, 100)])
+        perm = list(range(spec.n))
+        rng.shuffle(perm)
+        shuffled = sp.relabel(sp.compose(spec), perm)
+        for p in (sp.pack_semicomplete_composition(spec, [0, 300, 404]),
+                  sp.pack_quasi_transitive(shuffled, [0, 300, 404])):
+            assert len(p.parts) == 5
+            assert len({id(v) for part in p.parts for arc in part for v in arc}) == 405
+
     def test_pair_fallback_by_exact_search(self):
         spec = sp.CompositionSpec(
             sp.directed_cycle(3),
@@ -391,7 +409,7 @@ class TestSelfCheck:
 
     @pytest.mark.parametrize("name,call", PACKERS, ids=[n for n, _ in PACKERS])
     def test_broken_join_fails_self_check(self, monkeypatch, name, call):
-        monkeypatch.setattr(packing, "_join", lambda parts, offs, joins: None)
+        monkeypatch.setattr(packing, "_join", lambda parts, layers, joins: None)
         with pytest.raises(StrongpackError, match="failed self-check"):
             call()
 
