@@ -17,10 +17,10 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import NamedTuple
 
-from ._core import Arc, Digraph, _lowest, _step, as_terminals, \
-    is_strong, is_symmetric, mask_of, strong_component, underlying_connected
+from ._core import Arc, Digraph, as_terminals, is_strong, is_symmetric, mask_of, \
+    strong_component, underlying_connected
 from .errors import PreconditionError, SizeLimitError, StrongpackError
-from .flows import min_arc_cut, vertex_capacitated_connectivity
+from .flows import _path, min_arc_cut, vertex_capacitated_connectivity
 
 
 class SolverLimits(NamedTuple):
@@ -91,43 +91,24 @@ def _terminal_scan(d: Digraph, ts: frozenset[int], internal: bool, below: int):
     return best
 
 
-def _shortest_path(out: list[int], inn: list[int], a: int, b: int):
-    """The arcs of a shortest a->b path, by layered BFS from a, walked back
-    from b through the lowest-id in-neighbour in the previous layer; None
-    if b is unreachable."""
-    layers = [1 << a]
-    seen = layers[0]
-    while not layers[-1] >> b & 1:
-        nxt = _step(out, layers[-1]) & ~seen
-        if not nxt:
-            return None
-        seen |= nxt
-        layers.append(nxt)
-    path = []
-    for layer in reversed(layers[:-1]):
-        u = _lowest(inn[b] & layer)
-        path.append((u, b))
-        b = u
-    return path
-
-
 def _greedy_parts(d: Digraph, ts: frozenset[int], internal=False,
                   most=None) -> tuple[frozenset[Arc], ...]:
     """Arc-disjoint strong parts holding every terminal, found greedily;
     with ``internal`` they meet only at terminals.  A part is the union of
     shortest paths between cyclically consecutive terminals in ascending
     order, each on the arcs earlier parts left: a closed walk through every
-    terminal, hence strong.  Its paths may share arcs, so its arcs (with
-    ``internal``, every arc at its non-terminal vertices) leave the host
-    only once all of them are found.  Stops at the first missing path, or
-    after ``most`` parts."""
+    terminal, hence strong.  Each path is the flows' ``_path``, handed the
+    in-masks, which lose the arcs the out-masks lose.  Its paths may share
+    arcs, so its arcs (with ``internal``, every arc at its non-terminal
+    vertices) leave the host only once all of them are found.  Stops at the
+    first missing path, or after ``most`` parts."""
     out, inn = list(d.out), d.in_masks()
     order = sorted(ts)
     parts = []
     while len(parts) != most:
         part = set()
         for a, b in zip(order, order[1:] + order[:1]):
-            path = _shortest_path(out, inn, a, b)
+            path = _path(out, a, b, inn)[0]
             if path is None:
                 return tuple(parts)
             part.update(path)
@@ -209,9 +190,9 @@ def has_strong_arc_decomposition(d: Digraph, limits: SolverLimits = DEFAULT_LIMI
     """Whether the arc set splits into two disjoint spanning strong sets:
     lambda >= 2 with every vertex a terminal, as unused arcs can join either
     part, so ``exact_lambda``'s greedy, bound and search answer it, capped
-    at 2.  Returns (flag, witness), the witness a verified pair of spanning
-    strong arc sets that partition the arcs (two empty ones when n == 1;
-    n == 0 is refused, as no terminal list names its vertices)."""
+    at 2.  Returns (flag, witness), the witness the driver's verified pair
+    of spanning strong arc sets that partition the arcs (n == 1: two empty
+    sets, never verified; n == 0 is refused: no terminal list names it)."""
     if d.n <= 1:
         if not d.n:
             raise PreconditionError("strong arc decomposition needs at least one vertex")

@@ -232,20 +232,34 @@ class TestFlowsAgainstNetworkx:
             arcs.add((v, u))
         return sp.Digraph(n, arcs)
 
+    def _big_case(self, rng):
+        """(host, s, t): 60-300 vertices, half the arcs with their reverse,
+        and n/4 arcs out of s and into t, so the flow is 25-64 and a search
+        layer holds 37-85 vertices: the walk back from a path vertex scans
+        far along its layer."""
+        n = rng.randint(60, 300)
+        s, t = rng.sample(range(n), 2)
+        arcs = {(s, v) for v in rng.sample(range(n), n // 4)} \
+            | {(v, t) for v in rng.sample(range(n), n // 4)} \
+            | {tuple(rng.sample(range(n), 2)) for _ in range(2 * n)}
+        arcs |= {(v, u) for u, v in rng.sample(sorted(arcs), len(arcs) // 2)}
+        return sp.Digraph(n, {(u, v) for u, v in arcs if u != v}), s, t
+
     def test_min_arc_cut_is_the_source_side_cut(self):
         """The cut is exactly the arcs leaving what s reaches in the
         residual graph of a maximum flow; that set does not depend on
-        which maximum flow networkx finds."""
+        which maximum flow networkx finds.  Small hosts, then eight big
+        ones."""
         import networkx as nx
         from networkx.algorithms.flow import edmonds_karp
         from strongpack.flows import min_arc_cut
-        rng = random.Random(33)
-        for _ in range(60):
-            d = self._antiparallel_digraph(rng)
+        rng, big = random.Random(33), random.Random(35)
+        cases = [(d, *rng.sample(range(d.n), 2))
+                 for d in (self._antiparallel_digraph(rng) for _ in range(60))]
+        for d, s, t in cases + [self._big_case(big) for _ in range(8)]:
             g = nx.DiGraph()
             g.add_nodes_from(range(d.n))
             g.add_edges_from(d.arcs, capacity=1)
-            s, t = rng.sample(range(d.n), 2)
             r = edmonds_karp(g, s, t)
             residual = nx.DiGraph((u, v) for u, v, a in r.edges(data=True)
                                   if a["capacity"] - a["flow"] > 0)

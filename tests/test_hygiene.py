@@ -12,7 +12,8 @@ that calls the kernel directly, and ``exact`` imports it only where its
 driver searches, right after the one size guard; one certify order in
 that driver for every mode, its one greedy call, in no branch on the
 mode, ahead of its one terminal scan, with no ``stop``, ``part1`` or
-``_single_part`` name left in ``exact``; one place outside
+``_single_part`` name left in ``exact``; one shortest-path search,
+``flows._path``, for the flows and the greedy; one place outside
 ``_core`` pairs a forward and a backward closure; one spine
 construction, one composition dispatcher, one id map and one place that
 builds a packing in ``packing``; only ``analyze`` asks whether a digraph is
@@ -347,6 +348,38 @@ def test_one_certify_order():
     assert checked.id == returned.id
     assert len([node for node in ast.walk(driver) if isinstance(node, ast.Name)
                 and node.id == checked.id and isinstance(node.ctx, ast.Store)]) == 1
+
+
+def test_one_path_search():
+    """``flows._path`` is the package's one shortest-path search, called by
+    the flow and the greedy alone.  A search steps a frontier: it calls
+    ``_core._step`` or peels the lowest bit itself (``x & -x``).  In
+    ``exact`` and ``flows`` only ``_path`` does either, and outside
+    ``_core`` only ``digraph.strong_components``, whose closures give masks
+    and no path, calls ``_step``.  No ``_shortest_path`` is defined, and
+    ``flows`` holds no ``parent`` list: each augmenting path is ``_path``'s
+    walk back through its layers."""
+    functions = [(module[:-3], fn) for module, tree in TREES.items()
+                 for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)]
+
+    def calls(fn, name):
+        return any(isinstance(node, ast.Call) and getattr(node.func, "id", None) == name
+                   for node in ast.walk(fn))
+
+    def peels(fn):
+        return any(isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitAnd)
+                   and isinstance(node.right, ast.UnaryOp) and isinstance(node.right.op, ast.USub)
+                   for node in ast.walk(fn))
+
+    assert [f"{module}.{fn.name}" for module, fn in functions if module in ("exact", "flows")
+            and (calls(fn, "_step") or peels(fn))] == ["flows._path"]
+    assert [f"{module}.{fn.name}" for module, fn in functions
+            if module != "_core" and calls(fn, "_step")] == ["digraph.strong_components"]
+    assert sorted(f"{module}.{fn.name}" for module, fn in functions if calls(fn, "_path")) == [
+        "exact._greedy_parts", "flows._max_flow"]
+    assert not [fn for _, fn in functions if fn.name == "_shortest_path"]
+    assert not [node for node in ast.walk(TREES["flows.py"])
+                if "parent" in (getattr(node, "id", None), getattr(node, "arg", None))]
 
 
 def test_verify_only_in_the_driver():

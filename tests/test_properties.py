@@ -16,9 +16,9 @@ import strongpack as sp
 from strongpack import _kernel, exact
 from strongpack import generators as gen
 from strongpack.cli import main
-from strongpack.digraph import induced, mask_of, strong_component
+from strongpack.digraph import induced, mask_of, reachable, strong_component
 from strongpack.errors import SizeLimitError
-from strongpack.flows import min_arc_cut, vertex_capacitated_connectivity
+from strongpack.flows import _path, min_arc_cut, vertex_capacitated_connectivity
 from strongpack.verify import MODE_ARC, MODE_INTERNAL
 
 from oracles import check_cut_relation, out_masks, reverse
@@ -139,6 +139,32 @@ def test_format_round_trip(d):
     text = sp.write_digraph(d)
     assert sp.read_digraph(text) == d
     assert sp.write_digraph(sp.read_digraph(text)) == text
+
+
+@settings(max_examples=300, deadline=None)
+@given(digraphs(max_n=12, max_m=40), st.data())
+def test_path_is_the_lowest_shortest_path(d, data):
+    """``flows._path`` against a breadth-first search on the arc set: its
+    arcs, listed from t back to s, form a path of the BFS distance, and
+    each enters its head from the lowest vertex of the layer before with
+    an arc to it.  The greedy's in-masks change nothing, and an unreachable
+    t leaves ``seen`` all that s reaches."""
+    s, t = data.draw(st.permutations(range(d.n)))[:2]
+    dist, frontier, step = {s: 0}, {s}, 0
+    while frontier:
+        step += 1
+        frontier = {v for u, v in d.arcs if u in frontier and v not in dist}
+        dist.update(dict.fromkeys(frontier, step))
+    out = list(d.out)
+    path, seen = _path(out, s, t)
+    assert _path(out, s, t, d.in_masks()) == (path, seen)
+    if t not in dist:
+        assert path is None and seen == reachable(out, s)
+        return
+    assert len(path) == dist[t]
+    assert [v for _, v in path] == [t] + [u for u, _ in path[:-1]] and path[-1][0] == s
+    for u, v in path:
+        assert u == min(x for x in dist if dist[x] == dist[v] - 1 and d.has_arc(x, v))
 
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
