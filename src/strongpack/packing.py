@@ -6,19 +6,21 @@ the Hamiltonian cycles of blown-up cycles of layers, with the other
 vertices joined to every part.  A packer only chooses the cycles; the
 construction decomposes them, from the shift rows of
 ``decompose_cycle_blowup`` written straight into host ids (so no blow-up
-digraph or vertex order is built), and derives every join.
-The composition packers, ``pack_quasi_transitive`` included, call one
-dispatcher, ``_pack``: the exceptional refusal, the n0 = 1 rule, the
-symmetric or semicomplete choice and the one self-check, ``_checked``.
-It names each layer vertex once by its host id (``spec.original_ids`` on a
-given host, else layer-major), so every part is built in host ids with one
-int object per vertex, and is held once, its set frozen in place.
+digraph or vertex order is built), and derives every join, finishing
+part j before it starts part j + 1.  The composition packers,
+``pack_quasi_transitive`` included, and ``pack`` call one dispatcher,
+``_pack``: the exceptional refusal, the n0 = 1 rule, the symmetric or
+semicomplete choice and the one self-check, ``_checked``, of each part as
+it passes.  It names each layer vertex once by its host id
+(``spec.original_ids`` on a given host, else layer-major), so every part
+is built in host ids with one int object per vertex.  A packer holds each
+part once, frozen as it passes; ``pack`` holds one part at a time.
 """
 
 from __future__ import annotations
 
 from itertools import permutations
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .composition import CompositionSpec, canonical_decomposition_strong_qt, compose
 from .digraph import (Arc, Digraph, _lowest, as_terminals, directed_cycle, directed_path,
@@ -28,22 +30,25 @@ from .errors import InfeasibleError, PreconditionError, StrongpackError
 from .hamilton import BlowupDecomposition, decompose_cycle_blowup, hamilton_semicomplete
 # perfbench reads the record, verifier and text format on this module, and its
 # tracer wraps them here; "x as x" marks a name imported only for that.
-from .verify import (MODE_ARC, MODE_INTERNAL as MODE_INTERNAL, Packing, verify_packing,
-                     read_packing as read_packing, write_packing as write_packing)
+from .verify import (MODE_ARC, MODE_INTERNAL as MODE_INTERNAL, Packing, _check_part,
+                     verify_packing as verify_packing, read_packing as read_packing,
+                     write_packing as write_packing)
 
 
-def _checked(host: Digraph, ts: frozenset[int], parts: list[Iterable[Arc]]) -> Packing:
-    """The packing of ``parts`` on ``host``, or StrongpackError unless it
-    verifies.  Each part is frozen in place, so the set it was built in is
-    freed as its copy is made and every part is held once."""
-    for i in range(len(parts)):
-        parts[i] = frozenset(parts[i])
-    p = Packing(host, ts, MODE_ARC, tuple(parts))
-    verdict = verify_packing(p)
-    if not verdict:
-        raise StrongpackError(f"constructed packing failed self-check: "
-                              f"{verdict.reason} parts={verdict.parts}")
-    return p
+def _checked(host: Digraph, ts: frozenset[int], parts: Iterable[set[Arc]]) -> Iterator[set[Arc]]:
+    """``parts`` as they pass, each checked by ``verify._check_part`` into one
+    shared set of out-masks; StrongpackError at the first that fails, or
+    after the last if the masks hold fewer arcs than the parts (two share one)."""
+    used, total = [0] * host.n, 0
+    for i, arcs in enumerate(parts):
+        stray, strong = _check_part(host, arcs, ts, used)
+        if stray or not strong:
+            why = "arc not in host" if stray else "part is not a terminal-covering strong subgraph"
+            raise StrongpackError(f"constructed packing failed self-check: {why} parts={(i,)}")
+        total += len(arcs)
+        yield arcs
+    if sum(map(int.bit_count, used)) < total:
+        raise StrongpackError("constructed packing failed self-check: arc-disjoint")
 
 
 # -- complete bipartite hosts --------------------------------------------------
@@ -127,11 +132,13 @@ def pack_symmetric_composition(spec: CompositionSpec, terminals) -> Packing:
 
 
 def _pack(spec: CompositionSpec, terminals, symmetric: Optional[bool] = None,
-          host: Optional[Digraph] = None) -> Packing:
-    """The composition packer behind the public ones.  ``symmetric`` picks
-    the outer class, ``None`` meaning symmetric when the outer digraph is;
-    ``host`` defaults to ``compose(spec)``, and a given host's layer vertices
-    are named by ``spec.original_ids`` (layer-major ids when it has none)."""
+          host: Optional[Digraph] = None, stream: bool = False) -> Packing:
+    """The composition packer behind the public ones and ``pack``, whose
+    ``stream`` keeps the checked parts a stream, to be read once.
+    ``symmetric`` picks the outer class, ``None`` meaning symmetric when
+    the outer digraph is; ``host`` defaults to ``compose(spec)``, and a
+    given host's layer vertices are named by ``spec.original_ids``
+    (layer-major ids when it has none)."""
     outer = spec.outer
     if symmetric is None:
         symmetric = is_symmetric(outer)
@@ -160,11 +167,12 @@ def _pack(spec: CompositionSpec, terminals, symmetric: Optional[bool] = None,
             parts = _spine_parts(spec, layers, [(o, size[o[0]]) for o in orders])
         else:
             parts = _semicomplete_parts(spec, layers, host)
-    return _checked(host, ts, parts)
+    parts = _checked(host, ts, parts)
+    return Packing(host, ts, MODE_ARC, parts if stream else tuple(map(frozenset, parts)))
 
 
 def _spine_parts(spec: CompositionSpec, layers: list[list[int]],
-                 cycles: list[tuple[list[int], int]]) -> list[set[Arc]]:
+                 cycles: list[tuple[list[int], int]]) -> Iterator[set[Arc]]:
     """The n0 parts of the spine construction, in the host ids of ``layers``.
     Each cycle (order, r) is the cycle of layers ``order`` blown up by r on
     the first r vertices of each of its layers, decomposed once per (length,
@@ -175,38 +183,35 @@ def _spine_parts(spec: CompositionSpec, layers: list[list[int]],
     that cycle, and one of a layer on no cycle through vertex j of its
     lowest in- and out-neighbour layers on a cycle."""
     outer = spec.outer
-    parts: list[set[Arc]] = [set() for _ in range(spec.n0)]
     decs: dict[tuple[int, int], BlowupDecomposition] = {}
-    joins, on = [], 0
+    steps, joins, on = [], [], 0
     for order, r in cycles:
         k = len(order)
         if (k, r) not in decs:
             decs[k, r] = decompose_cycle_blowup(k, r)
         heads = [layers[x][:r] for x in order]
-        steps = list(zip(heads, heads[1:] + heads[:1], decs[k, r].rows))
-        for j, arcs in enumerate(parts):
-            # a whole-set merge sizes the part's table to fit; arc by arc it can grow 2x
-            arcs |= {arc for a, b, row in steps for arc in zip(a, b[row[j]:] + b[:row[j]])}
+        steps += zip(heads, heads[1:] + heads[:1], decs[k, r].rows)
         joins += [(x, r, order[i - 1], order[(i + 1) % k]) for i, x in enumerate(order)]
         on |= mask_of(order)
     inn = outer.in_masks()
     joins += [(x, 0, _lowest(inn[x] & on), _lowest(outer.out[x] & on))
               for x in range(spec.t) if not on >> x & 1]
-    _join(parts, layers, joins)
-    return parts
+    for j in range(spec.n0):
+        arcs = {arc for a, b, row in steps for arc in zip(a, b[row[j]:] + b[:row[j]])}
+        _join(arcs, j, layers, joins)
+        yield arcs
 
 
-def _join(parts: list[set[Arc]], layers: list[list[int]],
+def _join(arcs: set[Arc], j: int, layers: list[list[int]],
           joins: list[tuple[int, int, int, int]]) -> None:
     """Each join (layer, first, a, b) adds every vertex of ``layer`` from
-    index ``first`` onward to part j, through an arc from vertex j of
-    layer a and an arc to vertex j of layer b."""
+    index ``first`` onward to part j, whose arcs are ``arcs``, through an
+    arc from vertex j of layer a and an arc to vertex j of layer b."""
     for layer, first, a, b in joins:
-        ends = list(zip(parts, layers[a], layers[b]))
+        x, y = layers[a][j], layers[b][j]
         for v in layers[layer][first:]:
-            for arcs, x, y in ends:
-                arcs.add((x, v))
-                arcs.add((v, y))
+            arcs.add((x, v))
+            arcs.add((v, y))
 
 
 def pack_semicomplete_composition(spec: CompositionSpec, terminals) -> Packing:
@@ -242,10 +247,10 @@ def pack_semicomplete_composition(spec: CompositionSpec, terminals) -> Packing:
 
 
 def _semicomplete_parts(spec: CompositionSpec, layers: list[list[int]],
-                        host: Digraph) -> list[set[Arc]]:
+                        host: Digraph) -> Iterator[set[Arc]]:
     """The n0 >= 2 parts of ``pack_semicomplete_composition`` in the host ids
-    of ``layers``, unchecked; the outer digraph must be strong semicomplete
-    and the host not exceptional."""
+    of ``layers``, unchecked and one at a time; the outer digraph must be
+    strong semicomplete and the host not exceptional."""
     outer, t, n0 = spec.outer, spec.t, spec.n0
     dropped = _droppable_layer(outer) if t % 2 and n0 % 4 == 2 else None
     spine = [i for i in range(t) if i != dropped]
@@ -254,9 +259,11 @@ def _semicomplete_parts(spec: CompositionSpec, layers: list[list[int]],
         # no layer can go, so t = 3 and the outer digraph is C3
         parts, core = _c3_core_parts(spec, layers, host)
         joins = [(x, core[x], order[i - 1], order[(i + 1) % 3]) for i, x in enumerate(order)]
-        _join(parts, layers, joins)
-        return parts
-    return _spine_parts(spec, layers, [(order, n0)])
+        for j, arcs in enumerate(parts):
+            _join(arcs, j, layers, joins)
+            yield arcs
+    else:
+        yield from _spine_parts(spec, layers, [(order, n0)])
 
 
 def _droppable_layer(outer: Digraph) -> Optional[int]:

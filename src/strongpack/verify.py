@@ -15,7 +15,7 @@ arcs as "u>v" tokens, or "-" for an empty part.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from typing import Collection, NamedTuple, Optional
 
 from ._core import Arc, Digraph, _header, _rows, as_terminals
 from .errors import GraphFormatError
@@ -60,7 +60,7 @@ def _reached(adj: list[list[int]], root: int) -> bytearray:
     return seen
 
 
-def _check_part(host: Digraph, arcs: frozenset[Arc], terminals, used: list[int]):
+def _check_part(host: Digraph, arcs: Collection[Arc], terminals, used: list[int]):
     """(stray arcs, strong) of one part, checked as the module says, with
     each host arc ORed into the out-masks ``used``; with no arcs, only the
     lone vertex of a 1-vertex host is strong."""
@@ -108,14 +108,16 @@ def verify_packing(p: Packing) -> Verdict:
 
 
 def write_packing(p: Packing) -> str:
+    """The text of ``p``, its parts read once, in order, so they may be a stream."""
     names = {v: str(v) for v in range(p.host.n)}
     tails = {v: name + ">" for v, name in names.items()}
-    lines = [f"parts={len(p.parts)} mode={p.mode}"]
+    lines = [""]  # the header counts the parts, so it is set last
     for part in p.parts:
         try:
             lines.append(" ".join([tails[u] + names[v] for u, v in sorted(part)]) or "-")
         except KeyError:  # an arc off the host is written as it stands
             lines.append(" ".join(f"{u}>{v}" for u, v in sorted(part)))
+    lines[0] = f"parts={len(lines) - 1} mode={p.mode}"
     lines.append("")  # the text ends in a newline, with no second copy of it
     return "\n".join(lines)
 

@@ -120,6 +120,24 @@ class TestPackVerify:
         assert main(["pack", "--composition", comp, "--terminals", "0,1"]) == 2
         assert "exceptional" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("out", [True, False], ids=["out", "stdout"])
+    def test_self_check_failure_writes_nothing(self, workdir, capsys, monkeypatch, out):
+        # parts built with no joins miss terminal 11, the last vertex of the
+        # largest layer: the first part is refused as it passes, and no part
+        # is written
+        from strongpack import packing
+        monkeypatch.setattr(packing, "_join", lambda arcs, j, layers, joins: None)
+        spec = sp.CompositionSpec(sp.directed_cycle(3),
+                                  tuple(sp.empty_digraph(k) for k in (3, 4, 5)))
+        comp = write(workdir / "q.comp", sp.write_composition(spec))
+        target = workdir / "q.pack"
+        argv = ["pack", "--composition", comp, "--terminals", "0,11"]
+        assert main(argv + ["--out", str(target)] if out else argv) == 2
+        assert capsys.readouterr() == ("", "error: constructed packing failed self-check: "
+                                           "part is not a terminal-covering strong "
+                                           "subgraph parts=(0,)\n")
+        assert not target.exists()
+
     def test_n0_two_host_above_kernel_limit_packs(self, workdir, capsys):
         spec = sp.CompositionSpec(sp.directed_cycle(3), (
             sp.empty_digraph(2), sp.empty_digraph(32), sp.empty_digraph(32)))
@@ -1019,8 +1037,8 @@ class TestLinesLoaded:
     compiles every line it imports, so a change that makes an op load more
     code fails here rather than only in the benchmark.  Each ceiling is at
     or a little above the count measured: 243 lines for ``--version``,
-    1,105 for a certified lambda, 951 for a cut, 1,565 for ``pack`` and
-    728 for ``verify`` (541, 1,868, 1,868, 1,788 and 1,068 while ``cli``
+    1,107 for a certified lambda, 951 for a cut, 1,574 for ``pack`` and
+    730 for ``verify`` (541, 1,868, 1,868, 1,788 and 1,068 while ``cli``
     held every handler and ``exact`` imported the kernel up front; 300,
     1,290, 1,135, 1,614 and 850 while the solvers and the verifier loaded
     all of ``digraph`` and ``exact`` held the test oracles; 296, 1,124,
@@ -1050,7 +1068,9 @@ class TestLinesLoaded:
     relabelled a given host's parts, the verifier built a mask table per
     part and the digraph reader also took a list of lines; 243, 1,106,
     952, 1,565 and 728 while the flows and the greedy each had their own
-    shortest-path search; now 243, 1,105, 951, 1,565 and 728)."""
+    shortest-path search; 243, 1,105, 951, 1,565 and 728 while ``pack``
+    held every part until it wrote the packing; now 243, 1,107, 951, 1,574
+    and 730)."""
 
     @staticmethod
     def lines(argv, workdir):
@@ -1075,7 +1095,7 @@ class TestLinesLoaded:
     def test_certified_lambda(self, workdir):
         write(workdir / "k.dg", sp.write_digraph(sp.complete_bipartite_digraph(2, 3)))
         assert self.lines(["exact", "--mode", "lambda", "--graph", "k.dg",
-                           "--terminals", "0,2"], workdir) <= 1105
+                           "--terminals", "0,2"], workdir) <= 1107
 
     def test_cut(self, workdir):
         write(workdir / "k.dg", sp.write_digraph(sp.complete_bipartite_digraph(2, 3)))
@@ -1086,13 +1106,13 @@ class TestLinesLoaded:
         spec = sp.CompositionSpec(strong_tournament4, tuple(sp.empty_digraph(3) for _ in range(4)))
         write(workdir / "t.comp", sp.write_composition(spec))
         assert self.lines(["pack", "--composition", "t.comp", "--terminals", "0,4",
-                           "--out", "t.pack"], workdir) <= 1565
+                           "--out", "t.pack"], workdir) <= 1574
 
     def test_verify(self, workdir):
         write(workdir / "k.dg", sp.write_digraph(sp.complete_bipartite_digraph(2, 3)))
         write(workdir / "k.pack", sp.write_packing(sp.pack_bipartite(2, 3, [0, 2])))
         assert self.lines(["verify", "--graph", "k.dg", "--terminals", "0,2", "k.pack"],
-                          workdir) <= 728
+                          workdir) <= 730
 
 
 SRC = str(Path(sp.__file__).resolve().parents[1])

@@ -16,8 +16,9 @@ mode, ahead of its one terminal scan, with no ``stop``, ``part1`` or
 ``flows._path``, for the flows and the greedy; one place outside
 ``_core`` pairs a forward and a backward closure; one spine
 construction, one composition dispatcher, one id map and one place that
-builds a packing in ``packing``; only ``analyze`` asks whether a digraph is
-quasi-transitive; no package module imports ``cli``; and what lets
+builds a packing in ``packing``, and every part, also those ``pack``
+renders, passes its one self-check; only ``analyze`` asks whether a
+digraph is quasi-transitive; no package module imports ``cli``; and what lets
 ``cli.entry`` skip interpreter teardown holds: every ``open`` is a ``with``
 item, only ``entry`` calls ``os._exit`` or ``gc.disable``, and no module
 imports ``threading``; only the argparse builder calls ``add_argument``, and
@@ -287,8 +288,9 @@ def test_one_composition_dispatcher():
     """``packing._pack`` is the one composition packer: it holds the
     package's only ``raise InfeasibleError``, its only call of
     ``is_in_exceptional`` and its only ``n0 == 1`` test, and every public
-    composition packer calls it; ``pack --composition`` leaves the outer
-    class to it, so ``commands/pack.py`` asks no ``is_symmetric``."""
+    composition packer and ``pack`` call it, ``pack`` for both of its
+    inputs; ``pack --composition`` leaves the outer class to it, so
+    ``commands/pack.py`` asks no ``is_symmetric``."""
     def named(node, name):
         return getattr(node, "id", None) == name or getattr(node, "attr", None) == name
 
@@ -308,7 +310,13 @@ def test_one_composition_dispatcher():
     assert sorted(_callers_in("packing.py", "_pack")) == [
         "pack_quasi_transitive", "pack_semicomplete_composition", "pack_symmetric_composition"]
     assert _callers_in("packing.py", "_checked") == ["_pack"]
-    assert not [node for node in ast.walk(TREES["commands/pack.py"])
+    command = TREES["commands/pack.py"]
+    streams = [node for node in ast.walk(command)
+               if isinstance(node, ast.Call) and named(node.func, "_pack")]
+    assert len(streams) == 2 and all(
+        [(kw.arg, kw.value.value) for kw in call.keywords if kw.arg == "stream"]
+        == [("stream", True)] for call in streams)
+    assert not [node for node in ast.walk(command)
                 if isinstance(node, ast.Call) and named(node.func, "is_symmetric")]
 
 
@@ -452,16 +460,38 @@ def _callers_in(module: str, name: str) -> list[str]:
 def test_one_spine_construction():
     """Within ``packing`` only ``_spine_parts`` decomposes a cycle blow-up,
     so every packer only chooses its cycles and the construction derives
-    every join; only ``_checked`` builds a ``Packing``, so every packer's
-    result is verified on its way out."""
+    every join.  Every part, from every packer and from ``pack``, passes
+    ``_checked``: only ``_pack`` builds a ``Packing``, in its one return,
+    whose parts are read from the stream ``_checked`` makes; and ``pack``
+    writes only what ``_pack`` gave it."""
+    def named(node, name):
+        return getattr(node, "id", None) == name or getattr(node, "attr", None) == name
+
     assert _callers_in("packing.py", "decompose_cycle_blowup") == ["_spine_parts"]
-    assert _callers_in("packing.py", "Packing") == ["_checked"]
+    assert _callers_in("packing.py", "Packing") == ["_pack"]
+    dispatcher = next(fn for fn in TREES["packing.py"].body
+                      if isinstance(fn, ast.FunctionDef) and fn.name == "_pack")
+    body = list(ast.walk(dispatcher))
+    (checked,) = [node for node in body if isinstance(node, ast.Assign)
+                  and isinstance(node.value, ast.Call) and named(node.value.func, "_checked")]
+    (returned,) = [node for node in body if isinstance(node, ast.Return)]
+    assert named(checked.targets[0], "parts") and named(returned.value.func, "Packing")
+    assert checked.lineno < returned.lineno and "parts" in {
+        node.id for node in ast.walk(returned.value.args[-1]) if isinstance(node, ast.Name)}
+    command = TREES["commands/pack.py"]
+    (write,) = [node for node in ast.walk(command)
+                if isinstance(node, ast.Call) and named(node.func, "write_packing")]
+    assigned = [node for node in ast.walk(command) if isinstance(node, ast.Assign)
+                and named(node.targets[0], "packing")]
+    assert [arg.id for arg in write.args] == ["packing"] and len(assigned) == 2
+    assert all(named(node.value.func, "_pack") for node in assigned)
 
 
 def test_one_id_map():
     """Within ``packing`` only ``_pack`` reads ``original_ids`` or calls
     ``offsets()``: it decides once which host id each layer vertex gets, and
-    every builder reads ids from the layer lists it is handed."""
+    every builder reads ids from the layer lists it is handed.  ``pack``
+    reads neither: it leaves the ids of both of its inputs to ``_pack``."""
     tree = TREES["packing.py"]
     dispatcher = next(fn for fn in tree.body
                       if isinstance(fn, ast.FunctionDef) and fn.name == "_pack")
@@ -469,6 +499,8 @@ def test_one_id_map():
     reads = [node for node in ast.walk(tree)
              if getattr(node, "attr", None) in ("original_ids", "offsets")]
     assert reads and all(id(node) in inside for node in reads)
+    assert not [node for node in ast.walk(TREES["commands/pack.py"])
+                if getattr(node, "attr", None) in ("original_ids", "offsets")]
 
 
 def test_only_analyze_asks_quasi_transitivity():

@@ -489,16 +489,50 @@ def test_induced_matches_networkx(d, data):
     assert h.n == len(keep) and h.arcs == set(sub.edges)
 
 
-def _pack_cli(flag, text, terminals):
+def _pack_cli(flag, text, terminals, strategy="auto"):
     """``pack`` on one input file in a fresh directory: exit code, stderr
-    and the packing file's bytes (None unless the exit is 0)."""
+    and the packing file's bytes (None when no file was written)."""
     with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
         Path("in.txt").write_text(text)
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
             code = main(["pack", flag, "in.txt", "--terminals", ",".join(map(str, terminals)),
-                         "--out", "out.pack"])
-        return code, err.getvalue(), Path("out.pack").read_bytes() if code == 0 else None
+                         "--strategy", strategy, "--out", "out.pack"])
+        out = Path("out.pack")
+        return code, err.getvalue(), out.read_bytes() if out.exists() else None
+
+
+def _pack_library(packer, *args):
+    """What ``pack`` should give for ``packer(*args)``: exit 0, no stderr
+    and ``write_packing`` of the packing, or the refusal's line, exit 2
+    and no file."""
+    try:
+        return 0, "", sp.write_packing(packer(*args)).encode()
+    except sp.PreconditionError as exc:
+        return 2, f"precondition violated: {exc}\n", None
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.integers(2, 5), st.integers(1, 6), st.booleans(), st.randoms())
+def test_pack_writes_what_the_library_packers_return(t, max_inner, symmetric, rng):
+    """``pack`` renders each part of ``_pack``'s stream as it passes, the
+    library packers collect the same stream: ``pack --composition`` with
+    ``auto`` and with the family's own strategy, and ``pack --graph`` on
+    the composed host, each write exactly ``write_packing`` of the matching
+    packer, or print its refusal with its exit code and write no file."""
+    spec = gen.random_composition(t, max_inner, rng, symmetric)
+    host = sp.compose(spec)
+    terminals = sorted(rng.sample(range(host.n), min(host.n, 3)))
+    text = sp.write_composition(spec)
+    auto = (sp.pack_symmetric_composition if sp.is_symmetric(spec.outer)
+            else sp.pack_semicomplete_composition)
+    assert _pack_cli("--composition", text, terminals) == _pack_library(auto, spec, terminals)
+    strategy, forced = (("symmetric", sp.pack_symmetric_composition) if symmetric
+                        else ("semicomplete", sp.pack_semicomplete_composition))
+    assert _pack_cli("--composition", text, terminals, strategy) == _pack_library(
+        forced, spec, terminals)
+    assert _pack_cli("--graph", sp.write_digraph(host), terminals) == _pack_library(
+        sp.pack_quasi_transitive, host, terminals)
 
 
 @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
